@@ -7,14 +7,22 @@ of a (k,s)-net yields one basis of C^(s^2) holding s*s vectors (incidence
 vector index outer, Hadamard row index inner), and the k blocks give k
 mutually unbiased bases.
 
-Two pairs of vectors from different bases share exactly one support point,
-so their unscaled inner product S is a single root of unity and
-|S|^2 / (nu * nv) = 1/s^2 on the nose; pairs from the same basis either
-have disjoint supports (S = 0) or differ only in the Hadamard row, where
-row orthogonality makes S vanish.  Verification re-derives all of this
-from scratch for any set, exactly (group-ring arithmetic modulo a
-cyclotomic polynomial) or in floating point (tolerance 1e-9), without
-assuming how the set was produced.
+Two vectors from different bases share exactly one support point, so their
+unscaled inner product S is a single root of unity and |S|^2 / (nu * nv) =
+1/s^2 on the nose; pairs from the same basis either have disjoint supports
+(S = 0) or differ only in the Hadamard row, where row orthogonality makes S
+vanish.  Verification re-derives all of this from scratch for any set,
+without assuming how the set was produced.
+
+The exact verifier groups each basis's vectors by (support, norm_sq) and
+decides a pair of groups at once wherever a ring identity allows it: two
+supports that meet in one point give S a single root of unity, so
+d*S*conj(S) = d, and the whole product of the two groups is unbiased
+exactly when nu*nv = d; disjoint supports give S = 0.  Every other
+overlapping pair is decided on its own in the cyclotomic group ring, with
+each distinct vector of exponent differences tested once per call.  The
+float oracle (tolerance 1e-9) stays brute force, summing every inner
+product numerically, so it cross-checks these shortcuts independently.
 
 Amplitudes are stored either as integer exponents against a root order
 (exact route) or as complex numbers (float-only route, e.g. imported data).
@@ -34,6 +42,12 @@ from . import serial
 from .cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
 from .hadamard import GenHadamard, verify_hadamard
 from .net import IncidenceVector, Net, verify_net
+
+# Cyclotomic elements are dense in the root order, so a loaded document may
+# ask for at most this order (the scale of hadamard.MAX_TABLE_SIZE).
+MAX_ROOT_ORDER = 1 << 12
+# Keys the exact pass remembers per verify_mubs call.
+_MEMO_LIMIT = 1 << 12
 
 
 class VerificationFailedError(ValueError):
@@ -242,19 +256,19 @@ class MubReport:
 
 def _exact_tables(x: MubSet):
     """Per basis: amplitude dicts with exponents lifted to the set root order,
-    plus an inverted index position -> [(vector index, exponent)]."""
+    plus the vector indices grouped by (support bitmask, norm_sq), groups in
+    order of first appearance."""
     m = x.root_order
     tables = []
     for basis in x.bases:
         maps = []
-        inv: list[list[tuple[int, int]]] = [[] for _ in range(x.dim)]
+        groups: dict[tuple[int, int], list[int]] = {}
         for j, vec in enumerate(basis.vectors):
             f = m // vec.root_order
-            amp = {pos: e * f % m for pos, e in vec.amps}
-            maps.append(amp)
-            for pos, e in amp.items():
-                inv[pos].append((j, e))
-        tables.append((maps, inv))
+            maps.append({pos: e * f % m for pos, e in vec.amps})
+            mask = sum(1 << pos for pos, _ in vec.amps)
+            groups.setdefault((mask, vec.norm_sq), []).append(j)
+        tables.append((maps, list(groups.items())))
     return m, tables
 
 
@@ -291,52 +305,117 @@ def _check_norms_float(x: MubSet, b: int, maps) -> list[MubViolation]:
     return out
 
 
-def _pair_violations_exact(x: MubSet, m: int, tables, b: int, c: int) -> list[MubViolation]:
-    out = []
+def _pack(fields: Iterable[int], w: int) -> int:
+    """Non-negative fields below 2**w, one w-bit slot each, first lowest."""
+    out = 0
+    for k, f in enumerate(fields):
+        out |= f << (w * k)
+    return out
+
+
+def _overlap_keys(m: int, w: int, maps_u, us, maps_v, vs, common: int):
+    """(i, j, key) for every pair of the product us x vs, or for the pairs
+    i < j when us is vs.  The key holds e_u - e_v + m, which lies in
+    1..2m-1 < 2**w, in one w-bit field per common support position: adding
+    the packed u and the packed m - v fields cannot carry, so one integer
+    addition per pair gives a key that determines the exponent differences,
+    and hence S(u, v), exactly."""
+    positions = [p for p in maps_u[us[0]] if common >> p & 1]
+    rows_u = [_pack((maps_u[i][p] for p in positions), w) for i in us]
+    rows_v = [_pack((m - maps_v[j][p] for p in positions), w) for j in vs]
+    same = us is vs
+    for a, (i, ru) in enumerate(zip(us, rows_u)):
+        partners = zip(vs[a + 1:], rows_v[a + 1:]) if same else zip(vs, rows_v)
+        for j, rv in partners:
+            yield i, j, ru + rv
+
+
+def _memo_test(memo: dict, tag, key: int, m: int, w: int, test) -> bool:
+    """test(tag, diffs) for the sorted exponent differences diffs packed in
+    key (see _overlap_keys), remembered for the rest of one verify_mubs call
+    under (tag, key) and (tag, diffs); tag tells the tests apart.
+
+    The packed key costs one lookup per pair; the sorted differences, which
+    alone decide S, also catch pairs whose packed keys differ only in whole
+    turns or in the order of the positions.  A verdict depends on its key
+    alone, so a remembered one is exact.  At most _MEMO_LIMIT keys are
+    stored, which bounds memory on unstructured input.
+    """
+    hit = memo.get((tag, key))
+    if hit is None:
+        low, rest, fields = (1 << w) - 1, key, []
+        while rest:  # every field is at least 1, so none is lost
+            fields.append((rest & low) % m)
+            rest >>= w
+        diffs = tuple(sorted(fields))
+        hit = memo.get((tag, diffs))
+        if hit is None:
+            hit = test(tag, diffs)
+            if len(memo) < _MEMO_LIMIT:
+                memo[tag, diffs] = hit
+        if len(memo) < _MEMO_LIMIT:
+            memo[tag, key] = hit
+    return hit
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, written as an integer when it is one."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict,
+                           b: int, c: int) -> list[MubViolation]:
+    """Violations between bases b and c, walked one pair of support groups
+    at a time (see verify_mubs); memo is shared by all basis pairs of one
+    call."""
     d = x.dim
-    maps_b, _ = tables[b]
-    maps_c, inv_c = tables[c]
-    vecs_b = x.bases[b].vectors
-    vecs_c = x.bases[c].vectors
+    w = (2 * m - 1).bit_length()
+    maps_b, groups_b = tables[b]
+    maps_c, groups_c = tables[c]
+
     if b == c:
-        out.extend(_check_norms_exact(x, b))
-        # S vanishes outright for disjoint supports, so only overlapping
-        # pairs (found through the inverted index) need the exact test.
-        for i, amp_u in enumerate(maps_b):
-            partners: dict[int, Counter] = {}
-            for pos, eu in amp_u.items():
-                for j, ev in inv_c[pos]:
-                    if j > i:
-                        partners.setdefault(j, Counter())[(eu - ev) % m] += 1
-            for j in sorted(partners):
-                if not counts_to_cyclotomic(m, partners[j]).is_zero():
-                    out.append(MubViolation("orthogonality", b, i, c, j, "S(u, v) != 0"))
+        out = _check_norms_exact(x, b)
+
+        def vanishes(_, diffs) -> bool:
+            return counts_to_cyclotomic(m, Counter(diffs)).is_zero()
+
+        for g, ((mask_u, _), us) in enumerate(groups_b):
+            for (mask_v, _), vs in groups_b[g:]:
+                common = mask_u & mask_v
+                if not common:
+                    continue  # disjoint supports: S = 0 outright
+                for i, j, key in _overlap_keys(m, w, maps_b, us, maps_b, vs, common):
+                    if not _memo_test(memo, None, key, m, w, vanishes):
+                        out.append(MubViolation("orthogonality", b, min(i, j), c, max(i, j),
+                                                "S(u, v) != 0"))
         return out
-    for i, amp_u in enumerate(maps_b):
-        nu = vecs_b[i].norm_sq
-        partners = {}
-        for pos, eu in amp_u.items():
-            for j, ev in inv_c[pos]:
-                partners.setdefault(j, []).append((eu - ev) % m)
-        for j in range(d):
-            nv = vecs_c[j].norm_sq
-            if nu * nv % d:
-                raise ValueError(
-                    f"NonIntegerTarget: nu*nv = {nu * nv} not divisible by d = {d} "
-                    f"for bases {b},{c} vectors {i},{j}"
-                )
-            target = nu * nv // d
-            diffs = partners.get(j)
-            if diffs is None:
-                out.append(MubViolation("unbiasedness", b, i, c, j,
-                                        f"|S|^2 = 0, want {target}"))
-                continue
-            if len(diffs) == 1 and target == 1:
-                continue  # a single root of unity has |S|^2 = 1 exactly
-            s_val = counts_to_cyclotomic(m, Counter(diffs))
-            if not (s_val * s_val.conj() - Cyclotomic.from_int(target)).is_zero():
-                out.append(MubViolation("unbiasedness", b, i, c, j,
-                                        f"|S|^2 != {target}"))
+
+    # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
+    # the ring, which needs no division.
+    def unbiased(nunv, diffs) -> bool:
+        s_val = counts_to_cyclotomic(m, Counter(diffs))
+        return (s_val * s_val.conj() * d - Cyclotomic.from_int(nunv)).is_zero()
+
+    out = []
+    for (mask_u, nu), us in groups_b:
+        for (mask_v, nv), vs in groups_c:
+            common = mask_u & mask_v
+            overlap = common.bit_count()
+            if overlap == 1 and nu * nv == d:
+                continue  # S is one root of unity, so d*S*conj(S) = d = nu*nv
+            target = _ratio(nu * nv, d)
+            if overlap == 0:
+                out.extend(MubViolation("unbiasedness", b, i, c, j, f"|S|^2 = 0, want {target}")
+                           for i in us for j in vs)
+            elif overlap == 1:
+                out.extend(MubViolation("unbiasedness", b, i, c, j, f"|S|^2 != {target}")
+                           for i in us for j in vs)
+            else:
+                for i, j, key in _overlap_keys(m, w, maps_b, us, maps_c, vs, common):
+                    if not _memo_test(memo, nu * nv, key, m, w, unbiased):
+                        out.append(MubViolation("unbiasedness", b, i, c, j,
+                                                f"|S|^2 != {target}"))
     return out
 
 
@@ -385,7 +464,8 @@ def _init_worker(x: MubSet, mode: str) -> None:
     _WORKER_STATE["x"] = x
     _WORKER_STATE["mode"] = mode
     if mode == "exact":
-        _WORKER_STATE["prep"] = _exact_tables(x)
+        # one memo per verify_mubs call (per worker when jobs > 1)
+        _WORKER_STATE["prep"] = (*_exact_tables(x), {})
     else:
         _WORKER_STATE["prep"] = _float_tables(x)
 
@@ -394,28 +474,43 @@ def _run_pair(task: tuple[int, int]) -> list[MubViolation]:
     b, c = task
     x = _WORKER_STATE["x"]
     if _WORKER_STATE["mode"] == "exact":
-        m, tables = _WORKER_STATE["prep"]
-        return _pair_violations_exact(x, m, tables, b, c)
+        m, tables, memo = _WORKER_STATE["prep"]
+        return _pair_violations_exact(x, m, tables, memo, b, c)
     return _pair_violations_float(x, _WORKER_STATE["prep"], b, c)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is missing on some platforms
+        return os.cpu_count() or 1
 
 
 def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     """Check norms, within-basis orthogonality and cross-basis unbiasedness
     for every pair of vectors, from scratch.
 
-    mode "exact" decides each condition in the cyclotomic group ring and
-    needs exponent amplitudes everywhere; mode "float" compares numerically
-    against tolerance 1e-9.  jobs > 1 spreads basis pairs across processes;
-    the report is identical for any job count.
+    mode "exact" needs exponent amplitudes everywhere and decides each
+    condition in the cyclotomic group ring: orthogonality as S = 0 and
+    unbiasedness as d*S*conj(S) = nu*nv, which needs no division.  It walks
+    pairs of support groups, not pairs of vectors: a cross-basis pair of
+    supports meeting in one point is settled for all its vector pairs by
+    S*conj(S) = 1, disjoint supports by S = 0, and only other overlaps are
+    tested pair by pair, each distinct exponent-difference vector once.
+    mode "float" computes every inner product numerically and compares it
+    against tolerance 1e-9.  jobs > 1 spreads basis pairs across up to that
+    many processes, capped at the usable CPUs; the report is identical for
+    any job count.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f'mode must be "exact" or "float", got {mode!r}')
     if mode == "exact" and not x.is_exact:
         raise ValueError("ExactUnavailable: set has float-only amplitudes")
     tasks = [(b, c) for b in range(x.k) for c in range(b, x.k)]
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
         ctx = multiprocessing.get_context("fork" if os.name == "posix" else None)
-        with ctx.Pool(min(jobs, len(tasks)), _init_worker, (x, mode)) as pool:
+        with ctx.Pool(workers, _init_worker, (x, mode)) as pool:
             chunks = pool.map(_run_pair, tasks)
     else:
         _init_worker(x, mode)
@@ -500,6 +595,7 @@ def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
     d, m, raw = data["dim"], data["root_order"], data["bases"]
     serial.expect(serial.is_int(d) and d >= 1, '"dim" must be a positive integer')
     serial.expect(serial.is_int(m) and m >= 1, '"root_order" must be a positive integer')
+    serial.expect(m <= MAX_ROOT_ORDER, f'"root_order" {m} exceeds the limit {MAX_ROOT_ORDER}')
     serial.expect(isinstance(raw, list), '"bases" must be a list')
     bases = []
     for bi, basis in enumerate(raw):

@@ -13,6 +13,7 @@ blocks can be read back by using blocks 0 and 1 as coordinates.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Iterable
@@ -58,8 +59,9 @@ class IncidenceVector:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    @property
+    @functools.cached_property
     def support(self) -> tuple[int, ...]:
+        # cached: build_mubs embeds s Hadamard rows on each incidence vector
         return tuple(p for p in range(self.length) if self.bits >> p & 1)
 
     def dot(self, other: "IncidenceVector") -> int:

@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from mubkit.hadamard import char_table, dft, float_deviation, verify_hadamard
 from mubkit.latin import MolsSet, cyclic_square
-from mubkit.mub import MubVector, embed, tensor_mubs, verify_mubs
+from mubkit.mub import MubSet, MubVector, embed, standard_basis, tensor_mubs, verify_mubs
 from mubkit.net import IncidenceVector, net_from_mols
 from mubkit.planner import ImportsTable, plan, prime_power_reduction_count
 
 from conftest import DATA_DIR, built_mubs
 from test_cli import BUILD_SQUARE_2, run
 from test_hadamard import small_orders
-from test_mub import tampered
+from test_mub import non_integer_target_set, tampered
 from test_net import REFERENCE_32_BLOCKS
 
 SQUARE_SIDES = (2, 3, 4, 5, 7, 8, 9)
@@ -127,6 +127,8 @@ def test_criterion_9_exact_and_float_verdicts_agree_on_every_artifact():
     sets = [built_mubs(q) for q in SQUARE_SIDES]
     sets.append(tensor_mubs(built_mubs(2), built_mubs(3)))
     sets.append(tampered(built_mubs(3), 0, 0, 0, 1))
+    sets.append(MubSet(dim=4, bases=standard_basis(4).bases * 2))
+    sets.append(non_integer_target_set())
     for x in sets:
         exact = verify_mubs(x, mode="exact")
         approx = verify_mubs(x, mode="float")

@@ -185,6 +185,17 @@ def test_mub_verify_failure_names_the_pairs(capsys, tmp_path):
     assert "oracle agreement: ok" in out  # both fail on the same pairs
 
 
+def test_mub_verify_reports_a_repeated_basis(capsys, tmp_path):
+    # nu*nv/d = 1/4: a verdict from both oracles (exit 1), not an input error
+    std = [{"norm_sq": 1, "amps": [[p, 0]]} for p in range(4)]
+    path = tmp_path / "std.json"
+    path.write_text(json.dumps({"dim": 4, "root_order": 1, "bases": [std, std]}))
+    rc, out, err = run(capsys, "mub", "verify", str(path), "--both")
+    assert rc == 1 and not err
+    assert "verification (exact): FAILED, 16 violations" in out
+    assert out.endswith("oracle agreement: ok\n")
+
+
 def test_mub_verify_float_only_files(capsys, tmp_path):
     path = tmp_path / "f.json"
     run(capsys, "mub", "build", "--square", "2", "-o", str(path))

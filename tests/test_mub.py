@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mubkit import mub
 from mubkit.cyclotomic import Cyclotomic, TOL
 from mubkit.hadamard import dft
 from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square
 from mubkit.mub import (
+    MAX_ROOT_ORDER,
     MubBasis,
     MubSet,
     MubVector,
@@ -47,6 +50,14 @@ def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
     bases = list(x.bases)
     bases[b] = MubBasis(tuple(vecs))
     return MubSet(dim=x.dim, bases=tuple(bases), provenance="tampered")
+
+
+def non_integer_target_set() -> MubSet:
+    """Two bases of C^2 whose cross-basis pairs all have nu*nv/d = 3/2."""
+    v0 = MubVector(dim=2, root_order=1, norm_sq=1, amps=((0, 0),))
+    v1 = MubVector(dim=2, root_order=1, norm_sq=1, amps=((1, 0),))
+    w = MubVector(dim=2, root_order=1, norm_sq=3, amps=((0, 0), (1, 0)))
+    return MubSet(dim=2, bases=(MubBasis((v0, v1)), MubBasis((w, w))))
 
 
 def as_float_set(x: MubSet) -> MubSet:
@@ -205,6 +216,60 @@ def test_parallel_verification_matches_serial():
     assert verify_mubs(bad, jobs=2) == verify_mubs(bad, jobs=1)
 
 
+def test_jobs_are_capped_at_usable_cpus_and_basis_pairs(monkeypatch):
+    started = []
+
+    class FakePool:  # runs the tasks in this process
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(mub.multiprocessing, "get_context", lambda method=None: FakeContext)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    x = built_mubs(3)  # 4 bases, 10 basis pairs
+    assert verify_mubs(x, jobs=64) == verify_mubs(x)
+    assert verify_mubs(x, jobs=2).ok
+    two = MubSet(dim=9, bases=x.bases[:2])  # 3 basis pairs
+    assert verify_mubs(two, jobs=64).ok
+    assert started == [4, 2, 3]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 9])
+def test_built_sets_settle_every_cross_pair_by_the_support_identity(q, monkeypatch):
+    # every cross-basis pair of supports meets once with nu*nv = d, so no
+    # product is formed; within a basis every overlapping pair is two rows
+    # of the DFT on one support, so at most C(q, 2) zero tests are distinct
+    x = built_mubs(q)
+    calls = {"mul": 0, "zero": 0}
+    mul, is_zero = Cyclotomic.__mul__, Cyclotomic.is_zero
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_is_zero(self):
+        calls["zero"] += 1
+        return is_zero(self)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+    monkeypatch.setattr(Cyclotomic, "is_zero", counting_is_zero)
+    assert verify_mubs(x, mode="exact").ok
+    assert calls["mul"] == 0
+    assert 0 < calls["zero"] <= q * (q - 1) // 2
+
+
 def test_verify_rejects_unknown_modes():
     with pytest.raises(ValueError, match="mode"):
         verify_mubs(built_mubs(2), mode="approximate")
@@ -255,13 +320,15 @@ def test_missing_overlap_breaks_unbiasedness():
     assert verify_mubs(x, mode="float").failing_pairs() == report.failing_pairs()
 
 
-def test_non_integer_unbiasedness_target_is_an_error():
-    v0 = MubVector(dim=2, root_order=1, norm_sq=1, amps=((0, 0),))
-    v1 = MubVector(dim=2, root_order=1, norm_sq=1, amps=((1, 0),))
-    w = MubVector(dim=2, root_order=1, norm_sq=3, amps=((0, 0), (1, 0)))
-    x = MubSet(dim=2, bases=(MubBasis((v0, v1)), MubBasis((w, w))))
-    with pytest.raises(ValueError, match="NonIntegerTarget"):
-        verify_mubs(x, mode="exact")
+def test_non_integer_unbiasedness_target_fails_both_oracles_identically():
+    # nu*nv/d = 3/2 is no integer; the exact oracle compares d*|S|^2 with
+    # nu*nv and reports violations like the float oracle does
+    x = non_integer_target_set()
+    exact = verify_mubs(x, mode="exact")
+    assert exact.failing_pairs()
+    assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
+    assert any(v.kind == "unbiasedness" and v.detail == "|S|^2 != 3/2"
+               for v in exact.violations)
 
 
 def test_set_equality_ignores_provenance():
@@ -382,6 +449,18 @@ def test_parse_rejects_malformed_documents():
             mubs_from_dict(bad)
 
 
+def test_parse_rejects_oversized_root_orders():
+    def doc(m):
+        return {"dim": 2, "root_order": m, "bases": [[
+            {"norm_sq": 1, "amps": [[0, 0]]},
+            {"norm_sq": 1, "amps": [[1, m - 1]]},
+        ]]}
+
+    assert mubs_from_dict(doc(MAX_ROOT_ORDER)).root_order == MAX_ROOT_ORDER
+    with pytest.raises(ParseError, match="root_order"):
+        mubs_from_dict(doc(MAX_ROOT_ORDER + 1))
+
+
 def test_parse_rejects_out_of_range_amplitudes():
     with pytest.raises(ParseError):
         mubs_from_dict({"dim": 2, "root_order": 2, "bases": [[
@@ -412,6 +491,36 @@ def test_random_tamperings_fail_identically(q, data):
     approx = verify_mubs(bad, mode="float")
     assert not exact.ok and not approx.ok
     assert exact.failing_pairs() == approx.failing_pairs()
+
+
+@st.composite
+def small_sets(draw) -> MubSet:
+    """Sets with no net structure: each vector takes one of a few random
+    supports, so supports meet in 0, 1 or more points, and a norm that
+    often makes nu*nv differ from d."""
+    d = draw(st.integers(2, 9))
+    m = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=4))
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        vecs = []
+        for _ in range(d):
+            mask = draw(st.sampled_from(masks))
+            support = [p for p in range(d) if mask >> p & 1]
+            norm = draw(st.sampled_from([max(len(support), 1), len(support) + 1, d]))
+            exps = draw(st.lists(st.integers(0, m - 1), min_size=len(support),
+                                 max_size=len(support)))
+            vecs.append(MubVector(dim=d, root_order=m, norm_sq=norm,
+                                  amps=tuple(zip(support, exps))))
+        bases.append(MubBasis(tuple(vecs)))
+    return MubSet(dim=d, bases=tuple(bases))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_sets())
+def test_random_small_sets_fail_both_oracles_identically(x):
+    assert verify_mubs(x, mode="exact").failing_pairs() == \
+        verify_mubs(x, mode="float").failing_pairs()
 
 
 @settings(max_examples=10, deadline=None)
