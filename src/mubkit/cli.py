@@ -12,6 +12,7 @@ summary on stdout for the module JSON schema of the result.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -329,7 +330,10 @@ def _add_verify_flags(p: argparse.ArgumentParser) -> None:
                    help="verify basis pairs with N worker processes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="mubkit",
         description="Construct and verify mutually unbiased bases in square dimensions.",

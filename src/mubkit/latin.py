@@ -11,6 +11,7 @@ so holding a MolsSet is proof of the property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 import os
 
 from . import serial
@@ -52,8 +53,7 @@ class LatinSquare:
                 raise NotLatinError(f"row {r} has length {len(row)}, want {s}", row=r)
             if set(row) != symbols:
                 raise NotLatinError(f"row {r} is not a permutation of 0..{s - 1}", row=r)
-        for c in range(s):
-            col = [row[c] for row in self.grid]
+        for c, col in enumerate(zip(*self.grid)):
             if set(col) != symbols:
                 raise NotLatinError(f"column {c} is not a permutation of 0..{s - 1}", col=c)
 
@@ -73,21 +73,23 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     """Brute-force check: all s^2 ordered symbol pairs distinct."""
     if a.order != b.order:
         raise ValueError(f"OrderMismatch: {a.order} vs {b.order}")
-    s = a.order
-    pairs = {
-        (a.grid[i][j], b.grid[i][j]) for i in range(s) for j in range(s)
-    }
-    return len(pairs) == s * s
+    return _orthogonality_witness(a, b) is None
+
+
+def _cell_pairs(a: LatinSquare, b: LatinSquare):
+    return zip(chain.from_iterable(a.grid), chain.from_iterable(b.grid))
 
 
 def _orthogonality_witness(a: LatinSquare, b: LatinSquare) -> tuple[int, int] | None:
+    """None when a and b are orthogonal, else the first repeated ordered
+    pair in row-major cell order."""
+    if len(set(_cell_pairs(a, b))) == a.order * a.order:
+        return None
     seen: set[tuple[int, int]] = set()
-    for i in range(a.order):
-        for j in range(a.order):
-            pair = (a.grid[i][j], b.grid[i][j])
-            if pair in seen:
-                return pair
-            seen.add(pair)
+    for pair in _cell_pairs(a, b):
+        if pair in seen:
+            return pair
+        seen.add(pair)
     return None
 
 
@@ -265,6 +267,17 @@ def mols_to_dict(m: MolsSet) -> dict:
     }
 
 
+def _is_int_rows(grid: object) -> bool:
+    """A list of lists whose cells all pass serial.is_int.  A valid decoded
+    JSON grid holds plain ints only, so one pass over the cell types accepts
+    it; the per-cell test decides any grid holding another type."""
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        return False
+    if set(map(type, chain.from_iterable(grid))) <= {int}:
+        return True
+    return all(serial.is_int(x) for row in grid for x in row)
+
+
 def mols_from_dict(data: object) -> MolsSet:
     serial.expect(isinstance(data, dict), "MOLS document must be a JSON object")
     serial.expect(set(data) == {"order", "squares"},
@@ -275,11 +288,7 @@ def mols_from_dict(data: object) -> MolsSet:
     serial.expect(isinstance(raw, list), '"squares" must be a list')
     squares = []
     for idx, grid in enumerate(raw):
-        serial.expect(
-            isinstance(grid, list)
-            and all(isinstance(row, list) and all(serial.is_int(x) for x in row) for row in grid),
-            f"square {idx} must be a list of integer rows",
-        )
+        serial.expect(_is_int_rows(grid), f"square {idx} must be a list of integer rows")
         serial.expect(
             len(grid) == order and all(len(row) == order for row in grid),
             f"square {idx} must be {order}x{order}",

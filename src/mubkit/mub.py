@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -509,6 +508,8 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     tasks = [(b, c) for b in range(x.k) for c in range(b, x.k)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
+        import multiprocessing  # only parallel runs pay for its import
+
         ctx = multiprocessing.get_context("fork" if os.name == "posix" else None)
         with ctx.Pool(workers, _init_worker, (x, mode)) as pool:
             chunks = pool.map(_run_pair, tasks)
@@ -524,7 +525,8 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
     C^(dA*dB): vector (u, v) has amplitude u_p * v_q at position p*dB + q.
 
     Both inputs are expected to be verified.  A factor of dimension 1 acts
-    as the identity: the other set comes back unchanged.
+    as the identity: the other set comes back unchanged.  An exact product
+    whose root order (the lcm of the two) exceeds MAX_ROOT_ORDER is refused.
     """
     if not a.bases or not b.bases:
         raise ValueError("EmptyInput: both sets need at least one basis")
@@ -536,6 +538,9 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
     d = a.dim * b.dim
     exact = a.is_exact and b.is_exact
     m = math.lcm(a.root_order, b.root_order) if exact else 1
+    if m > MAX_ROOT_ORDER:
+        raise ValueError(
+            f"TooLarge: root order {m} of the product exceeds the limit {MAX_ROOT_ORDER}")
     bases = []
     for t in range(k):
         vecs = []

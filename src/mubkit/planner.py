@@ -9,6 +9,10 @@ For a dimension d the planner compares, over the divisor tree of d:
   * the single standard basis (always available);
   * tensor splits d = a * b, keeping min of the factor counts.
 
+Every node of the tree divides d, so d is factored once; each node's
+factorization, its prime-power test and its divisors come from d's primes,
+and a tensor node is built only when its count beats the current best.
+
 Two optima are tracked: best_count uses every bound including
 cited-existence ones, best_constructible_count only routes this package
 can actually build or has imported as explicit verified objects.  The
@@ -23,8 +27,6 @@ import os
 from dataclasses import dataclass, field
 
 from . import serial
-from .cyclotomic import divisors
-from .galois import prime_power
 from .latin import (
     MolsSet,
     WILSON_MIN_ORDER,
@@ -159,7 +161,33 @@ class ImportsTable:
 def prime_power_reduction_count(d: int) -> int:
     """min(p^e) + 1 over the prime-power parts of d: the tensor guarantee
     from complete sets in each prime-power dimension."""
-    return min(p ** e for p, e in factorize(d)) + 1
+    return _reduction_count(factorize(d))
+
+
+def _reduction_count(factors: list[tuple[int, int]]) -> int:
+    return min(p ** e for p, e in factors) + 1
+
+
+def _factors_over(n: int, primes: list[int]) -> list[tuple[int, int]]:
+    """Factorization of n, given every prime that divides it."""
+    out = []
+    for p in primes:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    return out
+
+
+def _divisors_of(factors: list[tuple[int, int]]) -> list[int]:
+    """All divisors, ascending, of the number with this factorization."""
+    divs = [1]
+    for p, e in factors:
+        divs = [x * p ** k for x in divs for k in range(e + 1)]
+    divs.sort()
+    return divs
 
 
 def _mols_candidates(s: int, imports: ImportsTable) -> list[tuple[int, bool, str]]:
@@ -182,17 +210,19 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
     if d > MAX_PLAN_DIM:
         raise ValueError(f"TooLarge: dimension {d} exceeds {MAX_PLAN_DIM}")
     imports = imports or ImportsTable()
+    factors = factorize(d)
+    primes = [p for p, _ in factors]
     memo: dict[int, tuple[PlanNode, PlanNode]] = {}
 
     def solve(n: int) -> tuple[PlanNode, PlanNode]:
         got = memo.get(n)
         if got is not None:
             return got
+        fac = _factors_over(n, primes)
         candidates: list[PlanNode] = [
             PlanNode(n, "trivial", 1, True, "standard basis")
         ]
-        pp = prime_power(n)
-        if pp is not None:
+        if len(fac) == 1:
             candidates.append(PlanNode(n, "prime-power", n + 1, False, "cited-existence"))
         s = math.isqrt(n)
         if s * s == n and s >= 2:
@@ -201,30 +231,32 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
                     candidates.append(PlanNode(n, "square", width + 2, constructive, provenance))
         if n in imports.mubs:
             candidates.append(PlanNode(n, "imported-mubs", imports.mubs[n].k, True, "imported"))
-        for a in divisors(n):
-            if a < 2 or a * a > n:
-                continue
-            b = n // a
-            if b < 2 or b == n:
-                continue
-            left_best, left_con = solve(a)
-            right_best, right_con = solve(b)
-            candidates.append(PlanNode(
-                n, "tensor", min(left_best.count, right_best.count),
-                left_best.constructible and right_best.constructible,
-                "tensor", (left_best, right_best),
-            ))
-            candidates.append(PlanNode(
-                n, "tensor", min(left_con.count, right_con.count), True,
-                "tensor", (left_con, right_con),
-            ))
-        best = candidates[0]
-        best_con = candidates[0]
+        best = best_con = candidates[0]
         for cand in candidates[1:]:
             if cand.count > best.count:
                 best = cand
             if cand.constructible and cand.count > best_con.count:
                 best_con = cand
+        # Splits n = a * b with 2 <= a <= b, each offering the product of the
+        # factors' best trees, then of their constructible trees; a node is
+        # built only when it strictly beats what it would replace.  The
+        # second count is at most the first, so it can only beat best_con.
+        for a in _divisors_of(fac)[1:]:
+            if a * a > n:
+                break
+            left_best, left_con = solve(a)
+            right_best, right_con = solve(n // a)
+            count = min(left_best.count, right_best.count)
+            con = left_best.constructible and right_best.constructible
+            if count > best.count or (con and count > best_con.count):
+                node = PlanNode(n, "tensor", count, con, "tensor", (left_best, right_best))
+                if count > best.count:
+                    best = node
+                if con and count > best_con.count:
+                    best_con = node
+            count = min(left_con.count, right_con.count)
+            if count > best_con.count:
+                best_con = PlanNode(n, "tensor", count, True, "tensor", (left_con, right_con))
         memo[n] = (best, best_con)
         return memo[n]
 
@@ -235,7 +267,7 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
         d=d,
         best_count=max(best.count, 3),
         best_constructible_count=best_con.count,
-        prime_power_reduction_count=prime_power_reduction_count(d),
+        prime_power_reduction_count=_reduction_count(factors),
         best=best,
         best_constructible=best_con,
     )

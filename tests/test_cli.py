@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from mubkit.cli import main
+from mubkit.cli import build_parser, main
 from mubkit.mub import mubs_from_dict, verify_mubs
 
 from conftest import DATA_DIR
@@ -246,6 +246,19 @@ def test_mub_tensor_rejects_tampered_inputs(capsys, tmp_path):
     assert "verification failed" in out
 
 
+def test_mub_tensor_rejects_a_product_root_order_over_the_limit(capsys, tmp_path):
+    paths = []
+    for dim, m in ((2, 4094), (3, 4095)):
+        path = tmp_path / f"std{dim}.json"
+        path.write_text(json.dumps({"dim": dim, "root_order": m, "bases": [
+            [{"norm_sq": 1, "amps": [[x, 0]]} for x in range(dim)]]}))
+        paths.append(str(path))
+    rc, out, err = run(capsys, "mub", "tensor", *paths)
+    assert rc == 2
+    assert out == ""
+    assert "TooLarge: root order 16764930" in err
+
+
 def test_mub_build_uses_imported_mols(capsys):
     rc, out, _ = run(capsys, "mub", "build", "--square", "26",
                      "--imports", DATA_DIR, "--json")
@@ -328,6 +341,34 @@ def test_plan_rejects_bad_dimensions(capsys):
 
 
 # -- exit-code contract
+
+def run_catching_exit(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse exits on usage errors
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    sequence = [
+        ["plan", "x"],
+        ["plan", "4732", "--imports", DATA_DIR],
+        ["mub", "build", "--square", "2"],
+    ]
+    first = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        first.append(run_catching_exit(capsys, argv))
+    assert [rc for rc, _, _ in first] == [2, 0, 0]
+    assert "invalid int value" in first[0][2]
+    assert first[2][1] == BUILD_SQUARE_2
+    build_parser.cache_clear()
+    again = [run_catching_exit(capsys, argv) for argv in sequence + sequence]
+    assert again == first + first
+    assert build_parser() is build_parser()
+
 
 def test_missing_files_exit_2(capsys):
     rc, _, err = run(capsys, "mub", "verify", "/does/not/exist.json")

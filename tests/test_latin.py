@@ -185,6 +185,38 @@ def test_parse_rejects_malformed_documents():
             mols_from_dict(bad)
 
 
+def test_parse_checks_cells_like_serial_is_int():
+    good = [list(r) for r in cyclic_square(3).grid]
+    for cell in (True, 1.0, "1", None, [1]):
+        grid = [row[:] for row in good]
+        grid[2][1] = cell
+        with pytest.raises(ParseError, match="^square 0 must be a list of integer rows$"):
+            mols_from_dict({"order": 3, "squares": [grid]})
+
+    class Symbol(int):
+        pass
+
+    grid = [[Symbol(x) for x in row] for row in good]
+    assert mols_from_dict({"order": 3, "squares": [grid]}).squares[0] == cyclic_square(3)
+
+
+def test_parse_names_the_first_bad_column():
+    with pytest.raises(NotLatinError) as info:
+        mols_from_dict({"order": 3, "squares": [[[0, 1, 2], [1, 2, 0], [2, 1, 0]]]})
+    assert str(info.value) == "square 0: column 1 is not a permutation of 0..2"
+    assert (info.value.square, info.value.row, info.value.col) == (0, None, 1)
+
+
+def test_parse_names_the_first_repeated_pair():
+    # rows 0, 2, 1, 3 of the cyclic square: row 3 repeats every pair of row 0
+    a = [list(r) for r in cyclic_square(4).grid]
+    b = [a[0], a[2], a[1], a[3]]
+    with pytest.raises(NotOrthogonalError) as info:
+        mols_from_dict({"order": 4, "squares": [a, b]})
+    assert str(info.value) == "squares 0 and 1 are not orthogonal: pair (3, 3) repeats"
+    assert (info.value.i, info.value.j, info.value.pair) == (0, 1, (3, 3))
+
+
 def test_parse_surfaces_domain_failures_with_their_own_types():
     # schema-valid documents that fail mathematically raise the domain error
     with pytest.raises(NotLatinError):

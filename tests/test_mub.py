@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -236,7 +237,7 @@ def test_jobs_are_capped_at_usable_cpus_and_basis_pairs(monkeypatch):
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(mub.multiprocessing, "get_context", lambda method=None: FakeContext)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: FakeContext)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     x = built_mubs(3)  # 4 bases, 10 basis pairs
     assert verify_mubs(x, jobs=64) == verify_mubs(x)
@@ -382,6 +383,17 @@ def test_tensor_of_float_sets_verifies_in_float():
     t = tensor_mubs(as_float_set(built_mubs(2)), built_mubs(2))
     assert not t.is_exact
     assert verify_mubs(t, mode="float").ok
+
+
+def test_tensor_bounds_the_product_root_order():
+    # both factors load within MAX_ROOT_ORDER, but the lcm 4094 * 4095 does not
+    a = mubs_from_dict({"dim": 2, "root_order": 4094,
+                        "bases": [[{"norm_sq": 1, "amps": [[x, 0]]} for x in range(2)]]})
+    b = mubs_from_dict({"dim": 3, "root_order": 4095,
+                        "bases": [[{"norm_sq": 1, "amps": [[x, 0]]} for x in range(3)]]})
+    with pytest.raises(ValueError, match="TooLarge: root order 16764930"):
+        tensor_mubs(a, b)
+    assert tensor_mubs(a, a).root_order == 4094
 
 
 def test_tensor_rejects_empty_sets():

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mubkit.cyclotomic import divisors
+from mubkit.galois import prime_power
 from mubkit.latin import complete_mols_prime_power, mols_to_dict
 from mubkit.mub import MubBasis, MubSet, MubVector, export_mubs, verify_mubs
 from mubkit.planner import (
     MAX_PLAN_DIM,
     ImportsTable,
     PlanNode,
+    _mols_candidates,
     plan,
     prime_power_reduction_count,
 )
@@ -238,3 +243,63 @@ def test_plans_of_products_dominate_the_split(a, b):
     # count is at least the min of the factor counts
     p = plan(a * b)
     assert p.best_count >= min(plan(a).best_count, plan(b).best_count)
+
+
+# -- equivalence with the eager divisor search
+
+def eager_plan(d: int, imports: ImportsTable) -> dict:
+    """Reference planner: trial-division divisors and prime-power tests per
+    node, and both tensor candidates of every split built as nodes."""
+    memo: dict[int, tuple[PlanNode, PlanNode]] = {}
+
+    def solve(n):
+        if n in memo:
+            return memo[n]
+        candidates = [PlanNode(n, "trivial", 1, True, "standard basis")]
+        if prime_power(n) is not None:
+            candidates.append(PlanNode(n, "prime-power", n + 1, False, "cited-existence"))
+        s = math.isqrt(n)
+        if s * s == n and s >= 2:
+            for width, constructive, provenance in _mols_candidates(s, imports):
+                if width > 0:
+                    candidates.append(PlanNode(n, "square", width + 2, constructive, provenance))
+        if n in imports.mubs:
+            candidates.append(PlanNode(n, "imported-mubs", imports.mubs[n].k, True, "imported"))
+        for a in divisors(n):
+            b = n // a
+            if a < 2 or a * a > n or b < 2 or b == n:
+                continue
+            lb, lc = solve(a)
+            rb, rc = solve(b)
+            candidates.append(PlanNode(n, "tensor", min(lb.count, rb.count),
+                                       lb.constructible and rb.constructible,
+                                       "tensor", (lb, rb)))
+            candidates.append(PlanNode(n, "tensor", min(lc.count, rc.count), True,
+                                       "tensor", (lc, rc)))
+        best = best_con = candidates[0]
+        for cand in candidates[1:]:
+            if cand.count > best.count:
+                best = cand
+            if cand.constructible and cand.count > best_con.count:
+                best_con = cand
+        memo[n] = (best, best_con)
+        return memo[n]
+
+    best, best_con = solve(d)
+    return {
+        "d": d,
+        "best_count": max(best.count, 3),
+        "best_constructible_count": best_con.count,
+        "prime_power_reduction_count": prime_power_reduction_count(d),
+        "best": best.to_dict(),
+        "best_constructible": best_con.to_dict(),
+    }
+
+
+def test_plans_match_the_eager_search():
+    tables = [ImportsTable(), ImportsTable.from_dir(DATA_DIR)]
+    rng = random.Random(2004)
+    dims = list(range(2, 2001)) + [rng.randrange(2, 10 ** 8) for _ in range(200)]
+    for d in dims:
+        for table in tables:
+            assert plan(d, table).to_dict() == eager_plan(d, table), d
