@@ -7,7 +7,6 @@ from .galois import GField, prime_power
 from .hadamard import GenHadamard, char_table, dft, tensor_hadamard, verify_hadamard
 from .latin import (
     LatinSquare,
-    MolsBound,
     MolsSet,
     NotLatinError,
     NotOrthogonalError,
@@ -17,7 +16,6 @@ from .latin import (
     import_mols,
     export_mols,
     macneish_product,
-    mols_lower_bound,
 )
 from .mub import (
     MubBasis,
@@ -48,7 +46,6 @@ __all__ = [
     "IncidenceVector",
     "IntPolynomial",
     "LatinSquare",
-    "MolsBound",
     "MolsSet",
     "MubBasis",
     "MubReport",
@@ -77,7 +74,6 @@ __all__ = [
     "load_net",
     "macneish_product",
     "mols_from_net",
-    "mols_lower_bound",
     "net_from_mols",
     "plan",
     "prime_power",

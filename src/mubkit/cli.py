@@ -287,7 +287,9 @@ def _count_tag(node: planner.PlanNode) -> str:
     if leaf.kind == "square":
         if leaf.provenance != "cited-existence":
             return "constructible"
-        if math.isqrt(leaf.d) >= latin.WILSON_MIN_ORDER:
+        # the cited width may come from an imported table instead
+        if (math.isqrt(leaf.d) >= latin.WILSON_MIN_ORDER
+                and leaf.count - 2 == latin.WILSON_MOLS):
             return "cited-existence via Wilson"
         return "cited-existence"
     if leaf.kind == "imported-mubs":

@@ -184,50 +184,6 @@ class GField:
         rem += [0] * (self.e - len(rem))
         return tuple(rem)
 
-    def inv(self, a: Element) -> Element:
-        """Multiplicative inverse by extended Euclid over Z_p[x]."""
-        self._check(a)
-        if a == self.zero:
-            raise ZeroDivisionError("DivisionByZero: inverse of the zero element")
-        p = self.p
-        r0, r1 = list(self.modulus), [c for c in a]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [1]
-        while r1:
-            quot, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s_next = _psub(s0, _pmul(quot, s1, p), p)
-            s0, s1 = s1, s_next
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible.
-        assert len(r0) == 1
-        scale = pow(r0[0], -1, p)
-        out = [(c * scale) % p for c in s0]
-        out += [0] * (self.e - len(out))
-        return tuple(out[: self.e])
-
-    def pow(self, a: Element, n: int) -> Element:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
     def __repr__(self) -> str:
         return f"GField({self.p}, {self.e})"
 
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % p
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from . import serial
 from .cyclotomic import TOL, counts_to_cyclotomic
 
 MAX_TABLE_SIZE = 1 << 12
@@ -136,39 +135,3 @@ def float_deviation(h: GenHadamard) -> float:
 def float_ok(h: GenHadamard, tol: float = TOL) -> bool:
     return float_deviation(h) < tol * max(1, h.size)
 
-
-# -- serialization: {"size": int, "root_order": int, "exponents": [[int]]}
-
-def hadamard_to_dict(h: GenHadamard) -> dict:
-    return {
-        "size": h.size,
-        "root_order": h.root_order,
-        "exponents": [list(row) for row in h.exponents],
-    }
-
-
-def hadamard_from_dict(data: object) -> GenHadamard:
-    serial.expect(isinstance(data, dict), "hadamard document must be a JSON object")
-    serial.expect(set(data) == {"size", "root_order", "exponents"},
-                  'hadamard document needs exactly the keys "size", "root_order" and "exponents"')
-    size, m, raw = data["size"], data["root_order"], data["exponents"]
-    serial.expect(serial.is_int(size) and size >= 1, '"size" must be a positive integer')
-    serial.expect(serial.is_int(m) and m >= 1, '"root_order" must be a positive integer')
-    serial.expect(isinstance(raw, list) and len(raw) == size, '"exponents" must list exactly "size" rows')
-    rows = []
-    for r, row in enumerate(raw):
-        serial.expect(
-            isinstance(row, list) and len(row) == size
-            and all(serial.is_int(e) and 0 <= e < m for e in row),
-            f"row {r} must hold {size} integers in [0, {m})",
-        )
-        rows.append(tuple(row))
-    return GenHadamard(m, tuple(rows))
-
-
-def load_hadamard(path) -> GenHadamard:
-    return hadamard_from_dict(serial.read_json(path))
-
-
-def save_hadamard(h: GenHadamard, path) -> None:
-    serial.write_json(path, hadamard_to_dict(h))

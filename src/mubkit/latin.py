@@ -10,7 +10,7 @@ so holding a MolsSet is proof of the property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 import os
 
@@ -67,13 +67,6 @@ class LatinSquare:
 
 def square_of(rows: list[list[int]]) -> LatinSquare:
     return LatinSquare(tuple(tuple(r) for r in rows))
-
-
-def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
-    """Brute-force check: all s^2 ordered symbol pairs distinct."""
-    if a.order != b.order:
-        raise ValueError(f"OrderMismatch: {a.order} vs {b.order}")
-    return _orthogonality_witness(a, b) is None
 
 
 def _cell_pairs(a: LatinSquare, b: LatinSquare):
@@ -200,46 +193,10 @@ def constructive_mols_count(s: int) -> int:
     return min(p**e - 1 for p, e in factorize(s))
 
 
-WILSON_MIN_ORDER = 76  # every order from here on admits at least 6 MOLS
-
-
-@dataclass(frozen=True)
-class MolsBound:
-    """A lower bound on the number of MOLS of some order, with its source."""
-
-    count: int
-    provenance: str  # "constructive" | "imported" | "cited-existence"
-
-
-def mols_lower_bound(
-    s: int,
-    imported: MolsSet | None = None,
-    cited_bound: int | None = None,
-) -> MolsBound:
-    """Best known-here lower bound on MOLS of order s.
-
-    Sources, preferred in this order on ties: a set this library can build
-    (MacNeish over complete prime-power sets), an imported verified set, and
-    cited existence (at least 6 for s >= 76, plus any user-supplied table
-    entry flagged non-constructive).
-    """
-    if s < 2:
-        return MolsBound(0, "constructive")
-    candidates = [MolsBound(constructive_mols_count(s), "constructive")]
-    if imported is not None:
-        if imported.order != s:
-            raise ValueError(f"OrderMismatch: imported set has order {imported.order}, want {s}")
-        candidates.append(MolsBound(imported.width, "imported"))
-    cited = 6 if s >= WILSON_MIN_ORDER else 0
-    if cited_bound is not None:
-        cited = max(cited, cited_bound)
-    if cited > 0:
-        candidates.append(MolsBound(cited, "cited-existence"))
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.count > best.count:
-            best = cand
-    return best
+# Wilson's bound: every order from WILSON_MIN_ORDER on admits at least
+# WILSON_MOLS MOLS.
+WILSON_MIN_ORDER = 76
+WILSON_MOLS = 6
 
 
 def best_mols(s: int, imported: MolsSet | None = None) -> MolsSet:

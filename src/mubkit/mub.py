@@ -209,19 +209,6 @@ def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
     return counts_to_cyclotomic(m, counts)
 
 
-def inner_product_float(u: MubVector, v: MubVector) -> complex:
-    """Unscaled numeric inner product over the common support."""
-    if u.dim != v.dim:
-        raise ValueError(f"DimMismatch: {u.dim} vs {v.dim}")
-    vmap = v.float_map()
-    total = 0j
-    for pos, amp in u.float_map().items():
-        other = vmap.get(pos)
-        if other is not None:
-            total += amp * other.conjugate()
-    return total
-
-
 @dataclass(frozen=True)
 class MubViolation:
     kind: str  # "norm" | "orthogonality" | "unbiasedness"
@@ -456,26 +443,27 @@ def _pair_violations_float(x: MubSet, tables, b: int, c: int) -> list[MubViolati
     return out
 
 
+def _pair_walker(x: MubSet, mode: str):
+    """(b, c) -> violations between bases b and c, over tables (and, in
+    exact mode, a memo) built here for one verify_mubs call."""
+    if mode == "exact":
+        m, tables = _exact_tables(x)
+        memo: dict = {}
+        return lambda b, c: _pair_violations_exact(x, m, tables, memo, b, c)
+    tables = _float_tables(x)
+    return lambda b, c: _pair_violations_float(x, tables, b, c)
+
+
+# The pool's per-process state: each worker builds its own walker once.
 _WORKER_STATE: dict = {}
 
 
 def _init_worker(x: MubSet, mode: str) -> None:
-    _WORKER_STATE["x"] = x
-    _WORKER_STATE["mode"] = mode
-    if mode == "exact":
-        # one memo per verify_mubs call (per worker when jobs > 1)
-        _WORKER_STATE["prep"] = (*_exact_tables(x), {})
-    else:
-        _WORKER_STATE["prep"] = _float_tables(x)
+    _WORKER_STATE["walk"] = _pair_walker(x, mode)
 
 
 def _run_pair(task: tuple[int, int]) -> list[MubViolation]:
-    b, c = task
-    x = _WORKER_STATE["x"]
-    if _WORKER_STATE["mode"] == "exact":
-        m, tables, memo = _WORKER_STATE["prep"]
-        return _pair_violations_exact(x, m, tables, memo, b, c)
-    return _pair_violations_float(x, _WORKER_STATE["prep"], b, c)
+    return _WORKER_STATE["walk"](*task)
 
 
 def _usable_cpus() -> int:
@@ -514,8 +502,8 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
         with ctx.Pool(workers, _init_worker, (x, mode)) as pool:
             chunks = pool.map(_run_pair, tasks)
     else:
-        _init_worker(x, mode)
-        chunks = [_run_pair(t) for t in tasks]
+        walk = _pair_walker(x, mode)
+        chunks = [walk(b, c) for b, c in tasks]
     violations = sorted((v for chunk in chunks for v in chunk), key=MubViolation.sort_key)
     return MubReport(mode=mode, dim=x.dim, k=x.k, violations=tuple(violations))
 

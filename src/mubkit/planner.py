@@ -30,6 +30,7 @@ from . import serial
 from .latin import (
     MolsSet,
     WILSON_MIN_ORDER,
+    WILSON_MOLS,
     constructive_mols_count,
     factorize,
     mols_from_dict,
@@ -197,7 +198,7 @@ def _mols_candidates(s: int, imports: ImportsTable) -> list[tuple[int, bool, str
         out.append((imports.mols[s].width, True, "imported"))
     cited = imports.mols_cited.get(s, 0)
     if s >= WILSON_MIN_ORDER:
-        cited = max(cited, 6)
+        cited = max(cited, WILSON_MOLS)
     if cited > 0:
         out.append((cited, False, "cited-existence"))
     return out

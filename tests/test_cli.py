@@ -309,6 +309,14 @@ def test_plan_6084_output_is_pinned(capsys):
     assert out == PLAN_6084
 
 
+def test_plan_names_wilson_only_for_the_wilson_width(capsys, tmp_path):
+    (tmp_path / "bounds.json").write_text(json.dumps({"mols_cited_bounds": {"78": 10}}))
+    rc, out, _ = run(capsys, "plan", "6084", "--imports", str(tmp_path))
+    assert rc == 0
+    assert "best: 12 (cited-existence)\n" in out
+    assert "best route: 6084=78^2[cited-existence MOLS w=10: 12]\n" in out
+
+
 def test_plan_4732_with_imports_flag(capsys):
     rc, out, _ = run(capsys, "plan", "4732", "--imports", DATA_DIR)
     assert rc == 0

@@ -15,14 +15,9 @@ from mubkit.hadamard import (
     dft,
     float_deviation,
     float_ok,
-    hadamard_from_dict,
-    hadamard_to_dict,
-    load_hadamard,
-    save_hadamard,
     tensor_hadamard,
     verify_hadamard,
 )
-from mubkit.serial import ParseError
 
 TOL = 1e-9
 
@@ -158,26 +153,3 @@ def test_scaling_a_single_entry_never_stays_hadamard(orders, data):
     report = verify_hadamard(bad)
     assert not report.ok
     assert (float_deviation(bad) < TOL) == report.ok
-
-
-def test_json_round_trip(tmp_path):
-    h = char_table([2, 3, 2])
-    assert hadamard_from_dict(hadamard_to_dict(h)) == h
-    path = tmp_path / "h.json"
-    save_hadamard(h, path)
-    assert load_hadamard(path) == h
-
-
-def test_parse_rejects_malformed_documents():
-    good = hadamard_to_dict(dft(3))
-    for bad in [
-        {},
-        {**good, "extra": 1},
-        {**good, "size": 4},
-        {**good, "size": True},
-        {**good, "root_order": 2},     # exponents out of range
-        {"size": 2, "root_order": 2, "exponents": [[0, 0], [0]]},
-        {"size": 2, "root_order": 2, "exponents": [[0, 0], [0, 1.0]]},
-    ]:
-        with pytest.raises(ParseError):
-            hadamard_from_dict(bad)

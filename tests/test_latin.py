@@ -10,8 +10,6 @@ from mubkit.latin import (
     MolsSet,
     NotLatinError,
     NotOrthogonalError,
-    WILSON_MIN_ORDER,
-    are_orthogonal,
     best_mols,
     complete_mols_prime_power,
     constructive_mols_count,
@@ -21,7 +19,6 @@ from mubkit.latin import (
     import_mols,
     macneish_product,
     mols_from_dict,
-    mols_lower_bound,
     mols_to_dict,
     square_of,
 )
@@ -54,8 +51,9 @@ def test_square_of_round_trips_lists():
 def test_orthogonality_witness():
     a = cyclic_square(3)
     b = square_of([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
-    assert are_orthogonal(a, b)
-    assert not are_orthogonal(a, a)  # a square never pairs with itself
+    assert MolsSet(3, (a, b)).width == 2
+    with pytest.raises(NotOrthogonalError):
+        MolsSet(3, (a, a))  # a square never pairs with itself
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
@@ -65,7 +63,7 @@ def test_complete_sets_have_maximum_width(q):
     assert m.width == q - 1
     for i, a in enumerate(m.squares):
         for b in m.squares[i + 1:]:
-            assert are_orthogonal(a, b)
+            MolsSet(q, (a, b))
 
 
 def test_complete_set_requires_prime_power():
@@ -124,29 +122,6 @@ def test_constructive_count_known_values():
     assert constructive_mols_count(26) == 1
     assert constructive_mols_count(36) == 3  # min(4, 9) - 1
     assert constructive_mols_count(78) == 1
-
-
-def test_lower_bound_prefers_wider_sources(mols26_path):
-    assert mols_lower_bound(9) == mols_lower_bound(9)
-    assert mols_lower_bound(9).count == 8
-    assert mols_lower_bound(9).provenance == "constructive"
-
-    imported = import_mols(mols26_path)
-    b = mols_lower_bound(26, imported=imported)
-    assert (b.count, b.provenance) == (4, "imported")
-    assert mols_lower_bound(26).count == 1
-
-    w = mols_lower_bound(WILSON_MIN_ORDER)
-    assert (w.count, w.provenance) == (6, "cited-existence")
-    assert mols_lower_bound(WILSON_MIN_ORDER - 1).count < 6
-
-    c = mols_lower_bound(10, cited_bound=2)
-    assert (c.count, c.provenance) == (2, "cited-existence")
-
-
-def test_lower_bound_rejects_order_mismatch(mols26_path):
-    with pytest.raises(ValueError, match="OrderMismatch"):
-        mols_lower_bound(25, imported=import_mols(mols26_path))
 
 
 def test_best_mols_builds_the_macneish_set():

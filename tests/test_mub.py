@@ -25,7 +25,6 @@ from mubkit.mub import (
     export_mubs,
     import_mubs,
     inner_product,
-    inner_product_float,
     mubs_from_dict,
     mubs_to_dict,
     standard_basis,
@@ -182,8 +181,9 @@ def test_float_inner_product_tracks_exact():
     vecs = [v for basis in x.bases for v in basis.vectors]
     for u in vecs[:6]:
         for v in vecs[:6]:
-            assert abs(inner_product(u, v).approx()
-                       - inner_product_float(u, v)) < 1e-7
+            fu, fv = u.float_map(), v.float_map()
+            s = sum(fu[p] * fv[p].conjugate() for p in fu.keys() & fv.keys())
+            assert abs(inner_product(u, v).approx() - s) < 1e-7
 
 
 def test_cross_basis_supports_meet_exactly_once():
@@ -215,6 +215,26 @@ def test_parallel_verification_matches_serial():
     assert verify_mubs(x, jobs=2) == verify_mubs(x, jobs=1)
     bad = tampered(x, 1, 2, 0)
     assert verify_mubs(bad, jobs=2) == verify_mubs(bad, jobs=1)
+
+
+def test_a_nested_call_leaves_the_outer_report_intact(monkeypatch):
+    # each call keeps its own tables and memo, so a verify_mubs that starts
+    # while another is walking its basis pairs cannot swap them
+    bad = tampered(built_mubs(3), 1, 2, 0)
+    alone = verify_mubs(bad)
+    assert not alone.ok
+    pair_violations = mub._pair_violations_exact
+    nested = []
+
+    def with_a_nested_call(*args):
+        if not nested:
+            nested.append(None)  # the nested call runs no nested call itself
+            nested.append(verify_mubs(built_mubs(5)))
+        return pair_violations(*args)
+
+    monkeypatch.setattr(mub, "_pair_violations_exact", with_a_nested_call)
+    assert verify_mubs(bad) == alone
+    assert nested[1].ok
 
 
 def test_jobs_are_capped_at_usable_cpus_and_basis_pairs(monkeypatch):

@@ -81,6 +81,11 @@ def test_plan_6084_uses_the_wilson_bound():
     assert p.best_constructible_count == 3
 
 
+def test_the_wilson_width_starts_at_order_76():
+    assert all(prov != "cited-existence" for _, _, prov in _mols_candidates(75, ImportsTable()))
+    assert (6, False, "cited-existence") in _mols_candidates(76, ImportsTable())
+
+
 def test_plan_4732_without_imports():
     p = plan(4732)
     assert p.best_count == 5
