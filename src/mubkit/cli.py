@@ -235,7 +235,7 @@ def _emit_mubs(x: mub.MubSet, args, render: bool) -> None:
     if args.output:
         mub.export_mubs(x, args.output)
     if args.json:
-        print(serial.dumps(mub.mubs_to_dict(x)), end="")
+        print(mub.mubs_to_json(x), end="")
     elif render and x.is_exact:
         print(render_mubs(x))
     else:

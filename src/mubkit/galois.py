@@ -173,9 +173,6 @@ class GField:
         self._check(a)
         return tuple((-x) % self.p for x in a)
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: Element, b: Element) -> Element:
         self._check(a)
         self._check(b)

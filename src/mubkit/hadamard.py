@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .cyclotomic import TOL, counts_to_cyclotomic
+from .cyclotomic import counts_to_cyclotomic
 
 MAX_TABLE_SIZE = 1 << 12
 
@@ -130,8 +130,4 @@ def float_deviation(h: GenHadamard) -> float:
             want = s if r == r2 else 0
             worst = max(worst, abs(g - want))
     return worst
-
-
-def float_ok(h: GenHadamard, tol: float = TOL) -> bool:
-    return float_deviation(h) < tol * max(1, h.size)
 

@@ -31,11 +31,14 @@ Amplitudes are stored either as integer exponents against a root order
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import serial
 from .cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
@@ -45,6 +48,10 @@ from .net import IncidenceVector, Net, verify_net
 # Cyclotomic elements are dense in the root order, so a loaded document may
 # ask for at most this order (the scale of hadamard.MAX_TABLE_SIZE).
 MAX_ROOT_ORDER = 1 << 12
+# A loaded norm_sq, and each part of a loaded float amplitude, may be at most
+# this large: far above what any valid vector holds, and small enough that
+# no float the float oracle computes from them overflows.
+MAX_MAGNITUDE = 1 << 32
 # Keys the exact pass remembers per verify_mubs call.
 _MEMO_LIMIT = 1 << 12
 
@@ -131,29 +138,28 @@ class MubSet:
     def k(self) -> int:
         return len(self.bases)
 
-    @property
+    # cached: both walk every vector, and verification, rendering and
+    # export ask for them repeatedly
+    @functools.cached_property
     def is_exact(self) -> bool:
         return all(v.is_exact for basis in self.bases for v in basis.vectors)
 
-    @property
+    @functools.cached_property
     def root_order(self) -> int:
-        out = 1
-        for basis in self.bases:
-            for v in basis.vectors:
-                if v.is_exact:
-                    out = math.lcm(out, v.root_order)
-        return out
+        return math.lcm(*{v.root_order for basis in self.bases for v in basis.vectors
+                          if v.is_exact})
 
 
 def embed(row: Sequence[int], root_order: int, support_vec: IncidenceVector) -> MubVector:
-    """Place the exponents of one Hadamard row on the support of a 0/1 vector.
+    """Place the exponents of one Hadamard row, each in 0..root_order-1, on
+    the support of a 0/1 vector.
 
     Entry l of the row lands at the l-th smallest support position.
     """
     w = support_vec.weight
     if len(row) != w:
         raise ValueError(f"WeightMismatch: row length {len(row)} vs support weight {w}")
-    amps = tuple((pos, row[l] % root_order) for l, pos in enumerate(support_vec.support))
+    amps = tuple(zip(support_vec.support, row))
     return MubVector(dim=support_vec.length, root_order=root_order, norm_sq=w, amps=amps)
 
 
@@ -171,16 +177,12 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
         raise ValueError("UnverifiedInput: net fails verification")
     if not verify_hadamard(had).ok:
         raise ValueError("UnverifiedInput: hadamard matrix fails verification")
-    s = net.s
+    m = had.root_order  # GenHadamard keeps every exponent in 0..m-1
     bases = tuple(
-        MubBasis(tuple(
-            embed(had.exponents[l], had.root_order, block[i])
-            for i in range(s)
-            for l in range(s)
-        ))
+        MubBasis(tuple(embed(row, m, vec) for vec in block for row in had.exponents))
         for block in net.blocks
     )
-    return MubSet(dim=s * s, bases=bases, provenance="net+hadamard")
+    return MubSet(dim=net.d, bases=bases, provenance="net+hadamard")
 
 
 def standard_basis(d: int) -> MubSet:
@@ -251,8 +253,9 @@ def _exact_tables(x: MubSet):
         groups: dict[tuple[int, int], list[int]] = {}
         for j, vec in enumerate(basis.vectors):
             f = m // vec.root_order
-            maps.append({pos: e * f % m for pos, e in vec.amps})
-            mask = sum(1 << pos for pos, _ in vec.amps)
+            amp = dict(vec.amps) if f == 1 else {pos: e * f for pos, e in vec.amps}
+            maps.append(amp)
+            mask = sum(map((1).__lshift__, amp))
             groups.setdefault((mask, vec.norm_sq), []).append(j)
         tables.append((maps, list(groups.items())))
     return m, tables
@@ -291,24 +294,33 @@ def _check_norms_float(x: MubSet, b: int, maps) -> list[MubViolation]:
     return out
 
 
-def _pack(fields: Iterable[int], w: int) -> int:
-    """Non-negative fields below 2**w, one w-bit slot each, first lowest."""
-    out = 0
-    for k, f in enumerate(fields):
-        out |= f << (w * k)
-    return out
+def _field_code(m: int) -> str:
+    """Typecode of the narrowest unsigned array item that holds 2m - 1."""
+    for code in "BHIQ":
+        if (2 * m - 1) >> 8 * array(code).itemsize == 0:
+            return code
+    raise ValueError(f"TooLarge: root order {m}")
 
 
-def _overlap_keys(m: int, w: int, maps_u, us, maps_v, vs, common: int):
+def _overlap_keys(m: int, code: str, maps_u, us, maps_v, vs, common: int):
     """(i, j, key) for every pair of the product us x vs, or for the pairs
     i < j when us is vs.  The key holds e_u - e_v + m, which lies in
-    1..2m-1 < 2**w, in one w-bit field per common support position: adding
-    the packed u and the packed m - v fields cannot carry, so one integer
-    addition per pair gives a key that determines the exponent differences,
-    and hence S(u, v), exactly."""
+    1..2m-1, in one byte-aligned field (array item of typecode code) per
+    common support position.  A row packs its exponents in one pass of
+    array and int.from_bytes; the v side is m*ONES - pack(e_v), ONES
+    having a 1 in every field, which cannot borrow since every e_v < m.
+    Adding the u and v sides cannot carry, so one integer addition per pair
+    gives a key that determines the exponent differences, and hence
+    S(u, v), exactly."""
     positions = [p for p in maps_u[us[0]] if common >> p & 1]
-    rows_u = [_pack((maps_u[i][p] for p in positions), w) for i in us]
-    rows_v = [_pack((m - maps_v[j][p] for p in positions), w) for j in vs]
+    order = sys.byteorder
+
+    def pack(amp) -> int:
+        return int.from_bytes(array(code, map(amp.__getitem__, positions)).tobytes(), order)
+
+    m_ones = m * int.from_bytes(array(code, [1] * len(positions)).tobytes(), order)
+    rows_u = [pack(maps_u[i]) for i in us]
+    rows_v = [m_ones - pack(maps_v[j]) for j in vs]
     same = us is vs
     for a, (i, ru) in enumerate(zip(us, rows_u)):
         partners = zip(vs[a + 1:], rows_v[a + 1:]) if same else zip(vs, rows_v)
@@ -356,7 +368,8 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict,
     at a time (see verify_mubs); memo is shared by all basis pairs of one
     call."""
     d = x.dim
-    w = (2 * m - 1).bit_length()
+    code = _field_code(m)
+    w = 8 * array(code).itemsize
     maps_b, groups_b = tables[b]
     maps_c, groups_c = tables[c]
 
@@ -371,7 +384,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict,
                 common = mask_u & mask_v
                 if not common:
                     continue  # disjoint supports: S = 0 outright
-                for i, j, key in _overlap_keys(m, w, maps_b, us, maps_b, vs, common):
+                for i, j, key in _overlap_keys(m, code, maps_b, us, maps_b, vs, common):
                     if not _memo_test(memo, None, key, m, w, vanishes):
                         out.append(MubViolation("orthogonality", b, min(i, j), c, max(i, j),
                                                 "S(u, v) != 0"))
@@ -398,7 +411,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict,
                 out.extend(MubViolation("unbiasedness", b, i, c, j, f"|S|^2 != {target}")
                            for i in us for j in vs)
             else:
-                for i, j, key in _overlap_keys(m, w, maps_b, us, maps_c, vs, common):
+                for i, j, key in _overlap_keys(m, code, maps_b, us, maps_c, vs, common):
                     if not _memo_test(memo, nu * nv, key, m, w, unbiased):
                         out.append(MubViolation("unbiasedness", b, i, c, j,
                                                 f"|S|^2 != {target}"))
@@ -560,25 +573,30 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
 # {"norm_sq": n, "amps": [[pos, exp], ...]} for exact amplitudes or
 # {"norm_sq": n, "amps_float": [[pos, re, im], ...]} otherwise.
 
-def mubs_to_dict(x: MubSet) -> dict:
+def _vector_json(vec: MubVector, m: int) -> str:
+    if vec.amps is None:
+        return serial.encode({"norm_sq": vec.norm_sq, "amps_float": [
+            [pos, a.real, a.imag] for pos, a in vec.amps_float]})
+    amps = vec.amps
+    if vec.root_order != m:
+        f = m // vec.root_order
+        amps = [(pos, e * f) for pos, e in amps]  # e < root_order, so e*f < m
+    return '{"amps":[' + ",".join(map("[%d,%d]".__mod__, amps)) + '],"norm_sq":%d}' % vec.norm_sq
+
+
+def mubs_to_json(x: MubSet) -> str:
+    """The canonical document of x (sorted keys, no spaces, a final
+    newline, as serial.dumps writes it), with every exact vector lifted to
+    the set root order.  Exact vectors are written directly, float vectors
+    through the JSON encoder."""
     m = x.root_order
-    bases = []
-    for basis in x.bases:
-        out_vecs = []
-        for vec in basis.vectors:
-            if vec.is_exact:
-                f = m // vec.root_order
-                out_vecs.append({
-                    "norm_sq": vec.norm_sq,
-                    "amps": [[pos, e * f % m] for pos, e in vec.amps],
-                })
-            else:
-                out_vecs.append({
-                    "norm_sq": vec.norm_sq,
-                    "amps_float": [[pos, a.real, a.imag] for pos, a in vec.amps_float],
-                })
-        bases.append(out_vecs)
-    return {"dim": x.dim, "root_order": m, "bases": bases}
+    bases = ",".join("[" + ",".join(_vector_json(vec, m) for vec in basis.vectors) + "]"
+                     for basis in x.bases)
+    return '{"bases":[%s],"dim":%d,"root_order":%d}\n' % (bases, x.dim, m)
+
+
+def mubs_to_dict(x: MubSet) -> dict:
+    return serial.loads(mubs_to_json(x))
 
 
 def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
@@ -602,33 +620,34 @@ def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
                 f'{where} needs "norm_sq" and exactly one of "amps", "amps_float"',
             )
             n = obj["norm_sq"]
-            serial.expect(serial.is_int(n) and n >= 1, f'{where}: "norm_sq" must be a positive integer')
+            serial.expect(serial.is_int(n) and 1 <= n <= MAX_MAGNITUDE,
+                          f'{where}: "norm_sq" must be an integer from 1 to 2**32')
+            if "amps" in obj:
+                serial.expect(
+                    isinstance(obj["amps"], list) and all(
+                        isinstance(t, list) and len(t) == 2
+                        and serial.is_int(t[0]) and serial.is_int(t[1])
+                        for t in obj["amps"]
+                    ),
+                    f'{where}: "amps" must be a list of [position, exponent] pairs',
+                )
+                given = {"root_order": m, "amps": tuple(map(tuple, obj["amps"]))}
+            else:
+                serial.expect(
+                    isinstance(obj["amps_float"], list) and all(
+                        isinstance(t, list) and len(t) == 3
+                        and serial.is_int(t[0])
+                        and all(isinstance(z, (int, float)) and not isinstance(z, bool)
+                                and abs(z) <= MAX_MAGNITUDE for z in t[1:])
+                        for t in obj["amps_float"]
+                    ),
+                    f'{where}: "amps_float" must be a list of [position, re, im] triples'
+                    ' with finite re and im of at most 2**32 in size',
+                )
+                given = {"root_order": 1, "amps_float": tuple(
+                    (p, complex(re, im)) for p, re, im in obj["amps_float"])}
             try:
-                if "amps" in obj:
-                    serial.expect(
-                        isinstance(obj["amps"], list) and all(
-                            isinstance(t, list) and len(t) == 2
-                            and serial.is_int(t[0]) and serial.is_int(t[1])
-                            for t in obj["amps"]
-                        ),
-                        f'{where}: "amps" must be a list of [position, exponent] pairs',
-                    )
-                    vec = MubVector(dim=d, root_order=m, norm_sq=n,
-                                    amps=tuple((p, e) for p, e in obj["amps"]))
-                else:
-                    serial.expect(
-                        isinstance(obj["amps_float"], list) and all(
-                            isinstance(t, list) and len(t) == 3
-                            and serial.is_int(t[0])
-                            and all(isinstance(z, (int, float)) and not isinstance(z, bool)
-                                    for z in t[1:])
-                            for t in obj["amps_float"]
-                        ),
-                        f'{where}: "amps_float" must be a list of [position, re, im] triples',
-                    )
-                    vec = MubVector(dim=d, root_order=1, norm_sq=n,
-                                    amps_float=tuple((p, complex(re, im))
-                                                     for p, re, im in obj["amps_float"]))
+                vec = MubVector(dim=d, norm_sq=n, **given)
             except ValueError as exc:
                 raise serial.ParseError(f"{where}: {exc}") from None
             vecs.append(vec)
@@ -659,4 +678,5 @@ def import_mubs(path, jobs: int = 1) -> MubSet:
 
 
 def export_mubs(x: MubSet, path) -> None:
-    serial.write_json(path, mubs_to_dict(x))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(mubs_to_json(x))

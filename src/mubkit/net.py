@@ -130,14 +130,15 @@ def verify_net(net: Net) -> NetReport:
         for i, vec in enumerate(block):
             if vec.weight != net.s:
                 out.append(NetViolation("weight", b, i, detail=f"weight {vec.weight}, want {net.s}"))
+    # Net fixes every length at s^2, so the dots need no length check.
+    bits = [[vec.bits for vec in block] for block in net.blocks]
     for b in range(net.k):
         for c in range(b, net.k):
-            for i, u in enumerate(net.blocks[b]):
-                for j, v in enumerate(net.blocks[c]):
-                    if b == c and j <= i:
-                        continue
-                    got = u.dot(v)
-                    want = 0 if b == c else 1
+            want = 0 if b == c else 1
+            for i, ub in enumerate(bits[b]):
+                start = i + 1 if b == c else 0
+                for j, vb in enumerate(bits[c][start:], start):
+                    got = (ub & vb).bit_count()
                     if got != want:
                         kind = "within-block" if b == c else "cross-block"
                         out.append(NetViolation(kind, b, i, c, j, f"dot {got}, want {want}"))

@@ -27,10 +27,18 @@ def read_json(path: str | os.PathLike) -> Any:
     return loads(text)
 
 
+# Sorted keys and fixed separators keep byte-identical output for equal
+# inputs, which the CLI promises.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def encode(obj: Any) -> str:
+    """Canonical JSON text of obj, without the final newline."""
+    return _ENCODER.encode(obj)
+
+
 def dumps(obj: Any) -> str:
-    # Sorted keys and fixed separators keep byte-identical output for equal
-    # inputs, which the CLI promises.
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    return encode(obj) + "\n"
 
 
 def write_json(path: str | os.PathLike, obj: Any) -> None:

@@ -77,7 +77,6 @@ def test_additive_group(field):
     for a in els:
         assert field.add(a, zero) == a
         assert field.add(a, field.neg(a)) == zero
-        assert field.sub(a, a) == zero
     for a, b in itertools.product(els, repeat=2):
         assert field.add(a, b) == field.add(b, a)
 

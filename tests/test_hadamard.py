@@ -14,7 +14,6 @@ from mubkit.hadamard import (
     char_table,
     dft,
     float_deviation,
-    float_ok,
     tensor_hadamard,
     verify_hadamard,
 )
@@ -52,7 +51,6 @@ def test_dft_is_hadamard_exactly_and_in_float(s):
     h = dft(s)
     assert verify_hadamard(h).ok
     assert float_deviation(h) < TOL
-    assert float_ok(h)
 
 
 def test_exponent_table_validation():
@@ -74,7 +72,7 @@ def test_tampering_breaks_orthogonality():
     # every violated pair involves the tampered row
     assert all(2 in pair for pair in report.violations)
     assert float_deviation(bad) > 1e-3
-    assert not float_ok(bad)
+    assert not float_deviation(bad) < TOL * max(1, bad.size)
 
 
 def test_tensor_combines_sizes_and_root_orders():

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import multiprocessing
 import os
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit import mub
+from mubkit import mub, serial
 from mubkit.cyclotomic import Cyclotomic, TOL
 from mubkit.hadamard import dft
-from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square
+from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, import_mols
 from mubkit.mub import (
+    MAX_MAGNITUDE,
     MAX_ROOT_ORDER,
     MubBasis,
+    MubReport,
     MubSet,
     MubVector,
     VerificationFailedError,
@@ -27,6 +31,7 @@ from mubkit.mub import (
     inner_product,
     mubs_from_dict,
     mubs_to_dict,
+    mubs_to_json,
     standard_basis,
     tensor_mubs,
     verified_from_dict,
@@ -90,6 +95,29 @@ def test_vector_validates_positions_and_exponents():
         MubVector(dim=3, root_order=2, norm_sq=2, amps=((1, 0), (0, 0)))
     with pytest.raises(ValueError):
         MubVector(dim=2, root_order=2, norm_sq=1, amps=((0, 2),))
+
+
+@pytest.mark.parametrize("dim, amps, message", [
+    (3, ((-1, 0),), "position -1 out of range for dim 3"),
+    (3, ((0, 0), (3, 1)), "position 3 out of range for dim 3"),
+    (3, ((1, 0), (1, 1)), "positions must be strictly increasing"),
+    (3, ((2, 0), (1, 1)), "positions must be strictly increasing"),
+    (3, ((0, 0), (1, -1)), "exponent -1 out of range for root order 4"),
+    (3, ((0, 4),), "exponent 4 out of range for root order 4"),
+    # several bad entries: the first one in order is named
+    (3, ((0, 9), (5, 0), (1, 0)), "exponent 9 out of range for root order 4"),
+    (3, ((1, 0), (0, 9), (7, 0)), "positions must be strictly increasing"),
+    (4, ((0, 0), (7, 1), (5, 9)), "position 7 out of range for dim 4"),
+])
+def test_vector_names_the_first_bad_entry(dim, amps, message):
+    with pytest.raises(ValueError) as err:
+        MubVector(dim=dim, root_order=4, norm_sq=1, amps=amps)
+    assert str(err.value) == message
+    floats = tuple((pos, 1j) for pos, _ in amps)
+    if "exponent" not in message:  # float amplitudes carry no exponent
+        with pytest.raises(ValueError) as err:
+            MubVector(dim=dim, root_order=1, norm_sq=1, amps_float=floats)
+        assert str(err.value) == message
 
 
 def test_embed_places_row_entries_at_support_positions():
@@ -424,6 +452,63 @@ def test_tensor_rejects_empty_sets():
 
 # -- serialization
 
+def old_to_dict(x: MubSet) -> dict:
+    """Reference encoding: the document as nested lists and dicts, every
+    exact exponent lifted to the set root order."""
+    m = x.root_order
+    bases = []
+    for basis in x.bases:
+        out_vecs = []
+        for vec in basis.vectors:
+            if vec.is_exact:
+                f = m // vec.root_order
+                out_vecs.append({"norm_sq": vec.norm_sq,
+                                 "amps": [[pos, e * f % m] for pos, e in vec.amps]})
+            else:
+                out_vecs.append({"norm_sq": vec.norm_sq,
+                                 "amps_float": [[pos, a.real, a.imag] for pos, a in vec.amps_float]})
+        bases.append(out_vecs)
+    return {"dim": x.dim, "root_order": m, "bases": bases}
+
+
+def mixed_root_orders() -> MubSet:
+    """Root orders 1, 2 and 3 in one set of C^4, so export lifts to 6."""
+    third = MubBasis(tuple(
+        MubVector(dim=4, root_order=3, norm_sq=2, amps=((p, p % 3), (p ^ 1, 2)))
+        if p % 2 == 0 else
+        MubVector(dim=4, root_order=3, norm_sq=2, amps=((p ^ 1, 1), (p, 0)))
+        for p in range(4)))
+    return MubSet(dim=4, bases=(standard_basis(4).bases[0], built_mubs(2).bases[1], third))
+
+
+def odd_floats() -> MubSet:
+    """Float amplitudes whose encodings need repr, NaN and Infinity."""
+    vecs = (MubVector(dim=2, root_order=1, norm_sq=1, amps_float=((0, complex(0.1, -1 / 3)),)),
+            MubVector(dim=2, root_order=1, norm_sq=2,
+                      amps_float=((0, complex(float("nan"), float("inf"))),
+                                  (1, complex(-float("inf"), 1e300)))))
+    return MubSet(dim=2, bases=(MubBasis(vecs),))
+
+
+def test_json_writer_matches_the_reference_encoding(mols26_path, tmp_path):
+    sets = [built_mubs(q) for q in (2, 3, 4, 9)]
+    sets.append(build_mubs(net_from_mols(import_mols(mols26_path)), dft(26)))
+    sets.append(tensor_mubs(built_mubs(3), standard_basis(4)))
+    sets.append(mixed_root_orders())
+    sets.append(as_float_set(built_mubs(2)))
+    sets.append(odd_floats())
+    sets.append(MubSet(dim=4, bases=(built_mubs(2).bases[0], as_float_set(built_mubs(2)).bases[1])))
+    sets.append(MubSet(dim=3, bases=()))
+    for n, x in enumerate(sets):
+        want = serial.dumps(old_to_dict(x))
+        assert mubs_to_json(x) == want
+        path = tmp_path / f"{n}.json"
+        export_mubs(x, path)
+        assert path.read_bytes() == want.encode("utf-8")
+    assert mubs_to_dict(mixed_root_orders()) == old_to_dict(mixed_root_orders())
+    assert mubs_to_dict(mixed_root_orders())["root_order"] == 6
+
+
 def test_dict_round_trip():
     x = built_mubs(3)
     assert mubs_from_dict(mubs_to_dict(x)) == x
@@ -493,6 +578,25 @@ def test_parse_rejects_oversized_root_orders():
         mubs_from_dict(doc(MAX_ROOT_ORDER + 1))
 
 
+def test_parse_bounds_the_magnitudes_the_float_oracle_sees():
+    # an unbounded norm_sq or float part overflowed the float oracle, and
+    # NaN amplitudes passed it
+    def doc(n, part):
+        return {"dim": 2, "root_order": 1, "bases": [[
+            {"norm_sq": n, "amps_float": [[0, part, 0.0]]},
+            {"norm_sq": 1, "amps_float": [[1, 1.0, 0.0]]},
+        ]]}
+
+    x = mubs_from_dict(doc(MAX_MAGNITUDE, -float(MAX_MAGNITUDE)))
+    assert not verify_mubs(x, mode="float").ok
+    for n, part in [(MAX_MAGNITUDE + 1, 1.0), (10 ** 400, 1.0), (1, float("nan")),
+                    (1, float("inf")), (1, 1e300), (1, 10 ** 400)]:
+        with pytest.raises(ParseError) as err:
+            mubs_from_dict(serial.loads(serial.dumps(doc(n, part))))
+        assert str(err.value).startswith("basis 0 vector 0: ")
+        assert str(err.value).count("basis 0 vector 0") == 1
+
+
 def test_parse_rejects_out_of_range_amplitudes():
     with pytest.raises(ParseError):
         mubs_from_dict({"dim": 2, "root_order": 2, "bases": [[
@@ -507,6 +611,119 @@ def test_parse_rejects_out_of_range_amplitudes():
 
 
 # -- randomized cross-checks
+
+def lifted(x: MubSet, m: int) -> MubSet:
+    """x with every exponent scaled to root order m."""
+    return MubSet(dim=x.dim, bases=tuple(MubBasis(tuple(
+        MubVector(dim=v.dim, root_order=m, norm_sq=v.norm_sq,
+                  amps=tuple((p, e * (m // v.root_order)) for p, e in v.amps))
+        for v in basis.vectors)) for basis in x.bases))
+
+
+@pytest.mark.parametrize("m, code, q", [
+    (127, "B", None), (128, "B", 4), (129, "H", 3), (MAX_ROOT_ORDER, "H", 2)])
+def test_oracles_agree_at_the_key_field_widths(m, code, q):
+    # keys hold e_u - e_v + m, from 1 to 2m - 1, in one array item per
+    # position: bytes up to m = 128, 16-bit items above; exponents 0 and
+    # m - 1 reach both ends of a field
+    assert mub._field_code(m) == code
+    rng = random.Random(m)
+    net = built_mubs(3)
+    spread = MubSet(dim=9, bases=tuple(MubBasis(tuple(
+        MubVector(dim=9, root_order=m, norm_sq=3,
+                  amps=tuple((p, rng.choice((0, 1, m // 2, m - 1))) for p, _ in v.amps))
+        for v in basis.vectors)) for basis in net.bases))
+    sets = [spread]
+    if q is not None:
+        x = lifted(built_mubs(q), m)
+        assert verify_mubs(x, mode="exact").ok and verify_mubs(x, mode="float").ok
+        for b, i, slot, delta in [(0, 0, 0, m - 1), (1, 1, 1, 1), (2, q, 0, m // 2 + 1)]:
+            sets.append(tampered(x, b, i, slot, delta))
+    for x in sets:
+        exact = verify_mubs(x, mode="exact")
+        assert not exact.ok
+        assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=2),
+    st.sampled_from([MAX_ROOT_ORDER, MAX_ROOT_ORDER + 1, MAX_MAGNITUDE + 1, 10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=3),
+    st.dictionaries(st.sampled_from(["dim", "root_order", "bases", "norm_sq", "amps",
+                                     "amps_float", "x"]), kids, max_size=3)), max_leaves=6)
+
+
+def _locations(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid small document with one to three random edits: values
+    replaced, keys and entries deleted, inserted, duplicated or swapped,
+    numbers shifted (to huge values too), and values wrapped one level
+    deeper.  Half of the edits land on a number."""
+    seeds = [mubs_to_dict(built_mubs(2)), mubs_to_dict(standard_basis(3)),
+             mubs_to_dict(as_float_set(built_mubs(2)))]
+    doc = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_locations(doc))
+        numbers = [p for p in paths if p and _is_number(_at(doc, p))]
+        path = draw(st.sampled_from(numbers if numbers and draw(st.booleans()) else paths))
+        op = draw(st.sampled_from(["replace", "delete", "insert", "swap", "nudge", "wrap"]))
+        if not path:
+            doc = draw(JSON_VALUES) if op == "replace" else [doc] if op == "wrap" else doc
+            continue
+        holder = _at(doc, path[:-1])
+        key, value = path[-1], holder[path[-1]]
+        if op == "replace":
+            holder[key] = draw(JSON_VALUES)
+        elif op == "delete":
+            del holder[key]
+        elif op == "insert" and isinstance(holder, list):
+            holder.insert(draw(st.integers(0, len(holder))),
+                          copy.deepcopy(value) if draw(st.booleans()) else draw(JSON_VALUES))
+        elif op == "insert":
+            holder[draw(st.sampled_from(["x", "amps", "amps_float", "norm_sq"]))] = \
+                draw(JSON_VALUES)
+        elif op == "swap" and isinstance(holder, list) and len(holder) > 1:
+            other = draw(st.integers(0, len(holder) - 1))
+            holder[key], holder[other] = holder[other], holder[key]
+        elif op == "nudge" and _is_number(value):
+            big = 10 ** 400 if isinstance(value, int) else 1e300
+            holder[key] = value + draw(st.sampled_from([-2, -1, 1, 2, MAX_ROOT_ORDER,
+                                                        MAX_MAGNITUDE, big]))
+        elif op == "wrap":
+            holder[key] = [value]
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_end_in_a_parse_error_or_a_report(doc):
+    try:
+        x = mubs_from_dict(doc)
+    except ParseError:
+        return
+    modes = ["exact", "float"] if x.is_exact else ["float"]
+    for mode in modes:
+        assert isinstance(verify_mubs(x, mode=mode), MubReport)
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 4]), st.data())
