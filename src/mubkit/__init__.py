@@ -27,7 +27,6 @@ from .mub import (
     embed,
     export_mubs,
     import_mubs,
-    inner_product,
     standard_basis,
     tensor_mubs,
     verify_mubs,
@@ -70,7 +69,6 @@ __all__ = [
     "export_mubs",
     "import_mols",
     "import_mubs",
-    "inner_product",
     "load_net",
     "macneish_product",
     "mols_from_net",

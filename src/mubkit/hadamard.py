@@ -51,9 +51,6 @@ class GenHadamard:
         return complex(math.cos(2 * math.pi * self.exponents[r][c] / self.root_order),
                        math.sin(2 * math.pi * self.exponents[r][c] / self.root_order))
 
-    def rows_approx(self) -> list[list[complex]]:
-        return [[self.entry(r, c) for c in range(self.size)] for r in range(self.size)]
-
 
 def dft(s: int) -> GenHadamard:
     """Character table of the cyclic group of order s: entry (k, l) = w^(k*l)."""
@@ -117,17 +114,3 @@ def verify_hadamard(h: GenHadamard) -> HadamardReport:
             if not counts_to_cyclotomic(m, counts).is_zero():
                 bad.append((r, r2))
     return HadamardReport(h.size, tuple(bad))
-
-
-def float_deviation(h: GenHadamard) -> float:
-    """max |(H H* - s I)[r][r2]| over all entries, computed numerically."""
-    rows = h.rows_approx()
-    s = h.size
-    worst = 0.0
-    for r in range(s):
-        for r2 in range(s):
-            g = sum(rows[r][c] * rows[r2][c].conjugate() for c in range(s))
-            want = s if r == r2 else 0
-            worst = max(worst, abs(g - want))
-    return worst
-

@@ -18,11 +18,22 @@ The exact verifier groups each basis's vectors by (support, norm_sq) and
 decides a pair of groups at once wherever a ring identity allows it: two
 supports that meet in one point give S a single root of unity, so
 d*S*conj(S) = d, and the whole product of the two groups is unbiased
-exactly when nu*nv = d; disjoint supports give S = 0.  Every other
-overlapping pair is decided on its own in the cyclotomic group ring, with
-each distinct vector of exponent differences tested once per call.  The
-float oracle (tolerance 1e-9) stays brute force, summing every inner
-product numerically, so it cross-checks these shortcuts independently.
+exactly when nu*nv = d; disjoint supports give S = 0.  Within a basis it
+visits only the groups that share a position, found through a position ->
+group index.  Every other overlapping pair is decided on its own in the
+cyclotomic group ring, with each distinct vector of exponent differences
+tested once per call; a pair's differences are read from its packed key as
+bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
+MOD_M reducing each byte mod m (a tuple from an array for wider fields).
+
+The float oracle (tolerance 1e-9) stays brute force, summing every inner
+product numerically term by term, so it cross-checks these shortcuts
+independently.  Within a basis it touches only the pairs j > i that share
+a position.  Across bases it sums u's products with all of basis c into a
+dense list; if basis c has one norm and every |S|^2 in the list lies
+within TOL/2 of nu*nv/d, found by min and max, the list passes at once,
+and otherwise each pair is checked on its own, so the violations and their
+details do not depend on the shortcut.
 
 Amplitudes are stored either as integer exponents against a root order
 (exact route) or as complex numbers (float-only route, e.g. imported data).
@@ -33,6 +44,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import os
 import sys
 from array import array
@@ -193,24 +205,6 @@ def standard_basis(d: int) -> MubSet:
     return MubSet(dim=d, bases=(MubBasis(vecs),), provenance="trivial")
 
 
-def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
-    """Unscaled exact inner product S(u, v) = sum over common support of
-    u_p * conj(v_p); the physical inner product is S / sqrt(nu * nv)."""
-    if u.dim != v.dim:
-        raise ValueError(f"DimMismatch: {u.dim} vs {v.dim}")
-    if not (u.is_exact and v.is_exact):
-        raise ValueError("ExactUnavailable: exact inner product needs exponent amplitudes")
-    m = math.lcm(u.root_order, v.root_order)
-    fu, fv = m // u.root_order, m // v.root_order
-    vmap = u.amp_map() if u is v else v.amp_map()
-    counts: Counter[int] = Counter()
-    for pos, eu in u.amps:
-        ev = vmap.get(pos)
-        if ev is not None:
-            counts[(eu * fu - ev * fv) % m] += 1
-    return counts_to_cyclotomic(m, counts)
-
-
 @dataclass(frozen=True)
 class MubViolation:
     kind: str  # "norm" | "orthogonality" | "unbiasedness"
@@ -250,26 +244,35 @@ def _exact_tables(x: MubSet):
     tables = []
     for basis in x.bases:
         maps = []
-        groups: dict[tuple[int, int], list[int]] = {}
+        # keyed by the support's positions: a mask 1 << p hashes to
+        # 2**(p % 61) on 64-bit builds, so masks would crowd the dict
+        groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
         for j, vec in enumerate(basis.vectors):
             f = m // vec.root_order
             amp = dict(vec.amps) if f == 1 else {pos: e * f for pos, e in vec.amps}
             maps.append(amp)
-            mask = sum(map((1).__lshift__, amp))
-            groups.setdefault((mask, vec.norm_sq), []).append(j)
-        tables.append((maps, list(groups.items())))
+            groups.setdefault((tuple(amp), vec.norm_sq), []).append(j)
+        tables.append((maps, [((sum(map((1).__lshift__, support)), norm), us)
+                              for (support, norm), us in groups.items()]))
     return m, tables
 
 
 def _float_tables(x: MubSet):
+    """Per basis: amplitude dicts; per position, the indices of the vectors
+    holding it, in increasing order, with their conjugated amplitudes in a
+    parallel list; the norms, and their common value or None."""
     tables = []
     for basis in x.bases:
         maps = [vec.float_map() for vec in basis.vectors]
-        inv: list[list[tuple[int, complex]]] = [[] for _ in range(x.dim)]
+        idx: list[list[int]] = [[] for _ in range(x.dim)]
+        conj: list[list[complex]] = [[] for _ in range(x.dim)]
         for j, amp in enumerate(maps):
             for pos, a in amp.items():
-                inv[pos].append((j, a))
-        tables.append((maps, inv))
+                idx[pos].append(j)
+                conj[pos].append(a.conjugate())
+        norms = [vec.norm_sq for vec in basis.vectors]
+        common = norms[0] if norms.count(norms[0]) == len(norms) else None
+        tables.append((maps, idx, conj, norms, common))
     return tables
 
 
@@ -311,7 +314,10 @@ def _overlap_keys(m: int, code: str, maps_u, us, maps_v, vs, common: int):
     having a 1 in every field, which cannot borrow since every e_v < m.
     Adding the u and v sides cannot carry, so one integer addition per pair
     gives a key that determines the exponent differences, and hence
-    S(u, v), exactly."""
+    S(u, v), exactly; _sorted_diffs reads them back."""
+    same = us is vs
+    if same and len(us) == 1:
+        return  # one vector makes no pair with itself
     positions = [p for p in maps_u[us[0]] if common >> p & 1]
     order = sys.byteorder
 
@@ -321,31 +327,40 @@ def _overlap_keys(m: int, code: str, maps_u, us, maps_v, vs, common: int):
     m_ones = m * int.from_bytes(array(code, [1] * len(positions)).tobytes(), order)
     rows_u = [pack(maps_u[i]) for i in us]
     rows_v = [m_ones - pack(maps_v[j]) for j in vs]
-    same = us is vs
     for a, (i, ru) in enumerate(zip(us, rows_u)):
         partners = zip(vs[a + 1:], rows_v[a + 1:]) if same else zip(vs, rows_v)
         for j, rv in partners:
             yield i, j, ru + rv
 
 
-def _memo_test(memo: dict, tag, key: int, m: int, w: int, test) -> bool:
-    """test(tag, diffs) for the sorted exponent differences diffs packed in
-    key (see _overlap_keys), remembered for the rest of one verify_mubs call
-    under (tag, key) and (tag, diffs); tag tells the tests apart.
+def _sorted_diffs(m: int, code: str):
+    """(key, n) -> the exponent differences held in the n-byte key (see
+    _overlap_keys), reduced mod m and sorted, with C builtins doing the
+    per-field work.  For 8-bit fields that is bytes(sorted(...)) of the
+    key's bytes translated through a 256-byte table v -> v % m; wider
+    fields are read back as an array and give a tuple."""
+    order = sys.byteorder
+    if code == "B":
+        mod_m = bytes(v % m for v in range(256))
+        return lambda key, n: bytes(sorted(key.to_bytes(n, order).translate(mod_m)))
+    return lambda key, n: tuple(sorted(map(m.__rmod__, array(code, key.to_bytes(n, order)))))
+
+
+def _memo_test(memo: dict, tag, key: int, n: int, diffs_of, test) -> bool:
+    """test(tag, diffs) for the sorted exponent differences diffs =
+    diffs_of(key, n) of an n-byte packed key (see _sorted_diffs),
+    remembered for the rest of one verify_mubs call under (tag, key) and
+    (tag, diffs); tag tells the tests apart.
 
     The packed key costs one lookup per pair; the sorted differences, which
     alone decide S, also catch pairs whose packed keys differ only in whole
-    turns or in the order of the positions.  A verdict depends on its key
-    alone, so a remembered one is exact.  At most _MEMO_LIMIT keys are
-    stored, which bounds memory on unstructured input.
+    turns or in the order of the positions.  A verdict depends on the
+    sorted differences alone, so a remembered one is exact.  At most
+    _MEMO_LIMIT keys are stored, which bounds memory on unstructured input.
     """
     hit = memo.get((tag, key))
     if hit is None:
-        low, rest, fields = (1 << w) - 1, key, []
-        while rest:  # every field is at least 1, so none is lost
-            fields.append((rest & low) % m)
-            rest >>= w
-        diffs = tuple(sorted(fields))
+        diffs = diffs_of(key, n)
         hit = memo.get((tag, diffs))
         if hit is None:
             hit = test(tag, diffs)
@@ -362,14 +377,14 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict,
+def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
                            b: int, c: int) -> list[MubViolation]:
     """Violations between bases b and c, walked one pair of support groups
-    at a time (see verify_mubs); memo is shared by all basis pairs of one
-    call."""
+    at a time (see verify_mubs); memo and diffs_of (see _memo_test) are
+    shared by all basis pairs of one call."""
     d = x.dim
     code = _field_code(m)
-    w = 8 * array(code).itemsize
+    size = array(code).itemsize
     maps_b, groups_b = tables[b]
     maps_c, groups_c = tables[c]
 
@@ -379,13 +394,25 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict,
         def vanishes(_, diffs) -> bool:
             return counts_to_cyclotomic(m, Counter(diffs)).is_zero()
 
+        # holders[pos] has bit g set when group g holds pos; only the groups
+        # sharing a position are visited, all others have disjoint supports
+        # and S = 0 outright.
+        holders: dict[int, int] = {}
+        for g, (_, us) in enumerate(groups_b):
+            for pos in maps_b[us[0]]:
+                holders[pos] = holders.get(pos, 0) | 1 << g
         for g, ((mask_u, _), us) in enumerate(groups_b):
-            for (mask_v, _), vs in groups_b[g:]:
+            support = maps_b[us[0]]
+            near = functools.reduce(operator.or_, map(holders.__getitem__, support), 0) >> g
+            while near:
+                low = near & -near
+                near ^= low
+                h = g + low.bit_length() - 1
+                (mask_v, _), vs = groups_b[h]
                 common = mask_u & mask_v
-                if not common:
-                    continue  # disjoint supports: S = 0 outright
+                n = common.bit_count() * size
                 for i, j, key in _overlap_keys(m, code, maps_b, us, maps_b, vs, common):
-                    if not _memo_test(memo, None, key, m, w, vanishes):
+                    if not _memo_test(memo, None, key, n, diffs_of, vanishes):
                         out.append(MubViolation("orthogonality", b, min(i, j), c, max(i, j),
                                                 "S(u, v) != 0"))
         return out
@@ -411,45 +438,54 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict,
                 out.extend(MubViolation("unbiasedness", b, i, c, j, f"|S|^2 != {target}")
                            for i in us for j in vs)
             else:
+                n = overlap * size
                 for i, j, key in _overlap_keys(m, code, maps_b, us, maps_c, vs, common):
-                    if not _memo_test(memo, nu * nv, key, m, w, unbiased):
+                    if not _memo_test(memo, nu * nv, key, n, diffs_of, unbiased):
                         out.append(MubViolation("unbiasedness", b, i, c, j,
                                                 f"|S|^2 != {target}"))
     return out
 
 
 def _pair_violations_float(x: MubSet, tables, b: int, c: int) -> list[MubViolation]:
+    """Violations between bases b and c, every inner product summed term by
+    term in the order of u's positions (see verify_mubs)."""
     out = []
     d = x.dim
-    maps_b, _ = tables[b]
-    maps_c, inv_c = tables[c]
-    vecs_b = x.bases[b].vectors
-    vecs_c = x.bases[c].vectors
+    maps_b, _, _, norms_b, _ = tables[b]
+    _, idx_c, conj_c, norms_c, common = tables[c]
     if b == c:
+        # Sparse: only the partners j > i that share a position are touched.
         out.extend(_check_norms_float(x, b, maps_b))
         for i, amp_u in enumerate(maps_b):
-            nu = vecs_b[i].norm_sq
+            nu = norms_b[i]
             partners: dict[int, complex] = {}
             for pos, au in amp_u.items():
-                for j, av in inv_c[pos]:
+                for j, cv in zip(idx_c[pos], conj_c[pos]):
                     if j > i:
-                        partners[j] = partners.get(j, 0j) + au * av.conjugate()
+                        partners[j] = partners.get(j, 0j) + au * cv
             for j in sorted(partners):
-                dev = abs(partners[j]) ** 2 / (nu * vecs_c[j].norm_sq)
+                dev = abs(partners[j]) ** 2 / (nu * norms_c[j])
                 if dev >= TOL:
                     out.append(MubViolation("orthogonality", b, i, c, j,
                                             f"|<u,v>|^2 = {dev:.3e}"))
         return out
+    # Dense: S(u, v_j) accumulates in acc[j] for every j.  When basis c has
+    # one norm nv, a list whose every |S|^2 lies within TOL/2 of nu*nv/d
+    # passes at once; any other list is checked pair by pair.
+    if common is not None:
+        low, high = (1.0 / d - TOL / 2) * common, (1.0 / d + TOL / 2) * common
     for i, amp_u in enumerate(maps_b):
-        nu = vecs_b[i].norm_sq
-        partners = {}
+        nu = norms_b[i]
+        acc = [0j] * d
         for pos, au in amp_u.items():
-            for j, av in inv_c[pos]:
-                partners[j] = partners.get(j, 0j) + au * av.conjugate()
-        for j in range(d):
-            nv = vecs_c[j].norm_sq
-            s_val = partners.get(j, 0j)
-            dev = abs(abs(s_val) ** 2 / (nu * nv) - 1.0 / d)
+            for j, cv in zip(idx_c[pos], conj_c[pos]):
+                acc[j] += au * cv
+        if common is not None:
+            a = list(map(abs, acc))
+            if min(a) ** 2 > low * nu and max(a) ** 2 < high * nu:
+                continue
+        for j, s_val in enumerate(acc):
+            dev = abs(abs(s_val) ** 2 / (nu * norms_c[j]) - 1.0 / d)
             if dev >= TOL:
                 out.append(MubViolation("unbiasedness", b, i, c, j,
                                         f"| |<u,v>|^2 - 1/d | = {dev:.3e}"))
@@ -462,7 +498,8 @@ def _pair_walker(x: MubSet, mode: str):
     if mode == "exact":
         m, tables = _exact_tables(x)
         memo: dict = {}
-        return lambda b, c: _pair_violations_exact(x, m, tables, memo, b, c)
+        diffs_of = _sorted_diffs(m, _field_code(m))
+        return lambda b, c: _pair_violations_exact(x, m, tables, memo, diffs_of, b, c)
     tables = _float_tables(x)
     return lambda b, c: _pair_violations_float(x, tables, b, c)
 
@@ -498,9 +535,10 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     S*conj(S) = 1, disjoint supports by S = 0, and only other overlaps are
     tested pair by pair, each distinct exponent-difference vector once.
     mode "float" computes every inner product numerically and compares it
-    against tolerance 1e-9.  jobs > 1 spreads basis pairs across up to that
-    many processes, capped at the usable CPUs; the report is identical for
-    any job count.
+    against tolerance 1e-9; a vector whose products with a whole basis all
+    lie within half that tolerance passes at once.  jobs > 1 spreads basis
+    pairs across up to that many processes, capped at the usable CPUs; the
+    report is identical for any job count.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f'mode must be "exact" or "float", got {mode!r}')

@@ -1,0 +1,91 @@
+"""Plain reference implementations the tests check the library against:
+the exact inner product of two vectors, the float deviation of a
+Hadamard matrix, and the float oracle written as one loop per pair."""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+
+from mubkit.cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
+from mubkit.hadamard import GenHadamard
+from mubkit.mub import MubReport, MubSet, MubVector, MubViolation
+
+
+def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
+    """Unscaled exact inner product S(u, v) = sum over common support of
+    u_p * conj(v_p); the physical inner product is S / sqrt(nu * nv)."""
+    if u.dim != v.dim:
+        raise ValueError(f"DimMismatch: {u.dim} vs {v.dim}")
+    if not (u.is_exact and v.is_exact):
+        raise ValueError("ExactUnavailable: exact inner product needs exponent amplitudes")
+    m = math.lcm(u.root_order, v.root_order)
+    fu, fv = m // u.root_order, m // v.root_order
+    vmap = v.amp_map()
+    counts: Counter[int] = Counter()
+    for pos, eu in u.amps:
+        ev = vmap.get(pos)
+        if ev is not None:
+            counts[(eu * fu - ev * fv) % m] += 1
+    return counts_to_cyclotomic(m, counts)
+
+
+def float_deviation(h: GenHadamard) -> float:
+    """max |(H H* - s I)[r][r2]| over all entries, computed numerically."""
+    s = h.size
+    rows = [[h.entry(r, c) for c in range(s)] for r in range(s)]
+    worst = 0.0
+    for r in range(s):
+        for r2 in range(s):
+            g = sum(rows[r][c] * rows[r2][c].conjugate() for c in range(s))
+            want = s if r == r2 else 0
+            worst = max(worst, abs(g - want))
+    return worst
+
+
+def float_report(x: MubSet) -> MubReport:
+    """verify_mubs(x, mode="float") as a loop over every pair of vectors:
+    each inner product summed in the order of u's positions, then each
+    pair compared with tolerance on its own, with the same detail strings."""
+    d = x.dim
+    maps = [[vec.float_map() for vec in basis.vectors] for basis in x.bases]
+    inv = []
+    for basis_maps in maps:
+        holders: list[list[tuple[int, complex]]] = [[] for _ in range(d)]
+        for j, amp in enumerate(basis_maps):
+            for pos, a in amp.items():
+                holders[pos].append((j, a))
+        inv.append(holders)
+    out = []
+    for b in range(x.k):
+        vecs_b = x.bases[b].vectors
+        for i, amp in enumerate(maps[b]):
+            off_unit = max((abs(abs(a) - 1.0) for a in amp.values()), default=0.0)
+            norm = sum(abs(a) ** 2 for a in amp.values()) / vecs_b[i].norm_sq
+            if off_unit >= TOL or abs(norm - 1.0) >= TOL:
+                out.append(MubViolation("norm", b, i, b, i,
+                                        f"|u|^2 = {norm:.12f}, max unit deviation {off_unit:.3e}"))
+        for c in range(b, x.k):
+            vecs_c = x.bases[c].vectors
+            for i, amp_u in enumerate(maps[b]):
+                nu = vecs_b[i].norm_sq
+                partners: dict[int, complex] = {}
+                for pos, au in amp_u.items():
+                    for j, av in inv[c][pos]:
+                        if b != c or j > i:
+                            partners[j] = partners.get(j, 0j) + au * av.conjugate()
+                if b == c:
+                    for j in sorted(partners):
+                        dev = abs(partners[j]) ** 2 / (nu * vecs_c[j].norm_sq)
+                        if dev >= TOL:
+                            out.append(MubViolation("orthogonality", b, i, c, j,
+                                                    f"|<u,v>|^2 = {dev:.3e}"))
+                    continue
+                for j in range(d):
+                    s_val = partners.get(j, 0j)
+                    dev = abs(abs(s_val) ** 2 / (nu * vecs_c[j].norm_sq) - 1.0 / d)
+                    if dev >= TOL:
+                        out.append(MubViolation("unbiasedness", b, i, c, j,
+                                                f"| |<u,v>|^2 - 1/d | = {dev:.3e}"))
+    out.sort(key=MubViolation.sort_key)
+    return MubReport(mode="float", dim=d, k=x.k, violations=tuple(out))

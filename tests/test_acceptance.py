@@ -12,13 +12,14 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from mubkit.hadamard import char_table, dft, float_deviation, verify_hadamard
+from mubkit.hadamard import char_table, dft, verify_hadamard
 from mubkit.latin import MolsSet, cyclic_square
 from mubkit.mub import MubSet, MubVector, embed, standard_basis, tensor_mubs, verify_mubs
 from mubkit.net import IncidenceVector, net_from_mols
 from mubkit.planner import ImportsTable, plan, prime_power_reduction_count
 
 from conftest import DATA_DIR, built_mubs
+from reference import float_deviation
 from test_cli import BUILD_SQUARE_2, run
 from test_hadamard import small_orders
 from test_mub import non_integer_target_set, tampered

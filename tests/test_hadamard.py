@@ -13,10 +13,11 @@ from mubkit.hadamard import (
     MAX_TABLE_SIZE,
     char_table,
     dft,
-    float_deviation,
     tensor_hadamard,
     verify_hadamard,
 )
+
+from reference import float_deviation
 
 TOL = 1e-9
 

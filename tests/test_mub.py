@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import copy
 import math
 import multiprocessing
 import os
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -28,7 +30,6 @@ from mubkit.mub import (
     embed,
     export_mubs,
     import_mubs,
-    inner_product,
     mubs_from_dict,
     mubs_to_dict,
     mubs_to_json,
@@ -41,6 +42,7 @@ from mubkit.net import IncidenceVector, Net, net_from_mols
 from mubkit.serial import ParseError
 
 from conftest import built_mubs
+from reference import float_report, inner_product
 
 
 def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
@@ -65,15 +67,20 @@ def non_integer_target_set() -> MubSet:
     return MubSet(dim=2, bases=(MubBasis((v0, v1)), MubBasis((w, w))))
 
 
-def as_float_set(x: MubSet) -> MubSet:
-    """The same set with every amplitude converted to a complex literal."""
+def as_float_set(x: MubSet, turn: dict[tuple[int, int], float] | None = None) -> MubSet:
+    """The same set with every amplitude converted to a complex literal;
+    turn[b, i] = t multiplies the last amplitude of vector i of basis b by
+    exp(i*t), which keeps its modulus."""
     bases = []
-    for basis in x.bases:
+    for b, basis in enumerate(x.bases):
         vecs = []
-        for v in basis.vectors:
-            amps_f = tuple(sorted(v.float_map().items()))
+        for i, v in enumerate(basis.vectors):
+            amps_f = sorted(v.float_map().items())
+            if turn and (b, i) in turn:
+                pos, a = amps_f[-1]
+                amps_f[-1] = (pos, a * cmath.exp(1j * turn[b, i]))
             vecs.append(MubVector(dim=v.dim, root_order=1, norm_sq=v.norm_sq,
-                                  amps_float=amps_f))
+                                  amps_float=tuple(amps_f)))
         bases.append(MubBasis(tuple(vecs)))
     return MubSet(dim=x.dim, bases=tuple(bases), provenance="float copy")
 
@@ -378,6 +385,89 @@ def test_non_integer_unbiasedness_target_fails_both_oracles_identically():
     assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
     assert any(v.kind == "unbiasedness" and v.detail == "|S|^2 != 3/2"
                for v in exact.violations)
+
+
+# -- the float oracle at its tolerance edges
+
+# How far a constructed deviation sits from the edge it tests, relative to
+# TOL; float rounding moves these deviations by about 1e-7 TOL.
+EDGE = 1e-5
+
+
+def qubit_mubs() -> MubSet:
+    """The three mutually unbiased bases of C^2: the standard basis, then
+    (1, 1), (1, -1) and (1, i), (1, -i), each of norm 2."""
+    def vec(norm, *amps):
+        return MubVector(dim=2, root_order=4, norm_sq=norm, amps=amps)
+
+    return MubSet(dim=2, bases=(
+        MubBasis((vec(1, (0, 0)), vec(1, (1, 0)))),
+        MubBasis((vec(2, (0, 0), (1, 0)), vec(2, (0, 0), (1, 2)))),
+        MubBasis((vec(2, (0, 0), (1, 1)), vec(2, (0, 0), (1, 3)))),
+    ))
+
+
+def scaled_overlap(x: MubSet, b: int, i: int, c: int, j: int) -> float:
+    """|S|^2 / (nu * nv) for vector i of basis b and vector j of basis c."""
+    u, v = x.bases[b].vectors[i], x.bases[c].vectors[j]
+    fu, fv = u.float_map(), v.float_map()
+    s = sum(fu[p] * fv[p].conjugate() for p in fu.keys() & fv.keys())
+    return abs(s) ** 2 / (u.norm_sq * v.norm_sq)
+
+
+@pytest.mark.parametrize("ratio", [0.25, 0.75, 1 - EDGE, 1 + EDGE])
+def test_float_fast_accept_matches_the_per_pair_oracle_at_the_tolerance_edge(ratio):
+    # turning (1, 1) into (1, e^it) moves |S|^2/(nu*nv) against (1, +-i)
+    # to 1/2 -+ sin(t)/2: below TOL/2 from 1/d the whole list of products
+    # passes at once, beyond it each pair is checked, and from TOL on the
+    # two pairs are violations
+    x = as_float_set(qubit_mubs(), {(1, 0): math.asin(2 * ratio * TOL)})
+    for j in (0, 1):
+        dev = abs(scaled_overlap(x, 1, 0, 2, j) - 1 / 2)
+        assert dev == pytest.approx(ratio * TOL, rel=EDGE / 10)
+    report = verify_mubs(x, mode="float")
+    assert report == float_report(x)
+    assert report.failing_pairs() == (
+        set() if ratio < 1 else {(1, 0, 2, 0), (1, 0, 2, 1)})
+    assert verify_mubs(x, mode="float", jobs=2) == report
+
+
+def test_float_within_basis_pass_matches_the_per_pair_oracle_at_the_tolerance_edge():
+    # two rows (1, 1) and (1, -1) of one support, the first turned to
+    # (1, e^it), give |S|^2/(nu*nv) = sin(t/2)^2; the cross pairs meet in
+    # one point, so the turns leave them unbiased
+    under, over = (2 * math.asin(math.sqrt(r * TOL)) for r in (1 - EDGE, 1 + EDGE))
+    x = as_float_set(built_mubs(2), {(0, 0): under, (0, 2): over})
+    assert scaled_overlap(x, 0, 0, 0, 1) == pytest.approx((1 - EDGE) * TOL, rel=EDGE / 10)
+    assert scaled_overlap(x, 0, 2, 0, 3) == pytest.approx((1 + EDGE) * TOL, rel=EDGE / 10)
+    report = verify_mubs(x, mode="float")
+    assert report == float_report(x)
+    assert report.failing_pairs() == {(0, 2, 0, 3)}
+    assert verify_mubs(x, mode="float", jobs=2) == report
+
+
+def test_float_oracle_checks_each_pair_against_a_basis_of_mixed_norms():
+    # basis 1 holds norms 1 and 2, so no list of products with it is
+    # passed at once
+    def vec(norm, *amps):
+        return MubVector(dim=4, root_order=2, norm_sq=norm, amps=amps)
+
+    mixed = MubBasis((vec(1, (0, 0)), vec(1, (1, 0)),
+                      vec(2, (2, 0), (3, 0)), vec(2, (2, 0), (3, 1))))
+    x = as_float_set(MubSet(dim=4, bases=(built_mubs(2).bases[1], mixed)))
+    report = verify_mubs(x, mode="float")
+    assert not report.ok
+    assert report == float_report(x)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_sparse_sets_verify_without_a_quadratic_pass(mode):
+    # 20000 vectors on one point each: visiting every pair of support
+    # groups, or a list of length d per vector, takes 2*10^8 steps
+    x = standard_basis(20000)
+    start = time.perf_counter()
+    assert verify_mubs(x, mode=mode).ok
+    assert time.perf_counter() - start < 10
 
 
 def test_set_equality_ignores_provenance():
