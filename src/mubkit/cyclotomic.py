@@ -16,11 +16,10 @@ True
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 TOL = 1e-9  # float tolerance shared by every approximate check in the package
 
@@ -64,12 +63,6 @@ class IntPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return IntPolynomial(_trim(out))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
@@ -127,11 +120,6 @@ def cyclo_poly(m: int) -> IntPolynomial:
     quot, rem = num.divmod(den)
     assert rem.is_zero(), f"x^{m}-1 not divisible by its proper cyclotomic factors"
     return quot
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_roots(m: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * e / m) for e in range(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +207,6 @@ class Cyclotomic:
         return (self - other).is_zero()
 
     __hash__ = None  # mathematical equality is not consistent with a cheap hash
-
-    def approx(self) -> complex:
-        roots = _unit_roots(self.order)
-        return sum((c * roots[e] for e, c in enumerate(self.coeffs) if c), 0j)
 
     def __repr__(self) -> str:
         terms = [(e, c) for e, c in enumerate(self.coeffs) if c]

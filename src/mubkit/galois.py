@@ -146,18 +146,6 @@ class GField:
             out = out * self.p + d
         return out
 
-    def elements(self) -> Iterator[Element]:
-        for i in range(self.q):
-            yield self.index(i)
-
-    @property
-    def zero(self) -> Element:
-        return (0,) * self.e
-
-    @property
-    def one(self) -> Element:
-        return (1,) + (0,) * (self.e - 1)
-
     def _check(self, a: Element) -> None:
         if len(a) != self.e or any(not 0 <= c < self.p for c in a):
             raise ValueError(f"OutOfRange: {a!r} is not an element of GF({self.p}^{self.e})")
@@ -168,10 +156,6 @@ class GField:
         self._check(a)
         self._check(b)
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: Element) -> Element:
-        self._check(a)
-        return tuple((-x) % self.p for x in a)
 
     def mul(self, a: Element, b: Element) -> Element:
         self._check(a)

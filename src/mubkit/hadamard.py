@@ -7,8 +7,8 @@ order m: entry (r, c) is exp(2 pi i * exponents[r][c] / m).
 
 Row orthogonality is decided exactly: the inner product of rows r and r'
 is sum_c root(m, e[r][c] - e[r'][c]), a group-ring element whose vanishing
-is tested modulo the m-th cyclotomic polynomial.  A float path computes the
-same Gram matrix numerically for cross-checks.
+is tested modulo the m-th cyclotomic polynomial.  The package has no float
+check of H; the tests cross-check this one against a numeric Gram matrix.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class GenHadamard:
     def size(self) -> int:
         return len(self.exponents)
 
-    def entry(self, r: int, c: int) -> complex:
-        return complex(math.cos(2 * math.pi * self.exponents[r][c] / self.root_order),
-                       math.sin(2 * math.pi * self.exponents[r][c] / self.root_order))
-
 
 def dft(s: int) -> GenHadamard:
     """Character table of the cyclic group of order s: entry (k, l) = w^(k*l)."""
@@ -63,7 +59,6 @@ def tensor_hadamard(a: GenHadamard, b: GenHadamard) -> GenHadamard:
     """Kronecker product in row-major index order, exponents lifted to lcm."""
     m = math.lcm(a.root_order, b.root_order)
     fa, fb = m // a.root_order, m // b.root_order
-    n = a.size * b.size
     rows = []
     for ra in range(a.size):
         for rb in range(b.size):
@@ -72,9 +67,7 @@ def tensor_hadamard(a: GenHadamard, b: GenHadamard) -> GenHadamard:
                 for ca in range(a.size)
                 for cb in range(b.size)
             ))
-    out = GenHadamard(m, tuple(rows))
-    assert out.size == n
-    return out
+    return GenHadamard(m, tuple(rows))
 
 
 def char_table(orders: Sequence[int]) -> GenHadamard:

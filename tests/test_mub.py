@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 import multiprocessing
 import os
@@ -16,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from mubkit import mub, serial
 from mubkit.cyclotomic import Cyclotomic, TOL
-from mubkit.hadamard import dft
+from mubkit.hadamard import GenHadamard, dft
 from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, import_mols
 from mubkit.mub import (
     MAX_MAGNITUDE,
@@ -31,7 +30,6 @@ from mubkit.mub import (
     export_mubs,
     import_mubs,
     mubs_from_dict,
-    mubs_to_dict,
     mubs_to_json,
     standard_basis,
     tensor_mubs,
@@ -42,7 +40,8 @@ from mubkit.net import IncidenceVector, Net, net_from_mols
 from mubkit.serial import ParseError
 
 from conftest import built_mubs
-from reference import float_report, inner_product
+from mutations import mutated_documents
+from reference import approx, float_report, inner_product, mubs_to_dict
 
 
 def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
@@ -175,8 +174,10 @@ def test_build_validates_inputs():
         (IncidenceVector.from_bits01("1100"), IncidenceVector.from_bits01("0110")),
         (IncidenceVector.from_bits01("1010"), IncidenceVector.from_bits01("0101")),
     ))
-    with pytest.raises(ValueError, match="UnverifiedInput"):
+    with pytest.raises(ValueError, match="UnverifiedInput: net"):
         build_mubs(bad_net, dft(2))
+    with pytest.raises(ValueError, match="UnverifiedInput: hadamard"):
+        build_mubs(net, GenHadamard(2, ((0, 0), (0, 0))))
 
 
 def test_standard_basis_is_exact_and_verified():
@@ -218,7 +219,7 @@ def test_float_inner_product_tracks_exact():
         for v in vecs[:6]:
             fu, fv = u.float_map(), v.float_map()
             s = sum(fu[p] * fv[p].conjugate() for p in fu.keys() & fv.keys())
-            assert abs(inner_product(u, v).approx() - s) < 1e-7
+            assert abs(approx(inner_product(u, v)) - s) < 1e-7
 
 
 def test_cross_basis_supports_meet_exactly_once():
@@ -735,77 +736,12 @@ def test_oracles_agree_at_the_key_field_widths(m, code, q):
         assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
 
 
-JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=2),
-    st.sampled_from([MAX_ROOT_ORDER, MAX_ROOT_ORDER + 1, MAX_MAGNITUDE + 1, 10 ** 400]),
-    st.floats(allow_nan=True, allow_infinity=True))
-JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.one_of(
-    st.lists(kids, max_size=3),
-    st.dictionaries(st.sampled_from(["dim", "root_order", "bases", "norm_sq", "amps",
-                                     "amps_float", "x"]), kids, max_size=3)), max_leaves=6)
-
-
-def _locations(doc, path=()):
-    yield path
-    items = doc.items() if isinstance(doc, dict) else \
-        enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield from _locations(value, path + (key,))
-
-
-def _at(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-@st.composite
-def mutated_documents(draw):
-    """A valid small document with one to three random edits: values
-    replaced, keys and entries deleted, inserted, duplicated or swapped,
-    numbers shifted (to huge values too), and values wrapped one level
-    deeper.  Half of the edits land on a number."""
-    seeds = [mubs_to_dict(built_mubs(2)), mubs_to_dict(standard_basis(3)),
-             mubs_to_dict(as_float_set(built_mubs(2)))]
-    doc = draw(st.sampled_from(seeds))
-    for _ in range(draw(st.integers(1, 3))):
-        paths = list(_locations(doc))
-        numbers = [p for p in paths if p and _is_number(_at(doc, p))]
-        path = draw(st.sampled_from(numbers if numbers and draw(st.booleans()) else paths))
-        op = draw(st.sampled_from(["replace", "delete", "insert", "swap", "nudge", "wrap"]))
-        if not path:
-            doc = draw(JSON_VALUES) if op == "replace" else [doc] if op == "wrap" else doc
-            continue
-        holder = _at(doc, path[:-1])
-        key, value = path[-1], holder[path[-1]]
-        if op == "replace":
-            holder[key] = draw(JSON_VALUES)
-        elif op == "delete":
-            del holder[key]
-        elif op == "insert" and isinstance(holder, list):
-            holder.insert(draw(st.integers(0, len(holder))),
-                          copy.deepcopy(value) if draw(st.booleans()) else draw(JSON_VALUES))
-        elif op == "insert":
-            holder[draw(st.sampled_from(["x", "amps", "amps_float", "norm_sq"]))] = \
-                draw(JSON_VALUES)
-        elif op == "swap" and isinstance(holder, list) and len(holder) > 1:
-            other = draw(st.integers(0, len(holder) - 1))
-            holder[key], holder[other] = holder[other], holder[key]
-        elif op == "nudge" and _is_number(value):
-            big = 10 ** 400 if isinstance(value, int) else 1e300
-            holder[key] = value + draw(st.sampled_from([-2, -1, 1, 2, MAX_ROOT_ORDER,
-                                                        MAX_MAGNITUDE, big]))
-        elif op == "wrap":
-            holder[key] = [value]
-    return doc
+MUB_KEYS = ["dim", "root_order", "bases", "norm_sq", "amps", "amps_float", "x"]
 
 
 @settings(max_examples=400, deadline=None)
-@given(mutated_documents())
+@given(mutated_documents([mubs_to_dict(built_mubs(2)), mubs_to_dict(standard_basis(3)),
+                            mubs_to_dict(as_float_set(built_mubs(2)))], MUB_KEYS))
 def test_mutated_documents_end_in_a_parse_error_or_a_report(doc):
     try:
         x = mubs_from_dict(doc)

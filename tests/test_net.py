@@ -34,8 +34,6 @@ def test_incidence_vector_basics():
     assert v.support == (0, 2)
     assert v.to_bits01() == "1010"
     assert vec("1010") == v
-    assert v.dot(vec("1100")) == 1
-    assert v.dot(vec("0101")) == 0
 
 
 def test_incidence_vector_validation():
@@ -43,22 +41,11 @@ def test_incidence_vector_validation():
         IncidenceVector.from_support(4, [4])
     with pytest.raises(ValueError):
         IncidenceVector.from_bits01("10x0")
-    with pytest.raises(ValueError):
-        vec("10").dot(vec("100"))
 
 
 @given(st.text(alphabet="01", min_size=0, max_size=40))
 def test_bits01_round_trip(text):
     assert vec(text).to_bits01() == text
-
-
-@given(st.text(alphabet="01", min_size=1, max_size=30),
-       st.text(alphabet="01", min_size=1, max_size=30))
-def test_dot_is_popcount_of_common_support(a, b):
-    n = max(len(a), len(b))
-    a, b = a.ljust(n, "0"), b.ljust(n, "0")
-    expect = sum(1 for x, y in zip(a, b) if x == y == "1")
-    assert vec(a).dot(vec(b)) == expect
 
 
 # -- the reference (3,2)-net over 4 points
