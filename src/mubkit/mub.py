@@ -20,7 +20,12 @@ supports that meet in one point give S a single root of unity, so
 d*S*conj(S) = d, and the whole product of the two groups is unbiased
 exactly when nu*nv = d; disjoint supports give S = 0.  Within a basis it
 visits only the groups that share a position, found through a position ->
-group index.  Every other overlapping pair is decided on its own in the
+group index.  The pairs inside one group are decided once per distinct row
+block: the tuple of the group's packed exponent rows fixes every S among
+them wherever the support lies, so a block seen before in the same call
+reuses its list of failing pairs.  A net set has one block, the Hadamard
+matrix's rows, on all k*s supports, so its within-basis pass makes C(s, 2)
+zero tests.  Every other overlapping pair is decided on its own in the
 cyclotomic group ring, with each distinct vector of exponent differences
 tested once per call; a pair's differences are read from its packed key as
 bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
@@ -64,6 +69,12 @@ MAX_ROOT_ORDER = 1 << 12
 # this large: far above what any valid vector holds, and small enough that
 # no float the float oracle computes from them overflows.
 MAX_MAGNITUDE = 1 << 32
+# A loaded document may hold at most this many vectors and amplitudes in
+# all.  The complete s = 32 set (33 * 1024 vectors, 1,081,344 amplitudes)
+# fits; verifying it peaks at about 280 MB, and the sparsest document at
+# the vector bound, one basis of 40,000 one-point vectors, at about 260 MB.
+MAX_VECTORS = 40_000
+MAX_AMPLITUDES = 1_250_000
 # Keys the exact pass remembers per verify_mubs call.
 _MEMO_LIMIT = 1 << 12
 
@@ -305,32 +316,63 @@ def _field_code(m: int) -> str:
     raise ValueError(f"TooLarge: root order {m}")
 
 
+def _row_packer(code: str, positions):
+    """amp -> the exponents of amp at positions, one byte-aligned field
+    (array item of typecode code) each, as one integer: one pass of array
+    and int.from_bytes per row."""
+    order = sys.byteorder
+    return lambda amp: int.from_bytes(array(code, map(amp.__getitem__, positions)).tobytes(),
+                                      order)
+
+
+def _m_ones(m: int, code: str, count: int) -> int:
+    """m in each of count fields (see _row_packer)."""
+    return m * int.from_bytes(array(code, [1] * count).tobytes(), sys.byteorder)
+
+
 def _overlap_keys(m: int, code: str, maps_u, us, maps_v, vs, common: int):
-    """(i, j, key) for every pair of the product us x vs, or for the pairs
-    i < j when us is vs.  The key holds e_u - e_v + m, which lies in
-    1..2m-1, in one byte-aligned field (array item of typecode code) per
-    common support position.  A row packs its exponents in one pass of
-    array and int.from_bytes; the v side is m*ONES - pack(e_v), ONES
+    """(i, j, key) for every pair of the product us x vs.  The key holds
+    e_u - e_v + m, which lies in 1..2m-1, in one field per common support
+    position (see _row_packer); the v side is m*ONES - pack(e_v), ONES
     having a 1 in every field, which cannot borrow since every e_v < m.
     Adding the u and v sides cannot carry, so one integer addition per pair
     gives a key that determines the exponent differences, and hence
     S(u, v), exactly; _sorted_diffs reads them back."""
-    same = us is vs
-    if same and len(us) == 1:
-        return  # one vector makes no pair with itself
     positions = [p for p in maps_u[us[0]] if common >> p & 1]
-    order = sys.byteorder
-
-    def pack(amp) -> int:
-        return int.from_bytes(array(code, map(amp.__getitem__, positions)).tobytes(), order)
-
-    m_ones = m * int.from_bytes(array(code, [1] * len(positions)).tobytes(), order)
-    rows_u = [pack(maps_u[i]) for i in us]
+    pack = _row_packer(code, positions)
+    m_ones = _m_ones(m, code, len(positions))
     rows_v = [m_ones - pack(maps_v[j]) for j in vs]
-    for a, (i, ru) in enumerate(zip(us, rows_u)):
-        partners = zip(vs[a + 1:], rows_v[a + 1:]) if same else zip(vs, rows_v)
-        for j, rv in partners:
+    for i in us:
+        ru = pack(maps_u[i])
+        for j, rv in zip(vs, rows_v):
             yield i, j, ru + rv
+
+
+def _block_failures(m: int, code: str, maps, us, memo: dict, diffs_of, vanishes):
+    """The local pairs (a, t), a < t, of the group us (vectors on one
+    support) whose rows are not orthogonal, decided once per distinct row
+    block: two pairs with equal exponent rows on their common support have
+    equal S wherever the support lies, so the verdicts depend only on the
+    tuple of packed rows (see _row_packer), remembered in memo under the
+    tag "rows" together with the field count.  A new block decides each of
+    its row pairs through _memo_test, with keys made from the same packed
+    rows.  At most _MEMO_LIMIT entries are stored, as in _memo_test."""
+    positions = list(maps[us[0]])
+    pack = _row_packer(code, positions)
+    rows = tuple(pack(maps[i]) for i in us)
+    block = ("rows", len(positions), rows)
+    failures = memo.get(block)
+    if failures is None:
+        n = len(positions) * array(code).itemsize
+        m_ones = _m_ones(m, code, len(positions))
+        failures = tuple(
+            (a, t)
+            for a, ru in enumerate(rows)
+            for t in range(a + 1, len(rows))
+            if not _memo_test(memo, None, ru + m_ones - rows[t], n, diffs_of, vanishes))
+        if len(memo) < _MEMO_LIMIT:
+            memo[block] = failures
+    return failures
 
 
 def _sorted_diffs(m: int, code: str):
@@ -408,6 +450,13 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
                 low = near & -near
                 near ^= low
                 h = g + low.bit_length() - 1
+                if h == g:
+                    if len(us) > 1:  # one vector makes no pair with itself
+                        out.extend(MubViolation("orthogonality", b, us[a], c, us[t],
+                                                "S(u, v) != 0")
+                                   for a, t in _block_failures(m, code, maps_b, us, memo,
+                                                               diffs_of, vanishes))
+                    continue
                 (mask_v, _), vs = groups_b[h]
                 common = mask_u & mask_v
                 n = common.bit_count() * size
@@ -532,8 +581,9 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     unbiasedness as d*S*conj(S) = nu*nv, which needs no division.  It walks
     pairs of support groups, not pairs of vectors: a cross-basis pair of
     supports meeting in one point is settled for all its vector pairs by
-    S*conj(S) = 1, disjoint supports by S = 0, and only other overlaps are
-    tested pair by pair, each distinct exponent-difference vector once.
+    S*conj(S) = 1, disjoint supports by S = 0, the pairs inside one group
+    once per distinct block of rows, and only other overlaps are tested
+    pair by pair, each distinct exponent-difference vector once.
     mode "float" computes every inner product numerically and compares it
     against tolerance 1e-9; a vector whose products with a whole basis all
     lie within half that tolerance passes at once.  jobs > 1 spreads basis
@@ -643,8 +693,12 @@ def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
     serial.expect(m <= MAX_ROOT_ORDER, f'"root_order" {m} exceeds the limit {MAX_ROOT_ORDER}')
     serial.expect(isinstance(raw, list), '"bases" must be a list')
     bases = []
+    vectors = amplitudes = 0
     for bi, basis in enumerate(raw):
         serial.expect(isinstance(basis, list), f"basis {bi} must be a list")
+        vectors += len(basis)
+        serial.expect(vectors <= MAX_VECTORS,
+                      f"the document holds more than {MAX_VECTORS} vectors")
         vecs = []
         for vi, obj in enumerate(basis):
             where = f"basis {bi} vector {vi}"
@@ -653,6 +707,10 @@ def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
                 set(obj) in ({"norm_sq", "amps"}, {"norm_sq", "amps_float"}),
                 f'{where} needs "norm_sq" and exactly one of "amps", "amps_float"',
             )
+            entries = obj.get("amps", obj.get("amps_float"))
+            amplitudes += len(entries) if isinstance(entries, list) else 0
+            serial.expect(amplitudes <= MAX_AMPLITUDES,
+                          f"the document holds more than {MAX_AMPLITUDES} amplitudes")
             n = obj["norm_sq"]
             serial.expect(serial.is_int(n) and 1 <= n <= MAX_MAGNITUDE,
                           f'{where}: "norm_sq" must be an integer from 1 to 2**32')

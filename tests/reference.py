@@ -1,5 +1,6 @@
 """Plain reference implementations the tests check the library against:
-the exact inner product of two vectors, the float deviation of a
+the complete MOLS set computed cell by cell, the exact inner product of
+two vectors with the failing pairs it gives, the float deviation of a
 Hadamard matrix, and the float oracle written as one loop per pair.
 Beside them sit small tools the tests use to read library objects: the
 complex value of a cyclotomic element, one entry of a Hadamard matrix,
@@ -13,7 +14,9 @@ from collections import Counter
 
 from mubkit import serial
 from mubkit.cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
+from mubkit.galois import GField, prime_power
 from mubkit.hadamard import GenHadamard
+from mubkit.latin import LatinSquare, MolsSet
 from mubkit.mub import MubReport, MubSet, MubVector, MubViolation, mubs_to_json
 
 
@@ -33,6 +36,18 @@ def mubs_to_dict(x: MubSet) -> dict:
     return serial.loads(mubs_to_json(x))
 
 
+def complete_mols_by_cells(q: int) -> MolsSet:
+    """The q - 1 MOLS of prime-power order q, square a (a nonzero, in rank
+    order) holding rank(a*x_i + x_j) in cell (i, j), each cell one product
+    and one sum in GF(q)."""
+    fld = GField(*prime_power(q))
+    elems = [fld.index(i) for i in range(q)]
+    return MolsSet(q, tuple(
+        LatinSquare(tuple(tuple(fld.rank(fld.add(fld.mul(a, x), y)) for y in elems)
+                          for x in elems))
+        for a in elems[1:]))
+
+
 def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
     """Unscaled exact inner product S(u, v) = sum over common support of
     u_p * conj(v_p); the physical inner product is S / sqrt(nu * nv)."""
@@ -49,6 +64,31 @@ def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
         if ev is not None:
             counts[(eu * fu - ev * fv) % m] += 1
     return counts_to_cyclotomic(m, counts)
+
+
+def exact_failing_pairs(x: MubSet) -> frozenset[tuple[int, int, int, int]]:
+    """(b, i, c, j) for every vector pair of x, b < c or b = c and i <= j,
+    whose exact inner product breaks the MUB conditions: S(u, u) = nu,
+    S(u, v) = 0 within a basis, d*S*conj(S) = nu*nv across bases."""
+    d = x.dim
+    out = set()
+    for b, basis_b in enumerate(x.bases):
+        for c in range(b, x.k):
+            for i, u in enumerate(basis_b.vectors):
+                for j, v in enumerate(x.bases[c].vectors):
+                    if b == c and j < i:
+                        continue
+                    s_val = inner_product(u, v)
+                    if b == c and i == j:
+                        bad = not (s_val - Cyclotomic.from_int(u.norm_sq)).is_zero()
+                    elif b == c:
+                        bad = not s_val.is_zero()
+                    else:
+                        want = Cyclotomic.from_int(u.norm_sq * v.norm_sq)
+                        bad = not (s_val * s_val.conj() * d - want).is_zero()
+                    if bad:
+                        out.add((b, i, c, j))
+    return frozenset(out)
 
 
 def float_deviation(h: GenHadamard) -> float:

@@ -12,15 +12,16 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mubkit import hadamard, mub, net
 from mubkit.cli import build_parser, main
 from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, mols_to_dict
-from mubkit.mub import mubs_from_dict, verify_mubs
+from mubkit.mub import mubs_from_dict, standard_basis, verify_mubs
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, built_mubs
 from mutations import mutated_documents
+from reference import mubs_to_dict
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 # child interpreters do not see the test path pyproject.toml sets up
@@ -243,6 +244,30 @@ def test_mub_verify_float_only_files(capsys, tmp_path):
     rc, _, err = run(capsys, "mub", "verify", str(path), "--both")
     assert rc == 2
     assert "--both needs exponent amplitudes" in err
+
+
+def test_mub_verify_bounds_the_document_size(capsys, tmp_path, monkeypatch):
+    # the complete s = 32 set (33 bases of 1024 vectors on 32 points) fits
+    assert 33 * 1024 <= mub.MAX_VECTORS and 33 * 1024 * 32 <= mub.MAX_AMPLITUDES
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 1, "root_order": 1,
+                               "bases": [[{}] * (mub.MAX_VECTORS + 1)]}))
+    rc, out, err = run(capsys, "mub", "verify", str(big))
+    assert (rc, out) == (2, "")
+    assert f"more than {mub.MAX_VECTORS} vectors" in err
+    # a document at both bounds loads; one vector or amplitude more does not
+    path = tmp_path / "m4.json"
+    run(capsys, "mub", "build", "--square", "2", "-o", str(path))  # 12 vectors, 24 amplitudes
+    monkeypatch.setattr(mub, "MAX_VECTORS", 12)
+    monkeypatch.setattr(mub, "MAX_AMPLITUDES", 24)
+    assert run(capsys, "mub", "verify", str(path))[0] == 0
+    for name, noun in [("MAX_VECTORS", "vectors"), ("MAX_AMPLITUDES", "amplitudes")]:
+        limit = getattr(mub, name)
+        monkeypatch.setattr(mub, name, limit - 1)
+        rc, out, err = run(capsys, "mub", "verify", str(path))
+        assert (rc, out) == (2, "")
+        assert f"more than {limit - 1} {noun}" in err
+        monkeypatch.setattr(mub, name, limit)
 
 
 def test_mub_tensor(capsys, tmp_path):
@@ -497,6 +522,35 @@ def test_mutated_mols_and_net_documents_exit_0_1_or_2(mols_doc, net_doc):
         for argv in [["mols", "verify", mols_path], ["net", "from-mols", mols_path],
                      ["plan", "16", "--imports", imports],
                      ["net", "verify", net_path], ["net", "to-mols", net_path]]:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv)
+            assert rc in (0, 1, 2), argv
+
+
+CITED_SEEDS = [{"mols_cited_bounds": {"4": 3, "10": 2, "16": 15}},
+               {"mols_cited_bounds": {}}]
+MUB_SEEDS = [mubs_to_dict(built_mubs(2)), mubs_to_dict(built_mubs(4)),
+             mubs_to_dict(standard_basis(16))]
+IMPORT_KEYS = ["order", "squares", "mols_cited_bounds", "4", "16", "dim", "root_order",
+               "bases", "norm_sq", "amps", "amps_float", "x"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(MOLS_SEEDS + CITED_SEEDS + MUB_SEEDS),
+                          mutated_documents(MOLS_SEEDS, IMPORT_KEYS),
+                          mutated_documents(CITED_SEEDS, IMPORT_KEYS),
+                          mutated_documents(MUB_SEEDS, IMPORT_KEYS)),
+                min_size=1, max_size=3))
+def test_mutated_import_directories_exit_0_1_or_2(docs):
+    # one directory mixes MOLS, cited-bound and MUB tables, intact or
+    # edited; loading it is all or nothing, and no edit may end in a crash
+    with tempfile.TemporaryDirectory() as imports:
+        for n, doc in enumerate(docs):
+            with open(os.path.join(imports, f"t{n}.json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        for argv in [["plan", "16", "--imports", imports],
+                     ["mub", "build", "--square", "4", "--imports", imports]]:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 rc = main(argv)

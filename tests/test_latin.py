@@ -22,7 +22,10 @@ from mubkit.latin import (
     mols_to_dict,
     square_of,
 )
+from mubkit.galois import prime_power
 from mubkit.serial import ParseError
+
+from reference import complete_mols_by_cells
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -81,6 +84,12 @@ def test_complete_set_order_2_is_the_single_square():
 def test_complete_sets_are_deterministic():
     for q in (4, 8, 9):
         assert complete_mols_prime_power(q) == complete_mols_prime_power(q)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 28) if prime_power(q)])
+def test_complete_sets_match_the_cell_by_cell_construction(q):
+    # rows read from the addition table by rank are the cells a*x_i + x_j
+    assert complete_mols_prime_power(q) == complete_mols_by_cells(q)
 
 
 def test_mols_set_rejects_non_orthogonal_pairs():

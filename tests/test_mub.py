@@ -41,7 +41,7 @@ from mubkit.serial import ParseError
 
 from conftest import built_mubs
 from mutations import mutated_documents
-from reference import approx, float_report, inner_product, mubs_to_dict
+from reference import approx, exact_failing_pairs, float_report, inner_product, mubs_to_dict
 
 
 def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
@@ -325,6 +325,86 @@ def test_built_sets_settle_every_cross_pair_by_the_support_identity(q, monkeypat
     assert verify_mubs(x, mode="exact").ok
     assert calls["mul"] == 0
     assert 0 < calls["zero"] <= q * (q - 1) // 2
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 9])
+def test_built_sets_decide_their_one_row_block_once(q, monkeypatch):
+    # every support group of every basis holds the q rows of the DFT, so
+    # the first group decides the C(q, 2) row pairs and all k*q groups
+    # reuse the verdicts; cross-basis pairs need no test at all
+    calls = []
+    memo_test = mub._memo_test
+
+    def counting(*args):
+        calls.append(args)
+        return memo_test(*args)
+
+    monkeypatch.setattr(mub, "_memo_test", counting)
+    assert verify_mubs(built_mubs(q), mode="exact").ok
+    assert len(calls) == q * (q - 1) // 2
+
+
+def swapped(x: MubSet, b: int, i: int, j: int) -> MubSet:
+    """Copy of x with vectors i and j of basis b exchanged."""
+    vecs = list(x.bases[b].vectors)
+    vecs[i], vecs[j] = vecs[j], vecs[i]
+    bases = list(x.bases)
+    bases[b] = MubBasis(tuple(vecs))
+    return MubSet(dim=x.dim, bases=tuple(bases))
+
+
+def test_row_blocks_keep_each_groups_own_failing_pairs():
+    # basis 1 of built_mubs(5) holds incidence vector 1 as vectors 5..9;
+    # a flipped exponent makes a new block, and a swap inside the group a
+    # new order of rows, and each must give its own pairs, not those of the
+    # block every other group shares
+    x = built_mubs(5)
+    flipped = tampered(x, 1, 7, 2)
+    for y in [flipped, swapped(x, 1, 5, 8), swapped(flipped, 1, 7, 9),
+              swapped(flipped, 1, 5, 6)]:
+        exact = verify_mubs(y, mode="exact").failing_pairs()
+        assert exact == verify_mubs(y, mode="float").failing_pairs()
+        assert exact == exact_failing_pairs(y)
+    assert {(b, i, c, j) for b, i, c, j in verify_mubs(swapped(flipped, 1, 7, 9)).failing_pairs()
+            if b == c} == {(1, i, 1, 9) for i in (5, 6, 7, 8)}
+
+
+def test_row_blocks_of_different_widths_keep_their_own_verdicts():
+    # rows (1), (0) on one point and (1, 0), (0, 0) on two pack to the same
+    # integers; only the first pair fails: -1 is no zero, -1 + 1 is.  The
+    # second order interleaves the two groups.
+    vecs = [MubVector(dim=4, root_order=2, norm_sq=1, amps=((0, 1),)),
+            MubVector(dim=4, root_order=2, norm_sq=1, amps=((0, 0),)),
+            MubVector(dim=4, root_order=2, norm_sq=2, amps=((1, 1), (2, 0))),
+            MubVector(dim=4, root_order=2, norm_sq=2, amps=((1, 0), (2, 0)))]
+    for order in (vecs, [vecs[2], vecs[0], vecs[3], vecs[1]]):
+        x = MubSet(dim=4, bases=(MubBasis(tuple(order)),))
+        exact = verify_mubs(x, mode="exact").failing_pairs()
+        assert len(exact) == 1
+        assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
+
+
+def test_more_row_blocks_than_the_memo_holds_keep_exact_verdicts():
+    # one basis of groups of two vectors on two points, half of them
+    # orthogonal; far more distinct blocks than _MEMO_LIMIT, some repeated
+    # both before and after the memo is full
+    rng = random.Random(7)
+    m, groups = 32, mub._MEMO_LIMIT + 600
+    blocks = []
+    for g in range(groups):
+        a, b, c = (rng.randrange(m) for _ in range(3))
+        e = (b - a + c + m // 2) % m if g % 2 else rng.randrange(m)
+        blocks.append(((a, b), (c, e)))
+    blocks[-50:] = blocks[:25] + blocks[-100:-75]
+    assert len(set(blocks)) > mub._MEMO_LIMIT
+    d = 2 * groups
+    vecs = tuple(MubVector(dim=d, root_order=m, norm_sq=2,
+                           amps=((2 * g, row[0]), (2 * g + 1, row[1])))
+                 for g, rows in enumerate(blocks) for row in rows)
+    x = MubSet(dim=d, bases=(MubBasis(vecs),))
+    exact = verify_mubs(x, mode="exact")
+    assert not exact.ok
+    assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
 
 
 def test_verify_rejects_unknown_modes():
