@@ -122,17 +122,23 @@ def _modes(args, x: mub.MubSet, file=sys.stdout) -> list[str] | int:
     return ["exact"]
 
 
+def _print_violations(violations, where, file=None) -> None:
+    """A line per violation v, naming where(v), for at most _VIOLATION_LIMIT
+    of them, then the number left out (file None: the current sys.stdout)."""
+    for v in violations[:_VIOLATION_LIMIT]:
+        print(f"  {v.kind}: {where(v)}: {v.detail}", file=file)
+    if len(violations) > _VIOLATION_LIMIT:
+        print(f"  ... and {len(violations) - _VIOLATION_LIMIT} more", file=file)
+
+
 def _print_report(report: mub.MubReport, file=sys.stdout) -> None:
     if report.ok:
         print(f"verification ({report.mode}): ok", file=file)
         return
     print(f"verification ({report.mode}): FAILED, {len(report.violations)} violations",
           file=file)
-    for v in report.violations[:_VIOLATION_LIMIT]:
-        print(f"  {v.kind}: basis {v.basis} vector {v.index}"
-              f" vs basis {v.basis2} vector {v.index2}: {v.detail}", file=file)
-    if len(report.violations) > _VIOLATION_LIMIT:
-        print(f"  ... and {len(report.violations) - _VIOLATION_LIMIT} more", file=file)
+    _print_violations(report.violations, lambda v: f"basis {v.basis} vector {v.index}"
+                      f" vs basis {v.basis2} vector {v.index2}", file)
 
 
 def _verify_and_report(x: mub.MubSet, args) -> int:
@@ -219,13 +225,8 @@ def cmd_net_verify(args) -> int:
         print(f"ok: ({report.k},{report.s})-net, 0 violations")
         return 0
     print(f"verification failed: {len(report.violations)} violations")
-    for v in report.violations[:_VIOLATION_LIMIT]:
-        where = f"block {v.block} vector {v.index}"
-        if v.block2 is not None:
-            where += f" vs block {v.block2} vector {v.index2}"
-        print(f"  {v.kind}: {where}: {v.detail}")
-    if len(report.violations) > _VIOLATION_LIMIT:
-        print(f"  ... and {len(report.violations) - _VIOLATION_LIMIT} more")
+    _print_violations(report.violations, lambda v: f"block {v.block} vector {v.index}" + (
+        "" if v.block2 is None else f" vs block {v.block2} vector {v.index2}"))
     return 1
 
 

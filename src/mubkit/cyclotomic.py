@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 TOL = 1e-9  # float tolerance shared by every approximate check in the package
+# An element holds one coefficient per root of its order m, and its zero test
+# divides by Phi_m, whose construction divides x^m - 1 by the other factors;
+# so the exact checks refuse a root order above this one (the scale of
+# hadamard.MAX_TABLE_SIZE).
+MAX_ROOT_ORDER = 1 << 12
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:

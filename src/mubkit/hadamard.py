@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .cyclotomic import counts_to_cyclotomic
+from .cyclotomic import MAX_ROOT_ORDER, counts_to_cyclotomic
 
 MAX_TABLE_SIZE = 1 << 12
 
@@ -96,8 +96,11 @@ class HadamardReport:
 
 
 def verify_hadamard(h: GenHadamard) -> HadamardReport:
-    """Exact check that all distinct row pairs are orthogonal."""
+    """Exact check that all distinct row pairs are orthogonal; a root order
+    above MAX_ROOT_ORDER is refused."""
     m = h.root_order
+    if m > MAX_ROOT_ORDER:
+        raise ValueError(f"TooLarge: root order {m} exceeds the limit {MAX_ROOT_ORDER}")
     bad = []
     for r in range(h.size):
         for r2 in range(r + 1, h.size):

@@ -20,16 +20,19 @@ supports that meet in one point give S a single root of unity, so
 d*S*conj(S) = d, and the whole product of the two groups is unbiased
 exactly when nu*nv = d; disjoint supports give S = 0.  Within a basis it
 visits only the groups that share a position, found through a position ->
-group index.  The pairs inside one group are decided once per distinct row
-block: the tuple of the group's packed exponent rows fixes every S among
-them wherever the support lies, so a block seen before in the same call
-reuses its list of failing pairs.  A net set has one block, the Hadamard
-matrix's rows, on all k*s supports, so its within-basis pass makes C(s, 2)
-zero tests.  Every other overlapping pair is decided on its own in the
-cyclotomic group ring, with each distinct vector of exponent differences
-tested once per call; a pair's differences are read from its packed key as
+group index.  Every other overlapping pair of groups, a group with itself
+included, is decided by one function on the positions the two share: it
+packs each group's exponent rows once, adds two packed rows into one key
+per vector pair, reads the exponent differences back sorted as
 bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
-MOD_M reducing each byte mod m (a tuple from an array for wider fields).
+MOD_M reducing each byte mod m (a tuple from an array for 16-bit fields),
+and tests each distinct vector of sorted differences once per call in the
+cyclotomic group ring.  A group paired with itself is also decided once
+per distinct row block: the tuple of its packed rows fixes every S among
+its vectors wherever the support lies.  A net set has one block, the
+Hadamard matrix's rows, on all k*s supports, so its within-basis pass
+makes C(s, 2) zero tests.  A root order above MAX_ROOT_ORDER is refused
+before any ring work.
 
 The float oracle (tolerance 1e-9) stays brute force, summing every inner
 product numerically term by term, so it cross-checks these shortcuts
@@ -58,13 +61,10 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import serial
-from .cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
+from .cyclotomic import MAX_ROOT_ORDER, TOL, Cyclotomic, counts_to_cyclotomic
 from .hadamard import GenHadamard, verify_hadamard
 from .net import IncidenceVector, Net, verify_net
 
-# Cyclotomic elements are dense in the root order, so a loaded document may
-# ask for at most this order (the scale of hadamard.MAX_TABLE_SIZE).
-MAX_ROOT_ORDER = 1 << 12
 # A loaded norm_sq, and each part of a loaded float amplitude, may be at most
 # this large: far above what any valid vector holds, and small enough that
 # no float the float oracle computes from them overflows.
@@ -309,11 +309,9 @@ def _check_norms_float(x: MubSet, b: int, maps) -> list[MubViolation]:
 
 
 def _field_code(m: int) -> str:
-    """Typecode of the narrowest unsigned array item that holds 2m - 1."""
-    for code in "BHIQ":
-        if (2 * m - 1) >> 8 * array(code).itemsize == 0:
-            return code
-    raise ValueError(f"TooLarge: root order {m}")
+    """Typecode of the narrowest unsigned array item that holds 2m - 1; 16
+    bits hold it for every m up to MAX_ROOT_ORDER."""
+    return "B" if 2 * m - 1 < 256 else "H"
 
 
 def _row_packer(code: str, positions):
@@ -325,92 +323,75 @@ def _row_packer(code: str, positions):
                                       order)
 
 
-def _m_ones(m: int, code: str, count: int) -> int:
-    """m in each of count fields (see _row_packer)."""
-    return m * int.from_bytes(array(code, [1] * count).tobytes(), sys.byteorder)
-
-
-def _overlap_keys(m: int, code: str, maps_u, us, maps_v, vs, common: int):
-    """(i, j, key) for every pair of the product us x vs.  The key holds
-    e_u - e_v + m, which lies in 1..2m-1, in one field per common support
-    position (see _row_packer); the v side is m*ONES - pack(e_v), ONES
-    having a 1 in every field, which cannot borrow since every e_v < m.
-    Adding the u and v sides cannot carry, so one integer addition per pair
-    gives a key that determines the exponent differences, and hence
-    S(u, v), exactly; _sorted_diffs reads them back."""
-    positions = [p for p in maps_u[us[0]] if common >> p & 1]
-    pack = _row_packer(code, positions)
-    m_ones = _m_ones(m, code, len(positions))
-    rows_v = [m_ones - pack(maps_v[j]) for j in vs]
-    for i in us:
-        ru = pack(maps_u[i])
-        for j, rv in zip(vs, rows_v):
-            yield i, j, ru + rv
-
-
-def _block_failures(m: int, code: str, maps, us, memo: dict, diffs_of, vanishes):
-    """The local pairs (a, t), a < t, of the group us (vectors on one
-    support) whose rows are not orthogonal, decided once per distinct row
-    block: two pairs with equal exponent rows on their common support have
-    equal S wherever the support lies, so the verdicts depend only on the
-    tuple of packed rows (see _row_packer), remembered in memo under the
-    tag "rows" together with the field count.  A new block decides each of
-    its row pairs through _memo_test, with keys made from the same packed
-    rows.  At most _MEMO_LIMIT entries are stored, as in _memo_test."""
-    positions = list(maps[us[0]])
-    pack = _row_packer(code, positions)
-    rows = tuple(pack(maps[i]) for i in us)
-    block = ("rows", len(positions), rows)
-    failures = memo.get(block)
-    if failures is None:
-        n = len(positions) * array(code).itemsize
-        m_ones = _m_ones(m, code, len(positions))
-        failures = tuple(
-            (a, t)
-            for a, ru in enumerate(rows)
-            for t in range(a + 1, len(rows))
-            if not _memo_test(memo, None, ru + m_ones - rows[t], n, diffs_of, vanishes))
-        if len(memo) < _MEMO_LIMIT:
-            memo[block] = failures
-    return failures
-
-
-def _sorted_diffs(m: int, code: str):
+def _sorted_diffs(m: int):
     """(key, n) -> the exponent differences held in the n-byte key (see
-    _overlap_keys), reduced mod m and sorted, with C builtins doing the
-    per-field work.  For 8-bit fields that is bytes(sorted(...)) of the
-    key's bytes translated through a 256-byte table v -> v % m; wider
+    _group_pair_failures), reduced mod m and sorted, with C builtins doing
+    the per-field work.  For 8-bit fields that is bytes(sorted(...)) of the
+    key's bytes translated through a 256-byte table v -> v % m; 16-bit
     fields are read back as an array and give a tuple."""
     order = sys.byteorder
+    code = _field_code(m)
     if code == "B":
         mod_m = bytes(v % m for v in range(256))
         return lambda key, n: bytes(sorted(key.to_bytes(n, order).translate(mod_m)))
     return lambda key, n: tuple(sorted(map(m.__rmod__, array(code, key.to_bytes(n, order)))))
 
 
-def _memo_test(memo: dict, tag, key: int, n: int, diffs_of, test) -> bool:
-    """test(tag, diffs) for the sorted exponent differences diffs =
-    diffs_of(key, n) of an n-byte packed key (see _sorted_diffs),
-    remembered for the rest of one verify_mubs call under (tag, key) and
-    (tag, diffs); tag tells the tests apart.
+def _memo_test(memo: dict, tag, diffs, test) -> bool:
+    """test(tag, diffs) for the sorted exponent differences diffs of a pair
+    (see _sorted_diffs), remembered for the rest of one verify_mubs call
+    under (tag, diffs); tag tells the tests apart.
 
-    The packed key costs one lookup per pair; the sorted differences, which
-    alone decide S, also catch pairs whose packed keys differ only in whole
-    turns or in the order of the positions.  A verdict depends on the
-    sorted differences alone, so a remembered one is exact.  At most
-    _MEMO_LIMIT keys are stored, which bounds memory on unstructured input.
+    The sorted differences alone decide S, so a remembered verdict is
+    exact, and pairs whose packed keys differ only in whole turns or in the
+    order of the positions share it.  At most _MEMO_LIMIT entries are
+    stored, which bounds memory on unstructured input.
     """
-    hit = memo.get((tag, key))
+    hit = memo.get((tag, diffs))
     if hit is None:
-        diffs = diffs_of(key, n)
-        hit = memo.get((tag, diffs))
-        if hit is None:
-            hit = test(tag, diffs)
-            if len(memo) < _MEMO_LIMIT:
-                memo[tag, diffs] = hit
+        hit = test(tag, diffs)
         if len(memo) < _MEMO_LIMIT:
-            memo[tag, key] = hit
+            memo[tag, diffs] = hit
     return hit
+
+
+def _group_pair_failures(m: int, diffs_of, memo: dict, tag, test,
+                         maps_u, us, maps_v, vs, common: int) -> tuple[tuple[int, int], ...]:
+    """The local pairs (a, t) of the support groups us and vs, vector us[a]
+    against vs[t], that fail _memo_test(memo, tag, diffs, test), decided on
+    the positions of the bitmask common.
+
+    Each group's rows are packed once (see _row_packer).  A pair's key is
+    ru + (m*ONES - rv), ONES having a 1 in every field, so each field holds
+    e_u - e_v + m, in 1..2m-1: the v side cannot borrow since every e_v < m,
+    and the sum cannot carry, so one integer addition per pair gives a key
+    that fixes the exponent differences, and hence S, exactly.
+
+    A group paired with itself (vs is us) gives the pairs a < t only.  Their
+    verdicts depend on the tuple of packed rows alone, wherever the support
+    lies, so they are remembered in memo under (tag, field count, rows), at
+    most _MEMO_LIMIT entries as in _memo_test.  That is the only block a
+    valid construction repeats; no other group pair is remembered whole.
+    """
+    code = _field_code(m)
+    positions = [p for p in maps_u[us[0]] if common >> p & 1]
+    pack = _row_packer(code, positions)
+    rows_u = tuple(pack(maps_u[i]) for i in us)
+    same = vs is us
+    if same:
+        block = (tag, len(positions), rows_u)
+        failures = memo.get(block)
+        if failures is not None:
+            return failures
+    n = len(positions) * array(code).itemsize
+    m_ones = pack(dict.fromkeys(positions, m))  # m*ONES
+    rows_v = [m_ones - pack(maps_v[j]) for j in vs]
+    failures = tuple((a, t) for a, ru in enumerate(rows_u)
+                     for t in range(a + 1 if same else 0, len(rows_v))
+                     if not _memo_test(memo, tag, diffs_of(ru + rows_v[t], n), test))
+    if same and len(memo) < _MEMO_LIMIT:
+        memo[block] = failures
+    return failures
 
 
 def _ratio(n: int, d: int) -> str:
@@ -425,8 +406,6 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
     at a time (see verify_mubs); memo and diffs_of (see _memo_test) are
     shared by all basis pairs of one call."""
     d = x.dim
-    code = _field_code(m)
-    size = array(code).itemsize
     maps_b, groups_b = tables[b]
     maps_c, groups_c = tables[c]
 
@@ -444,26 +423,18 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
             for pos in maps_b[us[0]]:
                 holders[pos] = holders.get(pos, 0) | 1 << g
         for g, ((mask_u, _), us) in enumerate(groups_b):
-            support = maps_b[us[0]]
-            near = functools.reduce(operator.or_, map(holders.__getitem__, support), 0) >> g
+            near = functools.reduce(operator.or_, map(holders.__getitem__, maps_b[us[0]]), 0) >> g
+            if len(us) == 1:
+                near &= ~1  # one vector makes no pair with itself
             while near:
                 low = near & -near
                 near ^= low
-                h = g + low.bit_length() - 1
-                if h == g:
-                    if len(us) > 1:  # one vector makes no pair with itself
-                        out.extend(MubViolation("orthogonality", b, us[a], c, us[t],
-                                                "S(u, v) != 0")
-                                   for a, t in _block_failures(m, code, maps_b, us, memo,
-                                                               diffs_of, vanishes))
-                    continue
-                (mask_v, _), vs = groups_b[h]
-                common = mask_u & mask_v
-                n = common.bit_count() * size
-                for i, j, key in _overlap_keys(m, code, maps_b, us, maps_b, vs, common):
-                    if not _memo_test(memo, None, key, n, diffs_of, vanishes):
-                        out.append(MubViolation("orthogonality", b, min(i, j), c, max(i, j),
-                                                "S(u, v) != 0"))
+                (mask_v, _), vs = groups_b[g + low.bit_length() - 1]
+                out.extend(MubViolation("orthogonality", b, min(us[a], vs[t]), c,
+                                        max(us[a], vs[t]), "S(u, v) != 0")
+                           for a, t in _group_pair_failures(m, diffs_of, memo, None, vanishes,
+                                                            maps_b, us, maps_b, vs,
+                                                            mask_u & mask_v))
         return out
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
@@ -487,11 +458,10 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
                 out.extend(MubViolation("unbiasedness", b, i, c, j, f"|S|^2 != {target}")
                            for i in us for j in vs)
             else:
-                n = overlap * size
-                for i, j, key in _overlap_keys(m, code, maps_b, us, maps_c, vs, common):
-                    if not _memo_test(memo, nu * nv, key, n, diffs_of, unbiased):
-                        out.append(MubViolation("unbiasedness", b, i, c, j,
-                                                f"|S|^2 != {target}"))
+                out.extend(MubViolation("unbiasedness", b, us[a], c, vs[t], f"|S|^2 != {target}")
+                           for a, t in _group_pair_failures(m, diffs_of, memo, nu * nv,
+                                                            unbiased, maps_b, us, maps_c, vs,
+                                                            common))
     return out
 
 
@@ -547,7 +517,7 @@ def _pair_walker(x: MubSet, mode: str):
     if mode == "exact":
         m, tables = _exact_tables(x)
         memo: dict = {}
-        diffs_of = _sorted_diffs(m, _field_code(m))
+        diffs_of = _sorted_diffs(m)
         return lambda b, c: _pair_violations_exact(x, m, tables, memo, diffs_of, b, c)
     tables = _float_tables(x)
     return lambda b, c: _pair_violations_float(x, tables, b, c)
@@ -576,7 +546,8 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     """Check norms, within-basis orthogonality and cross-basis unbiasedness
     for every pair of vectors, from scratch.
 
-    mode "exact" needs exponent amplitudes everywhere and decides each
+    mode "exact" needs exponent amplitudes everywhere, with a set root
+    order of at most MAX_ROOT_ORDER (TooLarge above), and decides each
     condition in the cyclotomic group ring: orthogonality as S = 0 and
     unbiasedness as d*S*conj(S) = nu*nv, which needs no division.  It walks
     pairs of support groups, not pairs of vectors: a cross-basis pair of
@@ -594,6 +565,8 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
         raise ValueError(f'mode must be "exact" or "float", got {mode!r}')
     if mode == "exact" and not x.is_exact:
         raise ValueError("ExactUnavailable: set has float-only amplitudes")
+    if mode == "exact" and x.root_order > MAX_ROOT_ORDER:
+        raise ValueError(f"TooLarge: root order {x.root_order} exceeds the limit {MAX_ROOT_ORDER}")
     tasks = [(b, c) for b in range(x.k) for c in range(b, x.k)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:

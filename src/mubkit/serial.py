@@ -11,6 +11,11 @@ class ParseError(ValueError):
     """A file or JSON document does not match the expected schema."""
 
 
+# read_json refuses a longer file before it is parsed.  The complete s = 32
+# MUB set takes 10 MB of JSON and its float copy 44 MB.
+MAX_DOCUMENT_BYTES = 1 << 26
+
+
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
@@ -20,11 +25,19 @@ def loads(text: str) -> Any:
 
 def read_json(path: str | os.PathLike) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            # read(n) allocates n bytes at once, so a file is read at the
+            # size it reports, plus one byte; only a file that reports no
+            # size, or outgrew it, is read on up to the bound
+            want = min(os.fstat(fh.fileno()).st_size, MAX_DOCUMENT_BYTES) + 1
+            data = fh.read(want)
+            if len(data) == want:
+                data += fh.read(MAX_DOCUMENT_BYTES + 1 - want)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return loads(text)
+    expect(len(data) <= MAX_DOCUMENT_BYTES,
+           f"{path} holds more than {MAX_DOCUMENT_BYTES} bytes")
+    return loads(data.decode("utf-8"))
 
 
 # Sorted keys and fixed separators keep byte-identical output for equal

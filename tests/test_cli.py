@@ -14,7 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit import hadamard, mub, net
+from mubkit import hadamard, mub, net, serial
 from mubkit.cli import build_parser, main
 from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, mols_to_dict
 from mubkit.mub import mubs_from_dict, standard_basis, verify_mubs
@@ -152,6 +152,21 @@ def test_net_verify_reports_violations(capsys, tmp_path):
     assert rc == 1
 
 
+def test_net_verify_lists_at_most_50_violations(capsys, tmp_path):
+    # four copies of the row block of a (4, 4)-net: each of the 6 block
+    # pairs fails in all 16 of its pairs
+    rows = ["".join("1" if p // 4 == i else "0" for p in range(16)) for i in range(4)]
+    net_path = tmp_path / "copies.json"
+    net_path.write_text(json.dumps({"s": 4, "k": 4, "blocks": [rows] * 4}))
+    rc, out, _ = run(capsys, "net", "verify", str(net_path))
+    lines = out.splitlines()
+    assert rc == 1 and len(lines) == 52
+    assert lines[0] == "verification failed: 96 violations"
+    assert lines[1] == "  cross-block: block 0 vector 0 vs block 1 vector 0: dot 4, want 1"
+    assert lines[50] == "  cross-block: block 1 vector 0 vs block 2 vector 1: dot 0, want 1"
+    assert lines[51] == "  ... and 46 more"
+
+
 def test_net_from_mols_rejects_a_grid_over_the_limit(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"order": 257, "squares": []}))
@@ -221,6 +236,20 @@ def test_mub_verify_reports_a_repeated_basis(capsys, tmp_path):
     assert out.endswith("oracle agreement: ok\n")
 
 
+def test_mub_verify_lists_at_most_50_violations(capsys, tmp_path):
+    std = [{"norm_sq": 1, "amps": [[p, 0]]} for p in range(8)]
+    path = tmp_path / "std8.json"
+    path.write_text(json.dumps({"dim": 8, "root_order": 1, "bases": [std, std]}))
+    rc, out, _ = run(capsys, "mub", "verify", str(path))
+    lines = out.splitlines()
+    assert rc == 1 and len(lines) == 53
+    assert lines[:3] == ["d = 8, k = 2 bases", "verification (exact): FAILED, 64 violations",
+                         "  unbiasedness: basis 0 vector 0 vs basis 1 vector 0: |S|^2 != 1/8"]
+    assert lines[51] == ("  unbiasedness: basis 0 vector 6 vs basis 1 vector 1:"
+                         " |S|^2 = 0, want 1/8")
+    assert lines[52] == "  ... and 14 more"
+
+
 def test_mub_verify_float_only_files(capsys, tmp_path):
     path = tmp_path / "f.json"
     run(capsys, "mub", "build", "--square", "2", "-o", str(path))
@@ -268,6 +297,31 @@ def test_mub_verify_bounds_the_document_size(capsys, tmp_path, monkeypatch):
         assert (rc, out) == (2, "")
         assert f"more than {limit - 1} {noun}" in err
         monkeypatch.setattr(mub, name, limit)
+
+
+def test_json_reads_bound_the_file_size(capsys, tmp_path, monkeypatch):
+    # mubs_to_json writes 10,063,785 bytes for the complete s = 32 set and
+    # 43,517,864 for its float copy, which MAX_AMPLITUDES admits
+    assert 43_517_864 <= serial.MAX_DOCUMENT_BYTES
+    path = tmp_path / "m4.json"
+    run(capsys, "mub", "build", "--square", "2", "-o", str(path))
+    size = path.stat().st_size
+
+    def check_bound():
+        monkeypatch.setattr(serial, "MAX_DOCUMENT_BYTES", size)
+        assert run(capsys, "mub", "verify", str(path))[0] == 0
+        # one byte over the bound is refused before the parser sees the text
+        monkeypatch.setattr(serial, "MAX_DOCUMENT_BYTES", size - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(serial, "loads", None)
+            rc, out, err = run(capsys, "mub", "verify", str(path))
+        assert (rc, out) == (2, "")
+        assert f"{path} holds more than {size - 1} bytes" in err
+
+    check_bound()
+    # a file that reports no size, as a pipe does, is read on up to the bound
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 10))
+    check_bound()
 
 
 def test_mub_tensor(capsys, tmp_path):

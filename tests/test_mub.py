@@ -13,9 +13,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit import mub, serial
+from mubkit import cyclotomic, mub, serial
 from mubkit.cyclotomic import Cyclotomic, TOL
-from mubkit.hadamard import GenHadamard, dft
+from mubkit.hadamard import GenHadamard, dft, verify_hadamard
 from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, import_mols
 from mubkit.mub import (
     MAX_MAGNITUDE,
@@ -382,6 +382,60 @@ def test_row_blocks_of_different_widths_keep_their_own_verdicts():
         exact = verify_mubs(x, mode="exact").failing_pairs()
         assert len(exact) == 1
         assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
+
+
+def test_two_groups_on_one_support_keep_the_triangle_apart_from_the_rectangle():
+    # rows (0, 0) and (0, 1) on points 0 and 1, once with norm 2 and once
+    # with norm 3: the rows are orthogonal inside each group, but between
+    # the two groups equal rows meet, so the verdicts of a group paired
+    # with itself must not stand in for those of the pair of groups
+    vecs = [MubVector(dim=4, root_order=2, norm_sq=norm, amps=((0, 0), (1, e)))
+            for norm in (2, 3) for e in (0, 1)]
+    for order in (vecs, vecs[::-1]):
+        x = MubSet(dim=4, bases=(MubBasis(tuple(order)),))
+        exact = verify_mubs(x, mode="exact").failing_pairs()
+        assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
+    assert exact == {(0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 0, 2), (0, 1, 0, 3)}
+
+
+@pytest.mark.parametrize("limit", [0, 2, mub._MEMO_LIMIT])
+def test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full(limit, monkeypatch):
+    # basis 0 holds groups on {0, 1, 2} and {1, 2, 3}, basis 1 on
+    # {0, 1, 4, 5} and {2, 3, 4, 5}: the groups of a basis meet in two
+    # points, and each group meets one group of the other basis in two
+    # points and the other in one; a memo that is full from the start or
+    # after two entries must give the verdicts of one that is not
+    monkeypatch.setattr(mub, "_MEMO_LIMIT", limit)
+    rng = random.Random(3)
+
+    def group(support):
+        return [MubVector(dim=6, root_order=4, norm_sq=len(support),
+                          amps=tuple((p, rng.randrange(4)) for p in support)) for _ in range(3)]
+
+    x = MubSet(dim=6, bases=(MubBasis(tuple(group((0, 1, 2)) + group((1, 2, 3)))),
+                             MubBasis(tuple(group((0, 1, 4, 5)) + group((2, 3, 4, 5))))))
+    exact = verify_mubs(x, mode="exact").failing_pairs()
+    assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
+    # both kinds of two-point overlap hold passing and failing pairs
+    within = {(i, j) for b, i, c, j in exact if b == c == 0 and i < 3 <= j}
+    across = {(i, j) for b, i, c, j in exact if b < c and (i < 3) == (j < 3)}
+    assert 0 < len(within) < 9 and 0 < len(across) < 18
+
+
+def test_exact_checks_refuse_a_root_order_over_the_limit():
+    # root orders 4093 and 4091 lift to 16,744,463: without the bound the
+    # first zero test builds Phi_m of that order, far beyond what a test
+    # can wait for; the float oracle still answers
+    assert mub.MAX_ROOT_ORDER == cyclotomic.MAX_ROOT_ORDER
+    x = MubSet(dim=2, bases=(MubBasis(tuple(
+        MubVector(dim=2, root_order=m, norm_sq=2, amps=((0, 0), (1, 1))) for m in (4093, 4091))),))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="TooLarge: root order 16744463"):
+        verify_mubs(x, mode="exact")
+    with pytest.raises(ValueError, match="TooLarge: root order 16744463"):
+        verify_hadamard(GenHadamard(4093 * 4091, ((0, 0), (0, 1))))
+    assert time.perf_counter() - start < 1
+    assert verify_mubs(x, mode="float").failing_pairs() == {(0, 0, 0, 1)}
 
 
 def test_more_row_blocks_than_the_memo_holds_keep_exact_verdicts():
