@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
+
+from .record import checked_make
 
 TOL = 1e-9  # float tolerance shared by every approximate check in the package
 # An element holds one coefficient per root of its order m, and its zero test
@@ -36,14 +38,16 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     """Dense integer polynomial; coeffs[i] multiplies x**i, no trailing zeros."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        assert not self.coeffs or self.coeffs[-1] != 0, "trailing zero coefficient"
+    def __new__(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
+        assert not coeffs or coeffs[-1] != 0, "trailing zero coefficient"
+        return tuple.__new__(cls, (coeffs,))
+
+    _make = classmethod(checked_make)
 
     @staticmethod
     def of(*coeffs: int) -> "IntPolynomial":
@@ -127,20 +131,19 @@ def cyclo_poly(m: int) -> IntPolynomial:
     return quot
 
 
-@dataclass(frozen=True, eq=False)
-class Cyclotomic:
+class Cyclotomic(namedtuple("Cyclotomic", "order coeffs")):
     """Integer combination of m-th roots of unity; coeffs[e] counts w_m^e."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if len(self.coeffs) != self.order:
-            raise ValueError(
-                f"need {self.order} coefficients, got {len(self.coeffs)}"
-            )
+    def __new__(cls, order: int, coeffs: tuple[int, ...]) -> "Cyclotomic":
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        if len(coeffs) != order:
+            raise ValueError(f"need {order} coefficients, got {len(coeffs)}")
+        return tuple.__new__(cls, (order, coeffs))
+
+    _make = classmethod(checked_make)
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclotomic":
@@ -210,6 +213,10 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return (self - other).is_zero()
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     __hash__ = None  # mathematical equality is not consistent with a cheap hash
 

@@ -14,34 +14,35 @@ check of H; the tests cross-check this one against a numeric Gram matrix.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from typing import Sequence
 
 from .cyclotomic import MAX_ROOT_ORDER, counts_to_cyclotomic
+from .record import checked_make
 
 MAX_TABLE_SIZE = 1 << 12
 
 
-@dataclass(frozen=True)
-class GenHadamard:
-    root_order: int
-    exponents: tuple[tuple[int, ...], ...]
+class GenHadamard(namedtuple("GenHadamard", "root_order exponents")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = self.root_order
+    def __new__(cls, root_order: int, exponents: tuple[tuple[int, ...], ...]) -> "GenHadamard":
+        m = root_order
         if m < 1:
             raise ValueError(f"root order must be >= 1, got {m}")
-        n = len(self.exponents)
+        n = len(exponents)
         if n < 1:
             raise ValueError("matrix must have at least one row")
-        for r, row in enumerate(self.exponents):
+        for r, row in enumerate(exponents):
             if len(row) != n:
                 raise ValueError(f"row {r} has {len(row)} entries, want {n}")
             for e in row:
                 if not 0 <= e < m:
                     raise ValueError(f"exponent {e} out of range for root order {m}")
+        return tuple.__new__(cls, (root_order, exponents))
+
+    _make = classmethod(checked_make)
 
     @property
     def size(self) -> int:
@@ -85,10 +86,9 @@ def char_table(orders: Sequence[int]) -> GenHadamard:
     return reduce(tensor_hadamard, (dft(n) for n in orders))
 
 
-@dataclass(frozen=True)
-class HadamardReport:
-    size: int
-    violations: tuple[tuple[int, int], ...]  # row pairs whose inner product is not 0
+class HadamardReport(namedtuple("HadamardReport", "size violations")):
+    # violations: the row pairs whose inner product is not 0
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -10,12 +10,13 @@ so holding a MolsSet is proof of the property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 import os
 
 from . import serial
 from .galois import GField, prime_power
+from .record import checked_make
 
 
 class NotLatinError(ValueError):
@@ -39,23 +40,25 @@ class NotOrthogonalError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class LatinSquare:
-    grid: tuple[tuple[int, ...], ...]
+class LatinSquare(namedtuple("LatinSquare", "grid")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        s = len(self.grid)
+    def __new__(cls, grid: tuple[tuple[int, ...], ...]) -> "LatinSquare":
+        s = len(grid)
         if s == 0:
             raise NotLatinError("empty grid")
         symbols = set(range(s))
-        for r, row in enumerate(self.grid):
+        for r, row in enumerate(grid):
             if len(row) != s:
                 raise NotLatinError(f"row {r} has length {len(row)}, want {s}", row=r)
             if set(row) != symbols:
                 raise NotLatinError(f"row {r} is not a permutation of 0..{s - 1}", row=r)
-        for c, col in enumerate(zip(*self.grid)):
+        for c, col in enumerate(zip(*grid)):
             if set(col) != symbols:
                 raise NotLatinError(f"column {c} is not a permutation of 0..{s - 1}", col=c)
+        return tuple.__new__(cls, (grid,))
+
+    _make = classmethod(checked_make)
 
     @property
     def order(self) -> int:
@@ -83,28 +86,29 @@ def _orthogonality_witness(a: LatinSquare, b: LatinSquare) -> tuple[int, int] | 
     return None
 
 
-@dataclass(frozen=True)
-class MolsSet:
+class MolsSet(namedtuple("MolsSet", "order squares")):
     """Pairwise orthogonal Latin squares of a common order."""
 
-    order: int
-    squares: tuple[LatinSquare, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        s = self.order
+    def __new__(cls, order: int, squares: tuple[LatinSquare, ...] = ()) -> "MolsSet":
+        s = order
         if s < 1:
             raise ValueError(f"order must be >= 1, got {s}")
-        for idx, sq in enumerate(self.squares):
+        for idx, sq in enumerate(squares):
             if sq.order != s:
                 raise ValueError(f"OrderMismatch: square {idx} has order {sq.order}, set has {s}")
         cap = max(s - 1, 0)
-        if len(self.squares) > cap:
-            raise ValueError(f"{len(self.squares)} MOLS of order {s} is impossible (max {cap})")
-        for i in range(len(self.squares)):
-            for j in range(i + 1, len(self.squares)):
-                pair = _orthogonality_witness(self.squares[i], self.squares[j])
+        if len(squares) > cap:
+            raise ValueError(f"{len(squares)} MOLS of order {s} is impossible (max {cap})")
+        for i in range(len(squares)):
+            for j in range(i + 1, len(squares)):
+                pair = _orthogonality_witness(squares[i], squares[j])
                 if pair is not None:
                     raise NotOrthogonalError(i, j, pair)
+        return tuple.__new__(cls, (order, squares))
+
+    _make = classmethod(checked_make)
 
     @property
     def width(self) -> int:
@@ -166,11 +170,12 @@ def macneish_product(a: MolsSet, b: MolsSet) -> MolsSet:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, ascending primes."""
+    """Prime factorization by trial division by 2, then by odd numbers,
+    ascending primes."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     out = []
-    p = 2
+    p, step = 2, 1
     while p * p <= n:
         if n % p == 0:
             e = 0
@@ -178,7 +183,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             out.append((p, e))
-        p += 1
+        p += step
+        step = 2
     if n > 1:
         out.append((n, 1))
     return out

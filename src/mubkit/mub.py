@@ -56,14 +56,14 @@ import operator
 import os
 import sys
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from typing import Sequence
 
 from . import serial
 from .cyclotomic import MAX_ROOT_ORDER, TOL, Cyclotomic, counts_to_cyclotomic
 from .hadamard import GenHadamard, verify_hadamard
 from .net import IncidenceVector, Net, verify_net
+from .record import checked_make
 
 # A loaded norm_sq, and each part of a loaded float amplitude, may be at most
 # this large: far above what any valid vector holds, and small enough that
@@ -89,35 +89,35 @@ class VerificationFailedError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class MubVector:
+class MubVector(namedtuple("MubVector", "dim root_order norm_sq amps amps_float")):
     """Sparse vector: amplitudes on a support, scaled by 1/sqrt(norm_sq).
 
     Exactly one of amps (pairs (position, exponent) against root_order) and
     amps_float (pairs (position, complex amplitude)) is set.
     """
 
-    dim: int
-    root_order: int
-    norm_sq: int
-    amps: tuple[tuple[int, int], ...] | None = None
-    amps_float: tuple[tuple[int, complex], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dim < 1 or self.root_order < 1 or self.norm_sq < 1:
+    def __new__(cls, dim: int, root_order: int, norm_sq: int,
+                amps: tuple[tuple[int, int], ...] | None = None,
+                amps_float: tuple[tuple[int, complex], ...] | None = None) -> "MubVector":
+        if dim < 1 or root_order < 1 or norm_sq < 1:
             raise ValueError("dim, root_order and norm_sq must be positive")
-        if (self.amps is None) == (self.amps_float is None):
+        if (amps is None) == (amps_float is None):
             raise ValueError("exactly one of amps and amps_float must be given")
-        entries = self.amps if self.amps is not None else self.amps_float
+        entries = amps if amps is not None else amps_float
         last = -1
         for pos, value in entries:
-            if not 0 <= pos < self.dim:
-                raise ValueError(f"position {pos} out of range for dim {self.dim}")
+            if not 0 <= pos < dim:
+                raise ValueError(f"position {pos} out of range for dim {dim}")
             if pos <= last:
                 raise ValueError("positions must be strictly increasing")
             last = pos
-            if self.amps is not None and not 0 <= value < self.root_order:
-                raise ValueError(f"exponent {value} out of range for root order {self.root_order}")
+            if amps is not None and not 0 <= value < root_order:
+                raise ValueError(f"exponent {value} out of range for root order {root_order}")
+        return tuple.__new__(cls, (dim, root_order, norm_sq, amps, amps_float))
+
+    _make = classmethod(checked_make)
 
     @property
     def is_exact(self) -> bool:
@@ -134,28 +134,39 @@ class MubVector:
         return dict(self.amps_float)
 
 
-@dataclass(frozen=True)
-class MubBasis:
-    vectors: tuple[MubVector, ...]
+class MubBasis(namedtuple("MubBasis", "vectors")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MubSet:
-    dim: int
-    bases: tuple[MubBasis, ...]
-    provenance: str = field(default="", compare=False)
+class MubSet(namedtuple("MubSet", "dim bases provenance")):
+    """Equality and hash read dim and bases only, never provenance."""
 
-    def __post_init__(self) -> None:
-        if len(self.bases) > self.dim + 1:
-            raise ValueError(
-                f"{len(self.bases)} bases in dimension {self.dim} exceeds the bound d + 1"
-            )
-        for b, basis in enumerate(self.bases):
-            if len(basis.vectors) != self.dim:
-                raise ValueError(f"basis {b} has {len(basis.vectors)} vectors, want {self.dim}")
+    # no __slots__: the cached properties live in the instance __dict__
+
+    def __new__(cls, dim: int, bases: tuple[MubBasis, ...], provenance: str = "") -> "MubSet":
+        if len(bases) > dim + 1:
+            raise ValueError(f"{len(bases)} bases in dimension {dim} exceeds the bound d + 1")
+        for b, basis in enumerate(bases):
+            if len(basis.vectors) != dim:
+                raise ValueError(f"basis {b} has {len(basis.vectors)} vectors, want {dim}")
             for vec in basis.vectors:
-                if vec.dim != self.dim:
-                    raise ValueError(f"basis {b} holds a vector of dim {vec.dim}, want {self.dim}")
+                if vec.dim != dim:
+                    raise ValueError(f"basis {b} holds a vector of dim {vec.dim}, want {dim}")
+        return tuple.__new__(cls, (dim, bases, provenance))
+
+    _make = classmethod(checked_make)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     @property
     def k(self) -> int:
@@ -216,14 +227,10 @@ def standard_basis(d: int) -> MubSet:
     return MubSet(dim=d, bases=(MubBasis(vecs),), provenance="trivial")
 
 
-@dataclass(frozen=True)
-class MubViolation:
-    kind: str  # "norm" | "orthogonality" | "unbiasedness"
-    basis: int
-    index: int
-    basis2: int
-    index2: int
-    detail: str = ""
+class MubViolation(namedtuple("MubViolation", "kind basis index basis2 index2 detail",
+                              defaults=("",))):
+    # kind: "norm" | "orthogonality" | "unbiasedness"
+    __slots__ = ()
 
     def pair(self) -> tuple[int, int, int, int]:
         return (self.basis, self.index, self.basis2, self.index2)
@@ -232,12 +239,8 @@ class MubViolation:
         return (self.basis, self.index, self.basis2, self.index2, self.kind)
 
 
-@dataclass(frozen=True)
-class MubReport:
-    mode: str
-    dim: int
-    k: int
-    violations: tuple[MubViolation, ...]
+class MubReport(namedtuple("MubReport", "mode dim k violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -593,9 +596,9 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
     if not a.bases or not b.bases:
         raise ValueError("EmptyInput: both sets need at least one basis")
     if a.dim == 1:
-        return replace(b, provenance="tensor")
+        return b._replace(provenance="tensor")
     if b.dim == 1:
-        return replace(a, provenance="tensor")
+        return a._replace(provenance="tensor")
     k = min(a.k, b.k)
     d = a.dim * b.dim
     exact = a.is_exact and b.is_exact
@@ -731,7 +734,7 @@ def verified_from_dict(data: object, jobs: int = 1) -> MubSet:
         report = verify_mubs(x, mode="exact", jobs=jobs)
     else:
         report = verify_mubs(x, mode="float", jobs=jobs)
-        x = replace(x, provenance="float-verified only")
+        x = x._replace(provenance="float-verified only")
     if not report.ok:
         raise VerificationFailedError(report)
     return x

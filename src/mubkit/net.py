@@ -15,27 +15,30 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import chain
 from typing import Iterable
 
 from . import serial
 from .latin import LatinSquare, MolsSet
+from .record import checked_make
 
 # net_from_mols writes (w + 2) * s vectors of s^2 bits each, and a MOLS
 # document of any order may hold no squares, so the grid is bounded.
 MAX_POINTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class IncidenceVector:
+class IncidenceVector(namedtuple("IncidenceVector", "length bits")):
     """0/1 vector of a fixed length with bits packed into one int."""
 
-    length: int
-    bits: int
+    # no __slots__: the cached support lives in the instance __dict__
 
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.bits < 0 or self.bits >> self.length:
-            raise ValueError(f"bits out of range for length {self.length}")
+    def __new__(cls, length: int, bits: int) -> "IncidenceVector":
+        if length < 0 or bits < 0 or bits >> length:
+            raise ValueError(f"bits out of range for length {length}")
+        return tuple.__new__(cls, (length, bits))
+
+    _make = classmethod(checked_make)
 
     @staticmethod
     def from_support(length: int, positions: Iterable[int]) -> "IncidenceVector":
@@ -69,23 +72,24 @@ class IncidenceVector:
         return tuple(p for p in range(self.length) if self.bits >> p & 1)
 
 
-@dataclass(frozen=True)
-class Net:
-    s: int
-    blocks: tuple[tuple[IncidenceVector, ...], ...]
+class Net(namedtuple("Net", "s blocks")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        d = self.s * self.s
-        if len(self.blocks) > self.s + 1:
-            raise ValueError(f"{len(self.blocks)} blocks exceeds the bound s + 1 = {self.s + 1}")
-        for b, block in enumerate(self.blocks):
-            if len(block) != self.s:
-                raise ValueError(f"block {b} has {len(block)} vectors, want {self.s}")
+    def __new__(cls, s: int, blocks: tuple[tuple[IncidenceVector, ...], ...]) -> "Net":
+        if s < 1:
+            raise ValueError(f"s must be >= 1, got {s}")
+        d = s * s
+        if len(blocks) > s + 1:
+            raise ValueError(f"{len(blocks)} blocks exceeds the bound s + 1 = {s + 1}")
+        for b, block in enumerate(blocks):
+            if len(block) != s:
+                raise ValueError(f"block {b} has {len(block)} vectors, want {s}")
             for vec in block:
                 if vec.length != d:
                     raise ValueError(f"block {b} holds a vector of length {vec.length}, want {d}")
+        return tuple.__new__(cls, (s, blocks))
+
+    _make = classmethod(checked_make)
 
     @property
     def k(self) -> int:
@@ -96,14 +100,10 @@ class Net:
         return self.s * self.s
 
 
-@dataclass(frozen=True)
-class NetViolation:
-    kind: str  # "weight" | "within-block" | "cross-block"
-    block: int
-    index: int
-    block2: int | None = None
-    index2: int | None = None
-    detail: str = ""
+class NetViolation(namedtuple("NetViolation", "kind block index block2 index2 detail",
+                              defaults=(None, None, ""))):
+    # kind: "weight" | "within-block" | "cross-block"
+    __slots__ = ()
 
     def sort_key(self):
         return (self.block, self.index,
@@ -111,11 +111,8 @@ class NetViolation:
                 -1 if self.index2 is None else self.index2, self.kind)
 
 
-@dataclass(frozen=True)
-class NetReport:
-    s: int
-    k: int
-    violations: tuple[NetViolation, ...]
+class NetReport(namedtuple("NetReport", "s k violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -149,7 +146,8 @@ def net_from_mols(m: MolsSet) -> Net:
     """Net with w + 2 blocks: rows, columns, then one block per square.
 
     Cell (i, j) of the grid is point i*s + j.  Within each block vectors are
-    listed in ascending row / column / symbol order.
+    listed in ascending row / column / symbol order.  One sweep over a
+    square's cells sets each cell's bit in the vector of its symbol.
     """
     s = m.order
     d = s * s
@@ -163,12 +161,10 @@ def net_from_mols(m: MolsSet) -> Net:
         IncidenceVector.from_support(d, (i * s + j for i in range(s))) for j in range(s)
     ))
     for sq in m.squares:
-        blocks.append(tuple(
-            IncidenceVector.from_support(
-                d, (i * s + j for i in range(s) for j in range(s) if sq.grid[i][j] == v)
-            )
-            for v in range(s)
-        ))
+        bits = [0] * s  # a LatinSquare of order s holds the symbols 0..s-1
+        for p, v in enumerate(chain.from_iterable(sq.grid)):
+            bits[v] |= 1 << p
+        blocks.append(tuple(IncidenceVector(d, b) for b in bits))
     return Net(s, tuple(blocks))
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import serial
 from .latin import (
@@ -40,14 +40,10 @@ from .mub import MubSet, verified_from_dict
 MAX_PLAN_DIM = 10 ** 9
 
 
-@dataclass(frozen=True)
-class PlanNode:
-    d: int
-    kind: str  # "prime-power" | "square" | "imported-mubs" | "trivial" | "tensor"
-    count: int
-    constructible: bool
-    provenance: str
-    children: tuple["PlanNode", ...] = ()
+class PlanNode(namedtuple("PlanNode", "d kind count constructible provenance children",
+                          defaults=((),))):
+    # kind: "prime-power" | "square" | "imported-mubs" | "trivial" | "tensor"
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == "tensor":
@@ -75,14 +71,9 @@ class PlanNode:
         return out
 
 
-@dataclass(frozen=True)
-class Plan:
-    d: int
-    best_count: int
-    best_constructible_count: int
-    prime_power_reduction_count: int
-    best: PlanNode
-    best_constructible: PlanNode
+class Plan(namedtuple("Plan", "d best_count best_constructible_count "
+                      "prime_power_reduction_count best best_constructible")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -95,18 +86,22 @@ class Plan:
         }
 
 
-@dataclass
-class ImportsTable:
+class ImportsTable(namedtuple("ImportsTable", "mols mubs mols_cited")):
     """Externally supplied objects and bounds, keyed by order / dimension.
 
     mols maps s to a verified MOLS set of order s, mubs maps d to a verified
     set of bases of C^d, and mols_cited maps s to a cited lower bound on the
     number of MOLS of order s (existence only, nothing to construct from).
+    Each table left out starts as a fresh empty dict.
     """
 
-    mols: dict[int, MolsSet] = field(default_factory=dict)
-    mubs: dict[int, MubSet] = field(default_factory=dict)
-    mols_cited: dict[int, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, mols: dict[int, MolsSet] | None = None,
+                mubs: dict[int, MubSet] | None = None,
+                mols_cited: dict[int, int] | None = None) -> "ImportsTable":
+        return tuple.__new__(cls, ({} if mols is None else mols, {} if mubs is None else mubs,
+                                   {} if mols_cited is None else mols_cited))
 
     @classmethod
     def from_dir(cls, path: str | os.PathLike) -> "ImportsTable":

@@ -1,5 +1,7 @@
 """Plain reference implementations the tests check the library against:
-the complete MOLS set computed cell by cell, the exact inner product of
+the complete MOLS set computed cell by cell, factorization by trial
+division by every integer, the net of a MOLS set scanned once per
+symbol, the exact inner product of
 two vectors with the failing pairs it gives, the float deviation of a
 Hadamard matrix, and the float oracle written as one loop per pair.
 Beside them sit small tools the tests use to read library objects: the
@@ -18,6 +20,7 @@ from mubkit.galois import GField, prime_power
 from mubkit.hadamard import GenHadamard
 from mubkit.latin import LatinSquare, MolsSet
 from mubkit.mub import MubReport, MubSet, MubVector, MubViolation, mubs_to_json
+from mubkit.net import IncidenceVector, Net
 
 
 def approx(x: Cyclotomic) -> complex:
@@ -46,6 +49,40 @@ def complete_mols_by_cells(q: int) -> MolsSet:
         LatinSquare(tuple(tuple(fld.rank(fld.add(fld.mul(a, x), y)) for y in elems)
                           for x in elems))
         for a in elems[1:]))
+
+
+def factorize_by_trial(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1, trying every divisor 2, 3, 4, ..."""
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def net_from_mols_by_scan(m: MolsSet) -> Net:
+    """Rows, columns, then one block per square, each symbol's vector found
+    by scanning the whole grid for that symbol."""
+    s = m.order
+    d = s * s
+    blocks = [
+        tuple(IncidenceVector.from_support(d, (i * s + j for j in range(s))) for i in range(s)),
+        tuple(IncidenceVector.from_support(d, (i * s + j for i in range(s))) for j in range(s)),
+    ]
+    for sq in m.squares:
+        blocks.append(tuple(
+            IncidenceVector.from_support(
+                d, (i * s + j for i in range(s) for j in range(s) if sq.grid[i][j] == v))
+            for v in range(s)))
+    return Net(s, tuple(blocks))
 
 
 def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:

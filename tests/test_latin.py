@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ from mubkit.latin import (
 from mubkit.galois import prime_power
 from mubkit.serial import ParseError
 
-from reference import complete_mols_by_cells
+from reference import complete_mols_by_cells, factorize_by_trial
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -111,6 +113,13 @@ def test_macneish_product_multiplies_orders():
     m2 = macneish_product(complete_mols_prime_power(2), complete_mols_prime_power(13))
     assert m2.order == 26
     assert m2.width == 1
+
+
+def test_factorize_matches_trial_division_by_every_integer():
+    rng = random.Random(10)
+    edge = [2 ** 29, 3 ** 18, 999_999_937, 31_607 ** 2, 2 * 999_999_937, 999_983 * 997]
+    for n in [*range(1, 5000), *edge, *(rng.randrange(1, 10 ** 9) for _ in range(40))]:
+        assert factorize(n) == factorize_by_trial(n), n
 
 
 def test_factorize_known_values():

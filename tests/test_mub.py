@@ -8,7 +8,6 @@ import multiprocessing
 import os
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,7 +49,7 @@ def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
     amps = list(vec.amps)
     pos, e = amps[slot]
     amps[slot] = (pos, (e + delta) % vec.root_order)
-    new_vec = replace(vec, amps=tuple(amps))
+    new_vec = vec._replace(amps=tuple(amps))
     vecs = list(x.bases[b].vectors)
     vecs[i] = new_vec
     bases = list(x.bases)
@@ -477,7 +476,7 @@ def test_norm_violations_are_detected():
     x = built_mubs(2)
     vec = x.bases[0].vectors[0]
     vecs = list(x.bases[0].vectors)
-    vecs[0] = replace(vec, norm_sq=3)  # support has 2 entries, not 3
+    vecs[0] = vec._replace(norm_sq=3)  # support has 2 entries, not 3
     bases = (MubBasis(tuple(vecs)),)
     bad = MubSet(dim=4, bases=bases)
     report = verify_mubs(bad, mode="exact")
@@ -607,7 +606,7 @@ def test_sparse_sets_verify_without_a_quadratic_pass(mode):
 
 def test_set_equality_ignores_provenance():
     x = built_mubs(2)
-    assert replace(x, provenance="elsewhere") == x
+    assert x._replace(provenance="elsewhere") == x
 
 
 def test_set_shape_validation():

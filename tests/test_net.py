@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square
+from mubkit.latin import MolsSet, best_mols, complete_mols_prime_power, cyclic_square, import_mols
 from mubkit.net import (
     IncidenceVector,
     Net,
@@ -18,6 +18,8 @@ from mubkit.net import (
     verify_net,
 )
 from mubkit.serial import ParseError
+
+from reference import net_from_mols_by_scan
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 9]
 
@@ -63,6 +65,13 @@ def test_net_of_order_2_square_matches_reference_table():
     assert net.s == 2 and net.k == 3 and net.d == 4
     got = tuple(tuple(v.to_bits01() for v in block) for block in net.blocks)
     assert got == REFERENCE_32_BLOCKS
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7, 8, 9, 16, 26, 32])
+def test_net_from_mols_matches_the_scan_per_symbol(s, mols26_path):
+    m = import_mols(mols26_path) if s == 26 else best_mols(s)
+    assert m.width >= 1
+    assert net_from_mols(m) == net_from_mols_by_scan(m)
 
 
 def test_reference_net_serializes_bit_for_bit():
