@@ -6,14 +6,14 @@ bases, and compare counting strategies for a dimension.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed,
 2 usage or parse error.  Output is deterministic; --json swaps the human
-summary on stdout for the module JSON schema of the result.
+summary on stdout for the module JSON schema of the result.  mub build
+and mub tensor write and print a set only after it passed every check.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from typing import Sequence
@@ -104,17 +104,14 @@ def _emit_net(n: net.Net, args) -> None:
 
 # -- verification plumbing ---------------------------------------------------
 
-def _modes(args, x: mub.MubSet, file=sys.stdout) -> list[str] | int:
-    """Resolve the requested verification modes against the data."""
-    both = getattr(args, "both", False)
-    use_float = getattr(args, "float", False)
-    if both and use_float:
-        return _fail("--float and --both are mutually exclusive")
-    if both:
+def _modes(args, x: mub.MubSet, file) -> list[str]:
+    """Resolve the requested verification modes against the data; only mub
+    verify has --float or reads sets that are not exact."""
+    if args.both:
         if not x.is_exact:
-            return _fail("--both needs exponent amplitudes; this set is float-only")
+            raise ValueError("--both needs exponent amplitudes; this set is float-only")
         return ["exact", "float"]
-    if use_float:
+    if getattr(args, "float", False):
         return ["float"]
     if not x.is_exact:
         print("note: float amplitudes only; using the float oracle", file=file)
@@ -122,42 +119,35 @@ def _modes(args, x: mub.MubSet, file=sys.stdout) -> list[str] | int:
     return ["exact"]
 
 
-def _print_violations(violations, where, file=None) -> None:
+def _violation_lines(violations, where) -> list[str]:
     """A line per violation v, naming where(v), for at most _VIOLATION_LIMIT
-    of them, then the number left out (file None: the current sys.stdout)."""
-    for v in violations[:_VIOLATION_LIMIT]:
-        print(f"  {v.kind}: {where(v)}: {v.detail}", file=file)
+    of them, then the number left out."""
+    lines = [f"  {v.kind}: {where(v)}: {v.detail}" for v in violations[:_VIOLATION_LIMIT]]
     if len(violations) > _VIOLATION_LIMIT:
-        print(f"  ... and {len(violations) - _VIOLATION_LIMIT} more", file=file)
+        lines.append(f"  ... and {len(violations) - _VIOLATION_LIMIT} more")
+    return lines
 
 
-def _print_report(report: mub.MubReport, file=sys.stdout) -> None:
+def _report_lines(report: mub.MubReport) -> list[str]:
     if report.ok:
-        print(f"verification ({report.mode}): ok", file=file)
-        return
-    print(f"verification ({report.mode}): FAILED, {len(report.violations)} violations",
-          file=file)
-    _print_violations(report.violations, lambda v: f"basis {v.basis} vector {v.index}"
-                      f" vs basis {v.basis2} vector {v.index2}", file)
+        return [f"verification ({report.mode}): ok"]
+    return [f"verification ({report.mode}): FAILED, {len(report.violations)} violations",
+            *_violation_lines(report.violations, lambda v: f"basis {v.basis} vector {v.index}"
+                              f" vs basis {v.basis2} vector {v.index2}")]
 
 
-def _verify_and_report(x: mub.MubSet, args) -> int:
-    # --json keeps stdout parseable: the report moves to stderr
-    dest = sys.stderr if getattr(args, "json", False) else sys.stdout
-    modes = _modes(args, x, file=dest)
-    if isinstance(modes, int):
-        return modes
-    jobs = getattr(args, "jobs", 1)
-    reports = [mub.verify_mubs(x, mode=mode, jobs=jobs) for mode in modes]
-    for report in reports:
-        _print_report(report, file=dest)
+def _verify(x: mub.MubSet, args, file) -> tuple[str, int]:
+    """Run the requested oracles on x: the report text and the exit status,
+    0 when every check passed and the oracles agree, else 1."""
+    reports = [mub.verify_mubs(x, mode=mode, jobs=args.jobs) for mode in _modes(args, x, file)]
+    lines = [line for report in reports for line in _report_lines(report)]
+    ok = all(r.ok for r in reports)
     if len(reports) == 2:
         same = (reports[0].ok == reports[1].ok
                 and reports[0].failing_pairs() == reports[1].failing_pairs())
-        print(f"oracle agreement: {'ok' if same else 'DISAGREE'}", file=dest)
-        if not same:
-            return 1
-    return 0 if all(r.ok for r in reports) else 1
+        lines.append(f"oracle agreement: {'ok' if same else 'DISAGREE'}")
+        ok = ok and same
+    return "\n".join(lines), 0 if ok else 1
 
 
 # -- mols --------------------------------------------------------------------
@@ -225,22 +215,30 @@ def cmd_net_verify(args) -> int:
         print(f"ok: ({report.k},{report.s})-net, 0 violations")
         return 0
     print(f"verification failed: {len(report.violations)} violations")
-    _print_violations(report.violations, lambda v: f"block {v.block} vector {v.index}" + (
+    lines = _violation_lines(report.violations, lambda v: f"block {v.block} vector {v.index}" + (
         "" if v.block2 is None else f" vs block {v.block2} vector {v.index2}"))
+    print("\n".join(lines))
     return 1
 
 
 # -- mub ---------------------------------------------------------------------
 
-def _emit_mubs(x: mub.MubSet, args, render: bool) -> None:
-    if args.output:
-        mub.export_mubs(x, args.output)
-    if args.json:
-        print(mub.mubs_to_json(x), end="")
-    elif render and x.is_exact:
-        print(render_mubs(x))
-    else:
-        print(f"d = {x.dim}, k = {x.k} bases ({x.provenance})")
+def _check_and_emit(x: mub.MubSet, args, render: bool) -> int:
+    """Verify x, then emit it only if every check passed: write -o FILE,
+    print the JSON document under --json, else the rendering (render) or a
+    summary line.  The reports follow on stdout, or on stderr under --json
+    so stdout stays parseable; a failing set prints its reports alone."""
+    dest = sys.stderr if args.json else sys.stdout
+    text, status = _verify(x, args, dest)
+    if status == 0:
+        if args.output:
+            mub.export_mubs(x, args.output)
+        if args.json:
+            print(mub.mubs_to_json(x), end="")
+        else:
+            print(render_mubs(x) if render else f"d = {x.dim}, k = {x.k} bases (tensor)")
+    print(text, file=dest)
+    return status
 
 
 def cmd_mub_build(args) -> int:
@@ -250,53 +248,28 @@ def cmd_mub_build(args) -> int:
     table = _load_imports(args)
     mols = latin.best_mols(s, imported=table.mols.get(s))
     n = net.net_from_mols(mols)
-    x = mub.build_mubs(n, hadamard.dft(s))
-    _emit_mubs(x, args, render=True)
-    return _verify_and_report(x, args)
+    return _check_and_emit(mub.build_mubs(n, hadamard.dft(s)), args, render=True)
 
 
 def cmd_mub_verify(args) -> int:
     x = mub.mubs_from_dict(serial.read_json(args.file))
     print(f"d = {x.dim}, k = {x.k} bases")
-    return _verify_and_report(x, args)
+    text, status = _verify(x, args, sys.stdout)
+    print(text)
+    return status
 
 
 def cmd_mub_tensor(args) -> int:
     try:
-        a = mub.import_mubs(args.file_a, jobs=getattr(args, "jobs", 1))
-        b = mub.import_mubs(args.file_b, jobs=getattr(args, "jobs", 1))
+        a = mub.import_mubs(args.file_a, jobs=args.jobs)
+        b = mub.import_mubs(args.file_b, jobs=args.jobs)
     except mub.VerificationFailedError as exc:
         print(f"verification failed on input: {exc}")
         return 1
-    x = mub.tensor_mubs(a, b)
-    _emit_mubs(x, args, render=False)
-    return _verify_and_report(x, args)
+    return _check_and_emit(mub.tensor_mubs(a, b), args, render=False)
 
 
 # -- plan --------------------------------------------------------------------
-
-def _bottleneck(node: planner.PlanNode) -> planner.PlanNode:
-    while node.kind == "tensor":
-        node = min(node.children, key=lambda c: c.count)
-    return node
-
-
-def _count_tag(node: planner.PlanNode) -> str:
-    leaf = _bottleneck(node)
-    if leaf.kind == "prime-power":
-        return "cited"
-    if leaf.kind == "square":
-        if leaf.provenance != "cited-existence":
-            return "constructible"
-        # the cited width may come from an imported table instead
-        if (math.isqrt(leaf.d) >= latin.WILSON_MIN_ORDER
-                and leaf.count - 2 == latin.WILSON_MOLS):
-            return "cited-existence via Wilson"
-        return "cited-existence"
-    if leaf.kind == "imported-mubs":
-        return "constructible"
-    return "trivial"
-
 
 def cmd_plan(args) -> int:
     table = _load_imports(args)
@@ -309,7 +282,7 @@ def cmd_plan(args) -> int:
     )
     print(f"d = {result.d} = {factors}" if "x" in factors or "^" in factors
           else f"d = {result.d}")
-    print(f"best: {result.best_count} ({_count_tag(result.best)})")
+    print(f"best: {result.best_count} ({planner.count_tag(result.best)})")
     print(f"constructible: {result.best_constructible_count}")
     print(f"reduce-to-prime-powers: {result.prime_power_reduction_count}")
     print(f"best route: {result.best.describe()}")
@@ -324,13 +297,15 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="print JSON instead of a human summary")
 
 
-def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--float", action="store_true",
-                   help="use the floating-point oracle instead of exact arithmetic")
-    p.add_argument("--both", action="store_true",
-                   help="run both oracles and fail on any disagreement")
+def _add_verify_flags(p: argparse.ArgumentParser):
+    """--both and --jobs; returns the group --both excludes the rest of."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--both", action="store_true",
+                       help="run the float oracle after the exact one and fail on any"
+                       " disagreement")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="verify basis pairs with N worker processes")
+    return group
 
 
 @functools.cache
@@ -384,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mub_build)
     p = mub_sub.add_parser("verify", help="verify a mub file")
     p.add_argument("file")
-    _add_verify_flags(p)
+    _add_verify_flags(p).add_argument(
+        "--float", action="store_true",
+        help="use the floating-point oracle instead of exact arithmetic")
     p.set_defaults(func=cmd_mub_verify)
     p = mub_sub.add_parser("tensor", help="tensor two verified mub files")
     p.add_argument("file_a")

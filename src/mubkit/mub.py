@@ -44,7 +44,8 @@ and otherwise each pair is checked on its own, so the violations and their
 details do not depend on the shortcut.
 
 Amplitudes are stored either as integer exponents against a root order
-(exact route) or as complex numbers (float-only route, e.g. imported data).
+(exact route) or as complex numbers (float-only documents, which are read
+and verified but never built or tensored here).
 """
 
 from __future__ import annotations
@@ -69,10 +70,11 @@ from .record import checked_make
 # this large: far above what any valid vector holds, and small enough that
 # no float the float oracle computes from them overflows.
 MAX_MAGNITUDE = 1 << 32
-# A loaded document may hold at most this many vectors and amplitudes in
-# all.  The complete s = 32 set (33 * 1024 vectors, 1,081,344 amplitudes)
-# fits; verifying it peaks at about 280 MB, and the sparsest document at
-# the vector bound, one basis of 40,000 one-point vectors, at about 260 MB.
+# A loaded document, a built set and a tensor product may hold at most this
+# many vectors and amplitudes in all, so every set built here loads back.
+# The complete s = 32 set (33 * 1024 vectors, 1,081,344 amplitudes) fits;
+# verifying it peaks at about 280 MB, and the sparsest document at the
+# vector bound, one basis of 40,000 one-point vectors, at about 260 MB.
 MAX_VECTORS = 40_000
 MAX_AMPLITUDES = 1_250_000
 # Keys the exact pass remembers per verify_mubs call.
@@ -138,12 +140,10 @@ class MubBasis(namedtuple("MubBasis", "vectors")):
     __slots__ = ()
 
 
-class MubSet(namedtuple("MubSet", "dim bases provenance")):
-    """Equality and hash read dim and bases only, never provenance."""
-
+class MubSet(namedtuple("MubSet", "dim bases")):
     # no __slots__: the cached properties live in the instance __dict__
 
-    def __new__(cls, dim: int, bases: tuple[MubBasis, ...], provenance: str = "") -> "MubSet":
+    def __new__(cls, dim: int, bases: tuple[MubBasis, ...]) -> "MubSet":
         if len(bases) > dim + 1:
             raise ValueError(f"{len(bases)} bases in dimension {dim} exceeds the bound d + 1")
         for b, basis in enumerate(bases):
@@ -152,21 +152,9 @@ class MubSet(namedtuple("MubSet", "dim bases provenance")):
             for vec in basis.vectors:
                 if vec.dim != dim:
                     raise ValueError(f"basis {b} holds a vector of dim {vec.dim}, want {dim}")
-        return tuple.__new__(cls, (dim, bases, provenance))
+        return tuple.__new__(cls, (dim, bases))
 
     _make = classmethod(checked_make)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:2] == other[:2]
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
 
     @property
     def k(self) -> int:
@@ -182,6 +170,14 @@ class MubSet(namedtuple("MubSet", "dim bases provenance")):
     def root_order(self) -> int:
         return math.lcm(*{v.root_order for basis in self.bases for v in basis.vectors
                           if v.is_exact})
+
+
+def _bound_size(vectors: int, amplitudes: int) -> None:
+    """TooLarge for a set too large to load back (see MAX_VECTORS)."""
+    for count, limit, noun in ((vectors, MAX_VECTORS, "vectors"),
+                               (amplitudes, MAX_AMPLITUDES, "amplitudes")):
+        if count > limit:
+            raise ValueError(f"TooLarge: {count} {noun} exceed the limit {limit}")
 
 
 def embed(row: Sequence[int], root_order: int, support_vec: IncidenceVector) -> MubVector:
@@ -201,12 +197,14 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
     """k mutually unbiased bases of C^(s^2) from a (k,s)-net and an s x s
     generalized Hadamard matrix.
 
-    Both inputs are verified first.  Basis b holds, for incidence vector i
+    A set of more than MAX_VECTORS vectors or MAX_AMPLITUDES amplitudes is
+    refused (TooLarge), and both inputs are verified first.  Basis b holds, for incidence vector i
     of block b and Hadamard row l, the embedding of row l on vector i
     (i outer, l inner), scaled by 1/sqrt(s).
     """
     if had.size != net.s:
         raise ValueError(f"SizeMismatch: hadamard size {had.size} vs net order {net.s}")
+    _bound_size(net.k * net.d, net.k * net.d * net.s)
     if not verify_net(net).ok:
         raise ValueError("UnverifiedInput: net fails verification")
     if not verify_hadamard(had).ok:
@@ -216,7 +214,7 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
         MubBasis(tuple(embed(row, m, vec) for vec in block for row in had.exponents))
         for block in net.blocks
     )
-    return MubSet(dim=net.d, bases=bases, provenance="net+hadamard")
+    return MubSet(dim=net.d, bases=bases)
 
 
 def standard_basis(d: int) -> MubSet:
@@ -224,7 +222,7 @@ def standard_basis(d: int) -> MubSet:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     vecs = tuple(MubVector(dim=d, root_order=1, norm_sq=1, amps=((p, 0),)) for p in range(d))
-    return MubSet(dim=d, bases=(MubBasis(vecs),), provenance="trivial")
+    return MubSet(dim=d, bases=(MubBasis(vecs),))
 
 
 class MubViolation(namedtuple("MubViolation", "kind basis index basis2 index2 detail",
@@ -586,49 +584,45 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
 
 
 def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
-    """Combine sets for dimensions dA and dB into min(kA, kB) bases of
+    """Combine exact sets for dimensions dA and dB into min(kA, kB) bases of
     C^(dA*dB): vector (u, v) has amplitude u_p * v_q at position p*dB + q.
 
-    Both inputs are expected to be verified.  A factor of dimension 1 acts
-    as the identity: the other set comes back unchanged.  An exact product
-    whose root order (the lcm of the two) exceeds MAX_ROOT_ORDER is refused.
+    Both inputs are expected to be verified; a float-only factor is refused
+    (ExactUnavailable).  A factor of dimension 1 acts as the identity: the
+    other set comes back unchanged.  A product whose root order (the lcm of
+    the two) exceeds MAX_ROOT_ORDER, or that would hold more than
+    MAX_VECTORS vectors or MAX_AMPLITUDES amplitudes, is refused (TooLarge)
+    before any vector is built.
     """
     if not a.bases or not b.bases:
         raise ValueError("EmptyInput: both sets need at least one basis")
+    if not (a.is_exact and b.is_exact):
+        raise ValueError("ExactUnavailable: a factor has float-only amplitudes")
     if a.dim == 1:
-        return b._replace(provenance="tensor")
+        return b
     if b.dim == 1:
-        return a._replace(provenance="tensor")
+        return a
     k = min(a.k, b.k)
     d = a.dim * b.dim
-    exact = a.is_exact and b.is_exact
-    m = math.lcm(a.root_order, b.root_order) if exact else 1
+    m = math.lcm(a.root_order, b.root_order)
     if m > MAX_ROOT_ORDER:
         raise ValueError(
             f"TooLarge: root order {m} of the product exceeds the limit {MAX_ROOT_ORDER}")
+    _bound_size(k * d, sum(sum(len(u.amps) for u in a.bases[t].vectors)
+                           * sum(len(v.amps) for v in b.bases[t].vectors) for t in range(k)))
     bases = []
     for t in range(k):
         vecs = []
         for u in a.bases[t].vectors:
+            fu = m // u.root_order
             for v in b.bases[t].vectors:
-                norm = u.norm_sq * v.norm_sq
-                if exact:
-                    fu, fv = m // u.root_order, m // v.root_order
-                    amps = tuple(
-                        (pu * b.dim + pv, (eu * fu + ev * fv) % m)
-                        for pu, eu in u.amps
-                        for pv, ev in v.amps
-                    )
-                    vecs.append(MubVector(dim=d, root_order=m, norm_sq=norm, amps=amps))
-                else:
-                    amps_f = tuple(
-                        (pu * b.dim + pv, au * av)
-                        for pu, au in sorted(u.float_map().items())
-                        for pv, av in sorted(v.float_map().items())
-                    )
-                    vecs.append(MubVector(dim=d, root_order=1, norm_sq=norm, amps_float=amps_f))
+                fv = m // v.root_order
+                amps = tuple((pu * b.dim + pv, (eu * fu + ev * fv) % m)
+                             for pu, eu in u.amps for pv, ev in v.amps)
+                vecs.append(MubVector(dim=d, root_order=m, norm_sq=u.norm_sq * v.norm_sq,
+                                      amps=amps))
         bases.append(MubBasis(tuple(vecs)))
-    return MubSet(dim=d, bases=tuple(bases), provenance="tensor")
+    return MubSet(dim=d, bases=tuple(bases))
 
 
 # -- serialization -----------------------------------------------------------
@@ -659,7 +653,7 @@ def mubs_to_json(x: MubSet) -> str:
     return '{"bases":[%s],"dim":%d,"root_order":%d}\n' % (bases, x.dim, m)
 
 
-def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
+def mubs_from_dict(data: object) -> MubSet:
     serial.expect(isinstance(data, dict), "mub document must be a JSON object")
     serial.expect(set(data) == {"dim", "root_order", "bases"},
                   'mub document needs exactly the keys "dim", "root_order" and "bases"')
@@ -721,20 +715,16 @@ def mubs_from_dict(data: object, provenance: str = "imported") -> MubSet:
             vecs.append(vec)
         bases.append(MubBasis(tuple(vecs)))
     try:
-        return MubSet(dim=d, bases=tuple(bases), provenance=provenance)
+        return MubSet(dim=d, bases=tuple(bases))
     except ValueError as exc:
         raise serial.ParseError(str(exc)) from None
 
 
 def verified_from_dict(data: object, jobs: int = 1) -> MubSet:
-    """Parse and verify a mub document; float-only data gets the weaker
-    provenance tag since no exact check is possible for it."""
+    """Parse and verify a mub document: exactly, or with the float oracle
+    where it holds float-only amplitudes (x.is_exact tells which)."""
     x = mubs_from_dict(data)
-    if x.is_exact:
-        report = verify_mubs(x, mode="exact", jobs=jobs)
-    else:
-        report = verify_mubs(x, mode="float", jobs=jobs)
-        x = x._replace(provenance="float-verified only")
+    report = verify_mubs(x, mode="exact" if x.is_exact else "float", jobs=jobs)
     if not report.ok:
         raise VerificationFailedError(report)
     return x

@@ -5,7 +5,8 @@ For a dimension d the planner compares, over the divisor tree of d:
   * prime power d = p^e: p^e + 1 bases (cited count, not built here);
   * square d = s^2: w + 2 bases from w MOLS of order s, where w comes from
     the best available lower bound (constructive, imported, or cited);
-  * an imported, already verified set for d itself;
+  * an imported, already verified set for d itself (constructible only
+    when its amplitudes are exact);
   * the single standard basis (always available);
   * tensor splits d = a * b, keeping min of the factor counts.
 
@@ -186,14 +187,17 @@ def _divisors_of(factors: list[tuple[int, int]]) -> list[int]:
     return divs
 
 
+def _wilson_width(s: int) -> int:
+    """The width the order >= WILSON_MIN_ORDER bound cites for order s, else 0."""
+    return WILSON_MOLS if s >= WILSON_MIN_ORDER else 0
+
+
 def _mols_candidates(s: int, imports: ImportsTable) -> list[tuple[int, bool, str]]:
     """(width, constructive, provenance) options for MOLS of order s."""
     out = [(constructive_mols_count(s), True, "constructive")]
     if s in imports.mols:
         out.append((imports.mols[s].width, True, "imported"))
-    cited = imports.mols_cited.get(s, 0)
-    if s >= WILSON_MIN_ORDER:
-        cited = max(cited, WILSON_MOLS)
+    cited = max(imports.mols_cited.get(s, 0), _wilson_width(s))
     if cited > 0:
         out.append((cited, False, "cited-existence"))
     return out
@@ -226,7 +230,8 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
                 if width > 0:
                     candidates.append(PlanNode(n, "square", width + 2, constructive, provenance))
         if n in imports.mubs:
-            candidates.append(PlanNode(n, "imported-mubs", imports.mubs[n].k, True, "imported"))
+            x = imports.mubs[n]
+            candidates.append(PlanNode(n, "imported-mubs", x.k, x.is_exact, "imported"))
         best = best_con = candidates[0]
         for cand in candidates[1:]:
             if cand.count > best.count:
@@ -267,3 +272,23 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
         best=best,
         best_constructible=best_con,
     )
+
+
+def count_tag(node: PlanNode) -> str:
+    """How a route's count is known, read from its bottleneck leaf: the
+    child of fewest bases at each tensor node."""
+    leaf = node
+    while leaf.kind == "tensor":
+        leaf = min(leaf.children, key=lambda c: c.count)
+    if leaf.kind == "prime-power":
+        return "cited"
+    if leaf.kind == "square":
+        if leaf.provenance != "cited-existence":
+            return "constructible"
+        # the cited width may come from an imported table instead
+        if leaf.count - 2 == _wilson_width(math.isqrt(leaf.d)):
+            return "cited-existence via Wilson"
+        return "cited-existence"
+    if leaf.kind == "imported-mubs":
+        return "constructible" if leaf.constructible else "float-verified only"
+    return "trivial"

@@ -39,6 +39,21 @@ def mubs_to_dict(x: MubSet) -> dict:
     return serial.loads(mubs_to_json(x))
 
 
+def float_document(doc: dict) -> dict:
+    """A copy of a parsed exact MUB document with every vector's amplitudes
+    written as [position, re, im] triples under "amps_float"."""
+    m = doc["root_order"]
+    out = []
+    for basis in doc["bases"]:
+        vecs = []
+        for vec in basis:
+            amps = [(p, cmath.exp(2j * cmath.pi * e / m)) for p, e in vec["amps"]]
+            vecs.append({"norm_sq": vec["norm_sq"],
+                         "amps_float": [[p, a.real, a.imag] for p, a in amps]})
+        out.append(vecs)
+    return {**doc, "bases": out}
+
+
 def complete_mols_by_cells(q: int) -> MolsSet:
     """The q - 1 MOLS of prime-power order q, square a (a nonzero, in rank
     order) holding rank(a*x_i + x_j) in cell (i, j), each cell one product

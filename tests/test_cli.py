@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,8 @@ from mubkit.mub import mubs_from_dict, standard_basis, verify_mubs
 
 from conftest import DATA_DIR, built_mubs
 from mutations import mutated_documents
-from reference import mubs_to_dict
+from reference import float_document, mubs_to_dict
+from test_planner import qubit_triple
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 # child interpreters do not see the test path pyproject.toml sets up
@@ -252,18 +254,7 @@ def test_mub_verify_lists_at_most_50_violations(capsys, tmp_path):
 
 def test_mub_verify_float_only_files(capsys, tmp_path):
     path = tmp_path / "f.json"
-    run(capsys, "mub", "build", "--square", "2", "-o", str(path))
-    doc = json.loads(path.read_text())
-    import cmath
-    m = doc["root_order"]
-    for basis in doc["bases"]:
-        for vec in basis:
-            vec["amps_float"] = [
-                [p, cmath.exp(2j * cmath.pi * e / m).real,
-                 cmath.exp(2j * cmath.pi * e / m).imag]
-                for p, e in vec.pop("amps")
-            ]
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(float_document(mubs_to_dict(built_mubs(2)))))
 
     rc, out, _ = run(capsys, "mub", "verify", str(path))
     assert rc == 0
@@ -360,6 +351,70 @@ def test_mub_tensor_rejects_a_product_root_order_over_the_limit(capsys, tmp_path
     assert rc == 2
     assert out == ""
     assert "TooLarge: root order 16764930" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--both"]])
+@pytest.mark.parametrize("command, dim", [(["build", "--square", "2"], 4),
+                                          (["tensor", "A", "A"], 16)])
+def test_a_set_that_fails_its_check_is_not_emitted(capsys, tmp_path, monkeypatch,
+                                                   command, dim, flags):
+    a, out_path = tmp_path / "a.json", tmp_path / "out.json"
+    a.write_text(mub.mubs_to_json(built_mubs(2)))
+    real = mub.verify_mubs
+
+    def exact_fails_on_the_result(x, mode="exact", jobs=1):
+        report = real(x, mode=mode, jobs=jobs)
+        if x.dim != dim or mode != "exact":
+            return report
+        return report._replace(violations=(mub.MubViolation("norm", 0, 0, 0, 0, "forced"),))
+
+    monkeypatch.setattr(mub, "verify_mubs", exact_fails_on_the_result)
+    argv = [str(a) if arg == "A" else arg for arg in command]
+    rc, out, err = run(capsys, "mub", *argv, "-o", str(out_path), *flags)
+    report = ("verification (exact): FAILED, 1 violations\n"
+              "  norm: basis 0 vector 0 vs basis 0 vector 0: forced\n")
+    if "--both" in flags:
+        report += "verification (float): ok\noracle agreement: DISAGREE\n"
+    assert rc == 1 and not out_path.exists()
+    assert (out, err) == (("", report) if "--json" in flags else (report, ""))
+
+
+def test_mub_tensor_refuses_float_only_documents(capsys, tmp_path):
+    a, f, out_path = tmp_path / "a.json", tmp_path / "f.json", tmp_path / "t.json"
+    a.write_text(mub.mubs_to_json(built_mubs(2)))
+    f.write_text(json.dumps(float_document(mubs_to_dict(built_mubs(2)))))
+    for pair in [(f, a), (a, f), (f, f)]:
+        rc, out, err = run(capsys, "mub", "tensor", *map(str, pair), "-o", str(out_path))
+        assert (rc, out) == (2, "") and not out_path.exists()
+        assert "ExactUnavailable: a factor has float-only amplitudes" in err
+
+
+def test_float_is_a_flag_of_mub_verify_only(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    a.write_text(mub.mubs_to_json(built_mubs(2)))
+    for argv in [["mub", "build", "--square", "2", "--float"],
+                 ["mub", "tensor", str(a), str(a), "--float"],
+                 ["mub", "verify", str(a), "--float", "--both"]]:
+        rc, out, err = run_catching_exit(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "--float" in err
+
+
+def test_build_and_tensor_refuse_sets_the_loader_would_refuse(capsys, tmp_path):
+    # the complete s = 37 set has 38 * 37^2 = 52,022 vectors; one basis of
+    # 201 * 200 one-point vectors has 40,200
+    out_path = tmp_path / "out.json"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "mub", "build", "--square", "37", "-o", str(out_path))
+    assert (rc, out) == (2, "") and not out_path.exists()
+    assert f"TooLarge: 52022 vectors exceed the limit {mub.MAX_VECTORS}" in err
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(mub.mubs_to_json(standard_basis(201)))
+    b.write_text(mub.mubs_to_json(standard_basis(200)))
+    rc, out, err = run(capsys, "mub", "tensor", str(a), str(b), "-o", str(out_path))
+    assert (rc, out) == (2, "") and not out_path.exists()
+    assert f"TooLarge: 40200 vectors exceed the limit {mub.MAX_VECTORS}" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_mub_build_uses_imported_mols(capsys):
@@ -467,6 +522,16 @@ def test_plan_honors_the_imports_env_var(capsys, monkeypatch):
     monkeypatch.delenv("MUBKIT_IMPORTS")
     rc, out, _ = run(capsys, "plan", "4732")
     assert "best: 5 (cited)" in out
+
+
+def test_plan_counts_only_exact_imported_sets_as_constructible(capsys, tmp_path):
+    # 8 = 2 * 4: the qubit triple makes the split constructible with 3 bases
+    triple = mubs_to_dict(qubit_triple())
+    for doc, want in [(triple, 3), (float_document(triple), 1)]:
+        (tmp_path / "qubits.json").write_text(json.dumps(doc))
+        rc, out, _ = run(capsys, "plan", "8", "--imports", str(tmp_path), "--json")
+        assert rc == 0
+        assert json.loads(out)["best_constructible_count"] == want
 
 
 def test_plan_json(capsys):

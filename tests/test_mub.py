@@ -54,7 +54,7 @@ def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
     vecs[i] = new_vec
     bases = list(x.bases)
     bases[b] = MubBasis(tuple(vecs))
-    return MubSet(dim=x.dim, bases=tuple(bases), provenance="tampered")
+    return MubSet(dim=x.dim, bases=tuple(bases))
 
 
 def non_integer_target_set() -> MubSet:
@@ -80,7 +80,7 @@ def as_float_set(x: MubSet, turn: dict[tuple[int, int], float] | None = None) ->
             vecs.append(MubVector(dim=v.dim, root_order=1, norm_sq=v.norm_sq,
                                   amps_float=tuple(amps_f)))
         bases.append(MubBasis(tuple(vecs)))
-    return MubSet(dim=x.dim, bases=tuple(bases), provenance="float copy")
+    return MubSet(dim=x.dim, bases=tuple(bases))
 
 
 # -- vectors and embedding
@@ -161,7 +161,6 @@ def test_build_square_2_reproduces_the_reference_bases():
                   v((1, 0), (2, 0)), v((1, 0), (2, 1)))),
     ))
     assert got == want
-    assert got.provenance == "net+hadamard"
     assert got.k == 3 and got.dim == 4 and got.root_order == 2
 
 
@@ -179,10 +178,23 @@ def test_build_validates_inputs():
         build_mubs(net, GenHadamard(2, ((0, 0), (0, 0))))
 
 
+def test_build_bounds_the_set_size(monkeypatch):
+    # 3 bases of 4 vectors, each vector 2 amplitudes
+    net = net_from_mols(MolsSet(2, (cyclic_square(2),)))
+    monkeypatch.setattr(mub, "MAX_VECTORS", 12)
+    monkeypatch.setattr(mub, "MAX_AMPLITUDES", 24)
+    assert build_mubs(net, dft(2)).k == 3
+    for name, noun in [("MAX_VECTORS", "vectors"), ("MAX_AMPLITUDES", "amplitudes")]:
+        limit = getattr(mub, name)
+        monkeypatch.setattr(mub, name, limit - 1)
+        with pytest.raises(ValueError, match=f"TooLarge: {limit} {noun} exceed the limit"):
+            build_mubs(net, dft(2))
+        monkeypatch.setattr(mub, name, limit)
+
+
 def test_standard_basis_is_exact_and_verified():
     x = standard_basis(5)
     assert x.k == 1 and x.dim == 5 and x.is_exact
-    assert x.provenance == "trivial"
     assert verify_mubs(x, mode="exact").ok
     assert verify_mubs(x, mode="float").ok
 
@@ -604,11 +616,6 @@ def test_sparse_sets_verify_without_a_quadratic_pass(mode):
     assert time.perf_counter() - start < 10
 
 
-def test_set_equality_ignores_provenance():
-    x = built_mubs(2)
-    assert x._replace(provenance="elsewhere") == x
-
-
 def test_set_shape_validation():
     v = MubVector(dim=2, root_order=1, norm_sq=1, amps=((0, 0),))
     with pytest.raises(ValueError, match="bound"):
@@ -626,7 +633,6 @@ def test_tensor_counts_dimensions_and_roots():
     assert t.dim == 36
     assert t.k == 3  # min(3, 4)
     assert t.root_order == 6
-    assert t.provenance == "tensor"
 
 
 def test_tensor_positions_interleave():
@@ -646,15 +652,31 @@ def test_tensor_result_verifies_exactly():
 def test_tensor_with_dimension_one_is_identity():
     x = built_mubs(2)
     t = tensor_mubs(standard_basis(1), x)
-    assert t == x and t.provenance == "tensor"
+    assert t == x
     t2 = tensor_mubs(x, standard_basis(1))
     assert t2 == x
 
 
-def test_tensor_of_float_sets_verifies_in_float():
-    t = tensor_mubs(as_float_set(built_mubs(2)), built_mubs(2))
-    assert not t.is_exact
-    assert verify_mubs(t, mode="float").ok
+def test_tensor_refuses_float_only_factors():
+    x, f = built_mubs(2), as_float_set(built_mubs(2))
+    for a, b in [(f, x), (x, f), (f, f), (standard_basis(1), f)]:
+        with pytest.raises(ValueError, match="ExactUnavailable"):
+            tensor_mubs(a, b)
+
+
+def test_tensor_bounds_the_product_size(monkeypatch):
+    # 3 bases of 16 vectors, each vector 2 * 2 amplitudes
+    x = built_mubs(2)
+    assert tensor_mubs(x, x).k == 3
+    monkeypatch.setattr(mub, "MAX_VECTORS", 48)
+    monkeypatch.setattr(mub, "MAX_AMPLITUDES", 192)
+    assert verify_mubs(tensor_mubs(x, x)).ok
+    for name, noun in [("MAX_VECTORS", "vectors"), ("MAX_AMPLITUDES", "amplitudes")]:
+        limit = getattr(mub, name)
+        monkeypatch.setattr(mub, name, limit - 1)
+        with pytest.raises(ValueError, match=f"TooLarge: {limit} {noun} exceed the limit"):
+            tensor_mubs(x, x)
+        monkeypatch.setattr(mub, name, limit)
 
 
 def test_tensor_bounds_the_product_root_order():
@@ -744,7 +766,6 @@ def test_export_import_round_trip(tmp_path):
     export_mubs(x, path)
     y = import_mubs(path)
     assert y == x
-    assert y.provenance == "imported"
     # canonical form: a second export writes the same bytes
     path2 = tmp_path / "m2.json"
     export_mubs(y, path2)
@@ -768,11 +789,13 @@ def test_import_verifies_and_rejects_tampered_files(tmp_path):
     assert err.value.report.failing_pairs()
 
 
-def test_float_documents_get_the_weaker_provenance():
+def test_float_documents_verify_in_float():
     doc = mubs_to_dict(as_float_set(built_mubs(2)))
-    x = verified_from_dict(doc)
-    assert not x.is_exact
-    assert x.provenance == "float-verified only"
+    assert not verified_from_dict(doc).is_exact
+    doc["bases"][1][0]["amps_float"][0][1] *= -1  # now parallel to vector 1
+    with pytest.raises(VerificationFailedError) as err:
+        verified_from_dict(doc)
+    assert err.value.report.mode == "float" and err.value.report.failing_pairs()
 
 
 def test_parse_rejects_malformed_documents():

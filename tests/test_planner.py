@@ -18,6 +18,7 @@ from mubkit.planner import (
     ImportsTable,
     PlanNode,
     _mols_candidates,
+    count_tag,
     plan,
     prime_power_reduction_count,
 )
@@ -141,6 +142,13 @@ def test_imports_change_constructible_counts(tmp_path):
     assert p.best_count == 9  # the cited prime-power count still wins
     kinds = {c.kind for c in p.best_constructible.children}
     assert "imported-mubs" in kinds
+
+
+def test_only_exact_imported_sets_are_tagged_constructible():
+    # plan marks an imported set constructible exactly when it is exact
+    leaf = PlanNode(2, "imported-mubs", 3, False, "imported")
+    assert count_tag(leaf) == "float-verified only"
+    assert count_tag(leaf._replace(constructible=True)) == "constructible"
 
 
 def test_cited_bounds_feed_square_routes(tmp_path):
@@ -269,7 +277,8 @@ def eager_plan(d: int, imports: ImportsTable) -> dict:
                 if width > 0:
                     candidates.append(PlanNode(n, "square", width + 2, constructive, provenance))
         if n in imports.mubs:
-            candidates.append(PlanNode(n, "imported-mubs", imports.mubs[n].k, True, "imported"))
+            x = imports.mubs[n]
+            candidates.append(PlanNode(n, "imported-mubs", x.k, x.is_exact, "imported"))
         for a in divisors(n):
             b = n // a
             if a < 2 or a * a > n or b < 2 or b == n:

@@ -75,11 +75,10 @@ def test_cyclotomic_keeps_ring_equality_and_no_hash():
         hash(a)
 
 
-def test_set_equality_and_hash_ignore_provenance():
-    x = standard_basis(3)
-    y = x._replace(provenance="elsewhere")
-    assert y.provenance == "elsewhere"
-    assert x == y and not x != y
+def test_sets_compare_and_hash_by_dim_and_bases():
+    x, y = standard_basis(3), standard_basis(3)
+    assert x._fields == ("dim", "bases")
+    assert x is not y and x == y and not x != y
     assert hash(x) == hash(y)
     assert x != standard_basis(4) and not x == standard_basis(4)
 
