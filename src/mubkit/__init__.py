@@ -1,86 +1,46 @@
 """Construction and exact verification of mutually unbiased bases in
 square dimensions, via Latin squares, nets and generalized Hadamard
-matrices, plus a tensor combiner and a count planner."""
+matrices, plus a tensor combiner and a count planner.
 
-from .cyclotomic import Cyclotomic, IntPolynomial, cyclo_poly, root
-from .galois import GField, prime_power
-from .hadamard import GenHadamard, char_table, dft, tensor_hadamard, verify_hadamard
-from .latin import (
-    LatinSquare,
-    MolsSet,
-    NotLatinError,
-    NotOrthogonalError,
-    best_mols,
-    complete_mols_prime_power,
-    cyclic_square,
-    import_mols,
-    export_mols,
-    macneish_product,
-)
-from .mub import (
-    MubBasis,
-    MubReport,
-    MubSet,
-    MubVector,
-    VerificationFailedError,
-    build_mubs,
-    embed,
-    export_mubs,
-    import_mubs,
-    standard_basis,
-    tensor_mubs,
-    verify_mubs,
-)
-from .net import IncidenceVector, Net, load_net, mols_from_net, net_from_mols, save_net, verify_net
-from .planner import ImportsTable, Plan, PlanNode, plan
-from .serial import ParseError
+Importing the package loads none of its modules: each name below is
+imported from its module on first use (PEP 562), so a command that needs
+only the planner never compiles the verifier.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cyclotomic",
-    "GField",
-    "GenHadamard",
-    "ImportsTable",
-    "IncidenceVector",
-    "IntPolynomial",
-    "LatinSquare",
-    "MolsSet",
-    "MubBasis",
-    "MubReport",
-    "MubSet",
-    "MubVector",
-    "Net",
-    "NotLatinError",
-    "NotOrthogonalError",
-    "ParseError",
-    "Plan",
-    "PlanNode",
-    "VerificationFailedError",
-    "best_mols",
-    "build_mubs",
-    "char_table",
-    "complete_mols_prime_power",
-    "cyclic_square",
-    "cyclo_poly",
-    "dft",
-    "embed",
-    "export_mols",
-    "export_mubs",
-    "import_mols",
-    "import_mubs",
-    "load_net",
-    "macneish_product",
-    "mols_from_net",
-    "net_from_mols",
-    "plan",
-    "prime_power",
-    "root",
-    "save_net",
-    "standard_basis",
-    "tensor_hadamard",
-    "tensor_mubs",
-    "verify_hadamard",
-    "verify_mubs",
-    "verify_net",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("cyclotomic", "Cyclotomic IntPolynomial cyclo_poly root"),
+        ("galois", "GField prime_power"),
+        ("hadamard", "GenHadamard char_table dft tensor_hadamard verify_hadamard"),
+        ("latin", "LatinSquare MolsSet NotLatinError NotOrthogonalError best_mols"
+                  " complete_mols_prime_power cyclic_square import_mols export_mols"
+                  " macneish_product"),
+        ("mub", "MubBasis MubReport MubSet MubVector VerificationFailedError build_mubs"
+                " embed export_mubs import_mubs standard_basis tensor_mubs verify_mubs"),
+        ("net", "IncidenceVector Net load_net mols_from_net net_from_mols save_net verify_net"),
+        ("planner", "ImportsTable Plan PlanNode plan"),
+        ("serial", "ParseError"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups bypass __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -16,9 +16,10 @@ import argparse
 import functools
 import os
 import sys
-from typing import Sequence
 
-from . import hadamard, latin, mub, net, planner, serial
+# Each handler imports the modules it uses, so a process loads only what
+# its command runs: plan never loads the verifier, mub verify never loads
+# the planner or the MOLS and net code.
 
 _VIOLATION_LIMIT = 50
 
@@ -29,6 +30,8 @@ def _fail(message: str) -> int:
 
 
 def _load_imports(args) -> planner.ImportsTable:
+    from . import planner
+
     path = getattr(args, "imports", None) or os.environ.get("MUBKIT_IMPORTS")
     if not path:
         return planner.ImportsTable()
@@ -85,6 +88,8 @@ def _print_mols(m: latin.MolsSet, note: str) -> None:
 
 
 def _emit_mols(m: latin.MolsSet, args, note: str) -> None:
+    from . import latin, serial
+
     if args.output:
         latin.export_mols(m, args.output)
     if args.json:
@@ -94,6 +99,8 @@ def _emit_mols(m: latin.MolsSet, args, note: str) -> None:
 
 
 def _emit_net(n: net.Net, args) -> None:
+    from . import net, serial
+
     if args.output:
         net.save_net(n, args.output)
     if args.json:
@@ -139,6 +146,8 @@ def _report_lines(report: mub.MubReport) -> list[str]:
 def _verify(x: mub.MubSet, args, file) -> tuple[str, int]:
     """Run the requested oracles on x: the report text and the exit status,
     0 when every check passed and the oracles agree, else 1."""
+    from . import mub
+
     reports = [mub.verify_mubs(x, mode=mode, jobs=args.jobs) for mode in _modes(args, x, file)]
     lines = [line for report in reports for line in _report_lines(report)]
     ok = all(r.ok for r in reports)
@@ -153,6 +162,8 @@ def _verify(x: mub.MubSet, args, file) -> tuple[str, int]:
 # -- mols --------------------------------------------------------------------
 
 def cmd_mols_gen(args) -> int:
+    from . import latin
+
     s = args.order
     if s < 2:
         return _fail(f"order must be >= 2, got {s}")
@@ -170,6 +181,8 @@ def cmd_mols_gen(args) -> int:
 
 
 def cmd_mols_verify(args) -> int:
+    from . import latin
+
     try:
         m = latin.import_mols(args.file)
     except (latin.NotLatinError, latin.NotOrthogonalError) as exc:
@@ -180,6 +193,8 @@ def cmd_mols_verify(args) -> int:
 
 
 def cmd_mols_product(args) -> int:
+    from . import latin
+
     a = latin.import_mols(args.file_a)
     b = latin.import_mols(args.file_b)
     m = latin.macneish_product(a, b)
@@ -190,12 +205,16 @@ def cmd_mols_product(args) -> int:
 # -- net ---------------------------------------------------------------------
 
 def cmd_net_from_mols(args) -> int:
+    from . import latin, net
+
     m = latin.import_mols(args.file)
     _emit_net(net.net_from_mols(m), args)
     return 0
 
 
 def cmd_net_to_mols(args) -> int:
+    from . import net
+
     n = net.load_net(args.file)
     try:
         m = net.mols_from_net(n)
@@ -209,6 +228,8 @@ def cmd_net_to_mols(args) -> int:
 
 
 def cmd_net_verify(args) -> int:
+    from . import net
+
     n = net.load_net(args.file)
     report = net.verify_net(n)
     if report.ok:
@@ -228,6 +249,8 @@ def _check_and_emit(x: mub.MubSet, args, render: bool) -> int:
     print the JSON document under --json, else the rendering (render) or a
     summary line.  The reports follow on stdout, or on stderr under --json
     so stdout stays parseable; a failing set prints its reports alone."""
+    from . import mub
+
     dest = sys.stderr if args.json else sys.stdout
     text, status = _verify(x, args, dest)
     if status == 0:
@@ -242,6 +265,8 @@ def _check_and_emit(x: mub.MubSet, args, render: bool) -> int:
 
 
 def cmd_mub_build(args) -> int:
+    from . import hadamard, latin, mub, net
+
     s = args.square
     if s < 2:
         return _fail(f"--square must be >= 2, got {s}")
@@ -252,6 +277,8 @@ def cmd_mub_build(args) -> int:
 
 
 def cmd_mub_verify(args) -> int:
+    from . import mub, serial
+
     x = mub.mubs_from_dict(serial.read_json(args.file))
     print(f"d = {x.dim}, k = {x.k} bases")
     text, status = _verify(x, args, sys.stdout)
@@ -260,6 +287,8 @@ def cmd_mub_verify(args) -> int:
 
 
 def cmd_mub_tensor(args) -> int:
+    from . import mub
+
     try:
         a = mub.import_mubs(args.file_a, jobs=args.jobs)
         b = mub.import_mubs(args.file_b, jobs=args.jobs)
@@ -272,13 +301,17 @@ def cmd_mub_tensor(args) -> int:
 # -- plan --------------------------------------------------------------------
 
 def cmd_plan(args) -> int:
+    from . import arith, planner
+
     table = _load_imports(args)
     result = planner.plan(args.dim, table)
     if args.json:
+        from . import serial
+
         print(serial.dumps(result.to_dict()), end="")
         return 0
     factors = " x ".join(
-        f"{p}^{e}" if e > 1 else str(p) for p, e in latin.factorize(result.d)
+        f"{p}^{e}" if e > 1 else str(p) for p, e in arith.factorize(result.d)
     )
     print(f"d = {result.d} = {factors}" if "x" in factors or "^" in factors
           else f"d = {result.d}")
@@ -379,17 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except serial.ParseError as exc:
-        return _fail(str(exc))
-    except mub.VerificationFailedError as exc:
-        print(f"verification failed: {exc}")
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # serial.ParseError among them
         return _fail(str(exc))
 
 

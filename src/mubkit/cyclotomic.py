@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from typing import Iterable
+from collections.abc import Iterable
 
 from .record import checked_make
 

@@ -11,7 +11,7 @@ plain mod p.  The element <-> integer bijection is by base-p digits.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 MAX_ORDER = 1 << 16
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from functools import reduce
-from typing import Sequence
 
 from .cyclotomic import MAX_ROOT_ORDER, counts_to_cyclotomic
 from .record import checked_make

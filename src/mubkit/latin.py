@@ -15,7 +15,7 @@ from itertools import chain
 import os
 
 from . import serial
-from .galois import GField, prime_power
+from .arith import constructive_mols_count, factorize
 from .record import checked_make
 
 
@@ -133,6 +133,8 @@ def complete_mols_prime_power(q: int) -> MolsSet:
     the field does q^2 additions and q(q - 1) products in all, not q^3
     products.
     """
+    from .galois import GField, prime_power
+
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"NotPrimePower: {q}")
@@ -167,40 +169,6 @@ def macneish_product(a: MolsSet, b: MolsSet) -> MolsSet:
         )
         squares.append(LatinSquare(grid))
     return MolsSet(s, tuple(squares))
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division by 2, then by odd numbers,
-    ascending primes."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    out = []
-    p, step = 2, 1
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += step
-        step = 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def constructive_mols_count(s: int) -> int:
-    """MacNeish lower bound: min over prime-power parts p^e of s of p^e - 1."""
-    if s < 2:
-        return 0
-    return min(p**e - 1 for p, e in factorize(s))
-
-
-# Wilson's bound: every order from WILSON_MIN_ORDER on admits at least
-# WILSON_MOLS MOLS.
-WILSON_MIN_ORDER = 76
-WILSON_MOLS = 6
 
 
 def best_mols(s: int, imported: MolsSet | None = None) -> MolsSet:

@@ -58,13 +58,14 @@ import os
 import sys
 from array import array
 from collections import Counter, namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import serial
 from .cyclotomic import MAX_ROOT_ORDER, TOL, Cyclotomic, counts_to_cyclotomic
-from .hadamard import GenHadamard, verify_hadamard
-from .net import IncidenceVector, Net, verify_net
 from .record import checked_make
+
+# Verification needs neither net nor hadamard: build_mubs, the one function
+# that takes a net.Net and a hadamard.GenHadamard, imports them itself.
 
 # A loaded norm_sq, and each part of a loaded float amplitude, may be at most
 # this large: far above what any valid vector holds, and small enough that
@@ -202,6 +203,9 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
     of block b and Hadamard row l, the embedding of row l on vector i
     (i outer, l inner), scaled by 1/sqrt(s).
     """
+    from .hadamard import verify_hadamard
+    from .net import verify_net
+
     if had.size != net.s:
         raise ValueError(f"SizeMismatch: hadamard size {had.size} vs net order {net.s}")
     _bound_size(net.k * net.d, net.k * net.d * net.s)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import os
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable
 
 from . import serial
 from .latin import LatinSquare, MolsSet

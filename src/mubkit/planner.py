@@ -27,18 +27,14 @@ import math
 import os
 from collections import namedtuple
 
-from . import serial
-from .latin import (
-    MolsSet,
-    WILSON_MIN_ORDER,
-    WILSON_MOLS,
-    constructive_mols_count,
-    factorize,
-    mols_from_dict,
-)
-from .mub import MubSet, verified_from_dict
+from .arith import constructive_mols_count, factorize
 
 MAX_PLAN_DIM = 10 ** 9
+
+# Wilson's bound: every order from WILSON_MIN_ORDER on admits at least
+# WILSON_MOLS MOLS.
+WILSON_MIN_ORDER = 76
+WILSON_MOLS = 6
 
 
 class PlanNode(namedtuple("PlanNode", "d kind count constructible provenance children",
@@ -87,35 +83,44 @@ class Plan(namedtuple("Plan", "d best_count best_constructible_count "
         }
 
 
-class ImportsTable(namedtuple("ImportsTable", "mols mubs mols_cited")):
+class ImportsTable(namedtuple("ImportsTable", "mols mubs mols_cited exact_mubs")):
     """Externally supplied objects and bounds, keyed by order / dimension.
 
     mols maps s to a verified MOLS set of order s, mubs maps d to a verified
     set of bases of C^d, and mols_cited maps s to a cited lower bound on the
     number of MOLS of order s (existence only, nothing to construct from).
-    Each table left out starts as a fresh empty dict.
+    exact_mubs maps d to a verified set with exact amplitudes, which may be
+    narrower than a float-only mubs[d].  Each table left out starts as a
+    fresh empty dict.
     """
 
     __slots__ = ()
 
     def __new__(cls, mols: dict[int, MolsSet] | None = None,
                 mubs: dict[int, MubSet] | None = None,
-                mols_cited: dict[int, int] | None = None) -> "ImportsTable":
+                mols_cited: dict[int, int] | None = None,
+                exact_mubs: dict[int, MubSet] | None = None) -> "ImportsTable":
         return tuple.__new__(cls, ({} if mols is None else mols, {} if mubs is None else mubs,
-                                   {} if mols_cited is None else mols_cited))
+                                   {} if mols_cited is None else mols_cited,
+                                   {} if exact_mubs is None else exact_mubs))
 
     @classmethod
     def from_dir(cls, path: str | os.PathLike) -> "ImportsTable":
         """Scan a directory of JSON files, dispatching on their keys:
         "squares" -> MOLS, "bases" -> bases, "mols_cited_bounds" -> bounds.
         Every object import is fully verified; a widest-set / largest-bound
-        rule resolves duplicate orders.
+        rule resolves duplicate orders, and the widest exact set of bases is
+        kept beside the widest set overall.
         """
+        from . import serial
+
         table = cls()
         try:
             names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
         except OSError as exc:
             raise serial.ParseError(f"cannot read import directory {path}: {exc}") from None
+        # each kind of file imports the module that reads it, so a
+        # directory without bases files never loads the verifier
         for name in names:
             full = os.path.join(path, name)
             data = serial.read_json(full)
@@ -123,15 +128,22 @@ class ImportsTable(namedtuple("ImportsTable", "mols mubs mols_cited")):
                 raise serial.ParseError(f"{name}: import file must hold a JSON object")
             try:
                 if "squares" in data:
+                    from .latin import mols_from_dict
+
                     m = mols_from_dict(data)
                     old = table.mols.get(m.order)
                     if old is None or m.width > old.width:
                         table.mols[m.order] = m
                 elif "bases" in data:
+                    from .mub import verified_from_dict
+
                     x = verified_from_dict(data)
                     old = table.mubs.get(x.dim)
                     if old is None or x.k > old.k:
                         table.mubs[x.dim] = x
+                    old = table.exact_mubs.get(x.dim)
+                    if x.is_exact and (old is None or x.k > old.k):
+                        table.exact_mubs[x.dim] = x
                 elif "mols_cited_bounds" in data:
                     bounds = data["mols_cited_bounds"]
                     serial.expect(
@@ -229,9 +241,11 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
             for width, constructive, provenance in _mols_candidates(s, imports):
                 if width > 0:
                     candidates.append(PlanNode(n, "square", width + 2, constructive, provenance))
-        if n in imports.mubs:
-            x = imports.mubs[n]
-            candidates.append(PlanNode(n, "imported-mubs", x.k, x.is_exact, "imported"))
+        # the widest exact import comes first, so it wins ties for best; a
+        # wider float-only import may still raise best, never best_con
+        for x in (imports.exact_mubs.get(n), imports.mubs.get(n)):
+            if x is not None:
+                candidates.append(PlanNode(n, "imported-mubs", x.k, x.is_exact, "imported"))
         best = best_con = candidates[0]
         for cand in candidates[1:]:
             if cand.count > best.count:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
 
 
 class ParseError(ValueError):
@@ -16,14 +15,14 @@ class ParseError(ValueError):
 MAX_DOCUMENT_BYTES = 1 << 26
 
 
-def loads(text: str) -> Any:
+def loads(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def read_json(path: str | os.PathLike) -> Any:
+def read_json(path: str | os.PathLike) -> object:
     try:
         with open(path, "rb") as fh:
             # read(n) allocates n bytes at once, so a file is read at the
@@ -45,16 +44,16 @@ def read_json(path: str | os.PathLike) -> Any:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def encode(obj: Any) -> str:
+def encode(obj: object) -> str:
     """Canonical JSON text of obj, without the final newline."""
     return _ENCODER.encode(obj)
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     return encode(obj) + "\n"
 
 
-def write_json(path: str | os.PathLike, obj: Any) -> None:
+def write_json(path: str | os.PathLike, obj: object) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))
 
@@ -64,6 +63,6 @@ def expect(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def is_int(value: Any) -> bool:
+def is_int(value: object) -> bool:
     # JSON booleans are ints in Python; schemas here never want them.
     return isinstance(value, int) and not isinstance(value, bool)

@@ -25,6 +25,7 @@ from mubkit.planner import (
 from mubkit.serial import ParseError
 
 from conftest import DATA_DIR, built_mubs
+from reference import float_document, mubs_to_dict
 
 
 def qubit_triple() -> MubSet:
@@ -142,6 +143,25 @@ def test_imports_change_constructible_counts(tmp_path):
     assert p.best_count == 9  # the cited prime-power count still wins
     kinds = {c.kind for c in p.best_constructible.children}
     assert "imported-mubs" in kinds
+
+
+@pytest.mark.parametrize("pair_name, triple_name", [("a.json", "b.json"), ("b.json", "a.json")])
+def test_a_wider_float_only_import_keeps_the_exact_one(tmp_path, pair_name, triple_name):
+    # 8 = 2 * 4: an exact pair of qubit bases makes the split constructible
+    # with 2 bases; a wider float-only qubit triple beside it, in either
+    # file order, must not lower that count
+    triple = mubs_to_dict(qubit_triple())
+    (tmp_path / pair_name).write_text(json.dumps({**triple, "bases": triple["bases"][:2]}))
+    alone = plan(8, ImportsTable.from_dir(tmp_path))
+    assert alone.best_constructible_count == 2
+    (tmp_path / triple_name).write_text(json.dumps(float_document(triple)))
+    table = ImportsTable.from_dir(tmp_path)
+    assert (table.mubs[2].k, table.mubs[2].is_exact) == (3, False)
+    assert (table.exact_mubs[2].k, table.exact_mubs[2].is_exact) == (2, True)
+    p = plan(8, table)
+    assert p.best_constructible_count == 2
+    assert p.best_constructible == alone.best_constructible
+    assert p.best_count == 9  # the cited prime-power count still wins
 
 
 def test_only_exact_imported_sets_are_tagged_constructible():
@@ -276,9 +296,9 @@ def eager_plan(d: int, imports: ImportsTable) -> dict:
             for width, constructive, provenance in _mols_candidates(s, imports):
                 if width > 0:
                     candidates.append(PlanNode(n, "square", width + 2, constructive, provenance))
-        if n in imports.mubs:
-            x = imports.mubs[n]
-            candidates.append(PlanNode(n, "imported-mubs", x.k, x.is_exact, "imported"))
+        for x in (imports.exact_mubs.get(n), imports.mubs.get(n)):
+            if x is not None:
+                candidates.append(PlanNode(n, "imported-mubs", x.k, x.is_exact, "imported"))
         for a in divisors(n):
             b = n // a
             if a < 2 or a * a > n or b < 2 or b == n:

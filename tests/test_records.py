@@ -27,8 +27,9 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # nor typing: annotations are never evaluated, so no module imports it
     code = ("import sys, mubkit.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
