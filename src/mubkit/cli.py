@@ -29,12 +29,14 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _load_imports(args) -> planner.ImportsTable:
-    from . import planner
-
+def _load_imports(args) -> planner.ImportsTable | None:
+    """The table read from --imports or MUBKIT_IMPORTS; None when neither
+    is set, so a build without imports never loads the planner."""
     path = getattr(args, "imports", None) or os.environ.get("MUBKIT_IMPORTS")
     if not path:
-        return planner.ImportsTable()
+        return None
+    from . import planner
+
     return planner.ImportsTable.from_dir(path)
 
 
@@ -271,7 +273,7 @@ def cmd_mub_build(args) -> int:
     if s < 2:
         return _fail(f"--square must be >= 2, got {s}")
     table = _load_imports(args)
-    mols = latin.best_mols(s, imported=table.mols.get(s))
+    mols = latin.best_mols(s, imported=None if table is None else table.mols.get(s))
     n = net.net_from_mols(mols)
     return _check_and_emit(mub.build_mubs(n, hadamard.dft(s)), args, render=True)
 

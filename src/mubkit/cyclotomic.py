@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 
 from .record import checked_make
@@ -243,3 +243,11 @@ def counts_to_cyclotomic(order: int, counts: dict[int, int]) -> Cyclotomic:
     for e, c in counts.items():
         coeffs[e % order] += c
     return Cyclotomic(order, tuple(coeffs))
+
+
+def root_sum(order: int, exponents: Iterable[int]) -> Cyclotomic:
+    """The sum of w_order^e over exponents, a repeated exponent counted each
+    time.  The inner product of two vectors of roots of unity is this sum
+    over their exponent differences, so the sorted differences alone fix
+    it: the exact checks key their verdicts by them."""
+    return counts_to_cyclotomic(order, Counter(exponents))

@@ -7,18 +7,21 @@ order m: entry (r, c) is exp(2 pi i * exponents[r][c] / m).
 
 Row orthogonality is decided exactly: the inner product of rows r and r'
 is sum_c root(m, e[r][c] - e[r'][c]), a group-ring element whose vanishing
-is tested modulo the m-th cyclotomic polynomial.  The package has no float
-check of H; the tests cross-check this one against a numeric Gram matrix.
+is tested modulo the m-th cyclotomic polynomial.  That sum depends only on
+the multiset of differences, so each distinct sorted tuple of differences
+is tested once per matrix.  The package has no float check of H; the
+tests cross-check this one against a numeric Gram matrix.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+import operator
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import reduce
 
-from .cyclotomic import MAX_ROOT_ORDER, counts_to_cyclotomic
+from .cyclotomic import MAX_ROOT_ORDER, root_sum
 from .record import checked_make
 
 MAX_TABLE_SIZE = 1 << 12
@@ -97,16 +100,28 @@ class HadamardReport(namedtuple("HadamardReport", "size violations")):
 
 def verify_hadamard(h: GenHadamard) -> HadamardReport:
     """Exact check that all distinct row pairs are orthogonal; a root order
-    above MAX_ROOT_ORDER is refused."""
+    above MAX_ROOT_ORDER is refused.
+
+    Rows r < r2 are keyed by their sorted differences e[r][c] - e[r2][c]
+    mod m, which fix their inner product, and each distinct key gets one
+    ring zero test: dft(n) makes tau(n) - 1 of them, not C(n, 2).  At most
+    MAX_TABLE_SIZE verdicts are kept, which bounds memory on unstructured
+    input.  The failing pairs (r, r2) are listed in row-major order.
+    """
     m = h.root_order
     if m > MAX_ROOT_ORDER:
         raise ValueError(f"TooLarge: root order {m} exceeds the limit {MAX_ROOT_ORDER}")
+    rows = h.exponents
+    verdicts: dict[tuple[int, ...], bool] = {}
     bad = []
-    for r in range(h.size):
+    for r, row in enumerate(rows):
         for r2 in range(r + 1, h.size):
-            counts = Counter(
-                (h.exponents[r][c] - h.exponents[r2][c]) % m for c in range(h.size)
-            )
-            if not counts_to_cyclotomic(m, counts).is_zero():
+            key = tuple(sorted(map(m.__rmod__, map(operator.sub, row, rows[r2]))))
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = root_sum(m, key).is_zero()
+                if len(verdicts) < MAX_TABLE_SIZE:
+                    verdicts[key] = ok
+            if not ok:
                 bad.append((r, r2))
     return HadamardReport(h.size, tuple(bad))

@@ -57,11 +57,11 @@ import operator
 import os
 import sys
 from array import array
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 
 from . import serial
-from .cyclotomic import MAX_ROOT_ORDER, TOL, Cyclotomic, counts_to_cyclotomic
+from .cyclotomic import MAX_ROOT_ORDER, TOL, Cyclotomic, root_sum
 from .record import checked_make
 
 # Verification needs neither net nor hadamard: build_mubs, the one function
@@ -418,7 +418,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
         out = _check_norms_exact(x, b)
 
         def vanishes(_, diffs) -> bool:
-            return counts_to_cyclotomic(m, Counter(diffs)).is_zero()
+            return root_sum(m, diffs).is_zero()
 
         # holders[pos] has bit g set when group g holds pos; only the groups
         # sharing a position are visited, all others have disjoint supports
@@ -445,7 +445,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
     # the ring, which needs no division.
     def unbiased(nunv, diffs) -> bool:
-        s_val = counts_to_cyclotomic(m, Counter(diffs))
+        s_val = root_sum(m, diffs)
         return (s_val * s_val.conj() * d - Cyclotomic.from_int(nunv)).is_zero()
 
     out = []
@@ -635,24 +635,37 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
 # {"norm_sq": n, "amps": [[pos, exp], ...]} for exact amplitudes or
 # {"norm_sq": n, "amps_float": [[pos, re, im], ...]} otherwise.
 
-def _vector_json(vec: MubVector, m: int) -> str:
+def _vector_json(vec: MubVector, m: int, pos_tok: list[str], exp_tok: list[str]) -> str:
     if vec.amps is None:
         return serial.encode({"norm_sq": vec.norm_sq, "amps_float": [
             [pos, a.real, a.imag] for pos, a in vec.amps_float]})
-    amps = vec.amps
-    if vec.root_order != m:
-        f = m // vec.root_order
-        amps = [(pos, e * f) for pos, e in amps]  # e < root_order, so e*f < m
-    return '{"amps":[' + ",".join(map("[%d,%d]".__mod__, amps)) + '],"norm_sq":%d}' % vec.norm_sq
+    if vec.root_order == m:
+        body = ",".join([pos_tok[p] + exp_tok[e] for p, e in vec.amps])
+    else:
+        f = m // vec.root_order  # e < root_order, so e*f < m
+        body = ",".join([pos_tok[p] + exp_tok[e * f] for p, e in vec.amps])
+    return '{"amps":[' + body + '],"norm_sq":%d}' % vec.norm_sq
 
 
 def mubs_to_json(x: MubSet) -> str:
     """The canonical document of x (sorted keys, no spaces, a final
     newline, as serial.dumps writes it), with every exact vector lifted to
-    the set root order.  Exact vectors are written directly, float vectors
-    through the JSON encoder."""
+    the set root order.
+
+    Exact vectors are written from two token lists built once per set,
+    "[p," for each position p < d and "e]" for each exponent e < m, so an
+    amplitude costs two lookups and one concatenation; float vectors go
+    through the JSON encoder.  A set whose root order exceeds
+    MAX_ROOT_ORDER could not be read back, and is refused (TooLarge).
+    """
     m = x.root_order
-    bases = ",".join("[" + ",".join(_vector_json(vec, m) for vec in basis.vectors) + "]"
+    if m > MAX_ROOT_ORDER:
+        raise ValueError(f"TooLarge: root order {m} exceeds the limit {MAX_ROOT_ORDER}")
+    # a set with no bases holds no vector, and its dim bounds nothing
+    pos_tok = ["[%d," % p for p in range(x.dim if x.bases else 0)]
+    exp_tok = ["%d]" % e for e in range(m)]
+    bases = ",".join("[" + ",".join(_vector_json(vec, m, pos_tok, exp_tok)
+                                    for vec in basis.vectors) + "]"
                      for basis in x.bases)
     return '{"bases":[%s],"dim":%d,"root_order":%d}\n' % (bases, x.dim, m)
 

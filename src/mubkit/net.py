@@ -68,8 +68,15 @@ class IncidenceVector(namedtuple("IncidenceVector", "length bits")):
 
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
-        # cached: build_mubs embeds s Hadamard rows on each incidence vector
-        return tuple(p for p in range(self.length) if self.bits >> p & 1)
+        # cached: build_mubs embeds s Hadamard rows on each incidence vector.
+        # One step per set bit, lowest first, not one per position.
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
 
 class Net(namedtuple("Net", "s blocks")):

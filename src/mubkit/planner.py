@@ -123,10 +123,10 @@ class ImportsTable(namedtuple("ImportsTable", "mols mubs mols_cited exact_mubs")
         # directory without bases files never loads the verifier
         for name in names:
             full = os.path.join(path, name)
-            data = serial.read_json(full)
-            if not isinstance(data, dict):
-                raise serial.ParseError(f"{name}: import file must hold a JSON object")
             try:
+                data = serial.read_json(full)
+                if not isinstance(data, dict):
+                    raise serial.ParseError("import file must hold a JSON object")
                 if "squares" in data:
                     from .latin import mols_from_dict
 
@@ -151,19 +151,18 @@ class ImportsTable(namedtuple("ImportsTable", "mols mubs mols_cited exact_mubs")
                             serial.is_int(v) and v >= 0 and k.isdigit()
                             for k, v in bounds.items()
                         ),
-                        f'{name}: "mols_cited_bounds" must map order strings to counts',
+                        '"mols_cited_bounds" must map order strings to counts',
                     )
                     for key, value in bounds.items():
                         s = int(key)
                         table.mols_cited[s] = max(table.mols_cited.get(s, 0), value)
                 else:
                     raise serial.ParseError(
-                        f"{name}: unrecognized import file (no squares/bases/mols_cited_bounds key)"
-                    )
+                        "unrecognized import file (no squares/bases/mols_cited_bounds key)")
             except ValueError as exc:
-                if isinstance(exc, serial.ParseError):
-                    raise
-                raise serial.ParseError(f"{name}: {exc}") from None
+                # every message names the file: read_json's carry its path
+                text = str(exc)
+                raise serial.ParseError(text if full in text else f"{name}: {text}") from None
         return table
 
 

@@ -2,7 +2,8 @@
 the complete MOLS set computed cell by cell, factorization by trial
 division by every integer, the net of a MOLS set scanned once per
 symbol, the exact inner product of
-two vectors with the failing pairs it gives, the float deviation of a
+two vectors with the failing pairs it gives, the failing row pairs of a
+Hadamard matrix tested one pair at a time, the float deviation of a
 Hadamard matrix, and the float oracle written as one loop per pair.
 Beside them sit small tools the tests use to read library objects: the
 complex value of a cyclotomic element, one entry of a Hadamard matrix,
@@ -141,6 +142,19 @@ def exact_failing_pairs(x: MubSet) -> frozenset[tuple[int, int, int, int]]:
                     if bad:
                         out.add((b, i, c, j))
     return frozenset(out)
+
+
+def hadamard_failing_pairs(h: GenHadamard) -> tuple[tuple[int, int], ...]:
+    """The row pairs r < r2 of h, in row-major order, whose exact inner
+    product is not zero, each pair counted and tested on its own."""
+    m, s = h.root_order, h.size
+    out = []
+    for r in range(s):
+        for r2 in range(r + 1, s):
+            counts = Counter((h.exponents[r][c] - h.exponents[r2][c]) % m for c in range(s))
+            if not counts_to_cyclotomic(m, counts).is_zero():
+                out.append((r, r2))
+    return tuple(out)
 
 
 def float_deviation(h: GenHadamard) -> float:

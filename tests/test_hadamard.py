@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mubkit.cyclotomic import Cyclotomic, divisors
 from mubkit.hadamard import (
     GenHadamard,
     MAX_TABLE_SIZE,
@@ -17,7 +18,7 @@ from mubkit.hadamard import (
     verify_hadamard,
 )
 
-from reference import entry, float_deviation
+from reference import entry, float_deviation, hadamard_failing_pairs
 
 TOL = 1e-9
 
@@ -152,3 +153,37 @@ def test_scaling_a_single_entry_never_stays_hadamard(orders, data):
     report = verify_hadamard(bad)
     assert not report.ok
     assert (float_deviation(bad) < TOL) == report.ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_orders, st.data())
+def test_the_report_matches_one_ring_test_per_row_pair(orders, data):
+    # tampered entries break the structure the distinct-difference keys
+    # exploit; the report must still list the reference's pairs in order
+    h = char_table(orders)
+    rows = [list(row) for row in h.exponents]
+    for _ in range(data.draw(st.integers(1, 4))):
+        r = data.draw(st.integers(0, h.size - 1))
+        c = data.draw(st.integers(0, h.size - 1))
+        rows[r][c] = data.draw(st.integers(0, h.root_order - 1))
+    bad = GenHadamard(h.root_order, tuple(tuple(row) for row in rows))
+    for x in (h, bad):
+        report = verify_hadamard(x)
+        assert report.size == x.size
+        assert report.violations == hadamard_failing_pairs(x)
+
+
+@pytest.mark.parametrize("s", [2, 12, 16, 26, 32])
+def test_the_dft_makes_one_zero_test_per_proper_divisor(s, monkeypatch):
+    # rows r and r2 of dft(s) differ by a multiple of gcd(r - r2, s), each
+    # taken gcd times, so only tau(s) - 1 difference multisets occur
+    calls = []
+    is_zero = Cyclotomic.is_zero
+
+    def counting_is_zero(self):
+        calls.append(self.order)
+        return is_zero(self)
+
+    monkeypatch.setattr(Cyclotomic, "is_zero", counting_is_zero)
+    assert verify_hadamard(dft(s)).ok
+    assert len(calls) == len(divisors(s)) - 1

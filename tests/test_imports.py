@@ -51,6 +51,12 @@ def test_plan_loads_neither_the_verifier_nor_the_constructions():
     assert not modules_after(["plan", "4732", "--imports", DATA_DIR]) & HEAVY
 
 
+def test_mub_build_without_imports_loads_no_planner():
+    loaded = modules_after(["mub", "build", "--square", "3"])
+    assert "mubkit.hadamard" in loaded
+    assert "mubkit.planner" not in loaded
+
+
 def test_mub_verify_loads_neither_the_planner_nor_the_constructions(tmp_path):
     path = tmp_path / "s3.json"
     export_mubs(built_mubs(3), path)
@@ -118,3 +124,4 @@ def test_a_broken_imports_directory_exits_2_cold(tmp_path, broken):
     proc = cold_cli("plan", "16", "--imports", str(tmp_path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and broken in proc.stderr
+    assert "x.json" in proc.stderr

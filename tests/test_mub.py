@@ -745,6 +745,8 @@ def test_json_writer_matches_the_reference_encoding(mols26_path, tmp_path):
     sets.append(odd_floats())
     sets.append(MubSet(dim=4, bases=(built_mubs(2).bases[0], as_float_set(built_mubs(2)).bases[1])))
     sets.append(MubSet(dim=3, bases=()))
+    sets.append(built_mubs(16))  # positions of up to three digits
+    sets.append(standard_basis(1500))  # one amplitude per vector, four-digit positions
     for n, x in enumerate(sets):
         want = serial.dumps(old_to_dict(x))
         assert mubs_to_json(x) == want
@@ -753,6 +755,15 @@ def test_json_writer_matches_the_reference_encoding(mols26_path, tmp_path):
         assert path.read_bytes() == want.encode("utf-8")
     assert mubs_to_dict(mixed_root_orders()) == old_to_dict(mixed_root_orders())
     assert mubs_to_dict(mixed_root_orders())["root_order"] == 6
+
+
+def test_json_writer_refuses_a_root_order_no_reader_accepts():
+    # root orders 4093 and 4091 lift to 16,744,463 > MAX_ROOT_ORDER, which
+    # mubs_from_dict refuses, so the writer refuses it too
+    x = MubSet(dim=2, bases=(MubBasis(tuple(
+        MubVector(dim=2, root_order=m, norm_sq=2, amps=((0, 0), (1, 1))) for m in (4093, 4091))),))
+    with pytest.raises(ValueError, match="TooLarge: root order 16744463"):
+        mubs_to_json(x)
 
 
 def test_dict_round_trip():

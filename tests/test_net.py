@@ -207,3 +207,16 @@ def test_dropping_blocks_keeps_a_net_valid(q, data):
     keep = data.draw(st.integers(min_value=1, max_value=full.k))
     report = verify_net(Net(q, full.blocks[:keep]))
     assert report.ok
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_support_lists_the_set_bits_in_order(case):
+    length, bits = case
+    # a random pattern, no bit, bit 0 alone, the top bit alone, every bit
+    for b in (bits, 0, 1, 1 << (length - 1), (1 << length) - 1):
+        assert IncidenceVector(length, b).support == tuple(
+            p for p in range(length) if b >> p & 1)
+    assert IncidenceVector(0, 0).support == ()
