@@ -11,18 +11,21 @@ For a dimension d the planner compares, over the divisor tree of d:
   * tensor splits d = a * b, keeping min of the factor counts.
 
 Every node of the tree divides d, so d is factored once; each node's
-factorization, its prime-power test and its divisors come from d's primes,
-and a tensor node is built only when its count beats the current best.
+factorization, its prime-power test and its divisors come from d's primes.
 
 Two optima are tracked: best_count uses every bound including
 cited-existence ones, best_constructible_count only routes this package
-can actually build or has imported as explicit verified objects.  The
-baseline prime_power_reduction_count is min(p_i^(e_i)) + 1 over the prime
+can actually build or has imported as explicit verified objects.  They
+are two first-max searches over the same candidates and splits, each
+tensor node built from the factors' trees of its own kind, and only when
+it beats the optimum it would replace.  The baseline
+prime_power_reduction_count is min(p_i^(e_i)) + 1 over the prime
 factorization, the guarantee obtained by tensoring the prime-power parts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import namedtuple
@@ -56,15 +59,10 @@ class PlanNode(namedtuple("PlanNode", "d kind count constructible provenance chi
         return f"{self.d}[trivial: 1]"
 
     def to_dict(self) -> dict:
-        out = {
-            "d": self.d,
-            "kind": self.kind,
-            "count": self.count,
-            "constructible": self.constructible,
-            "provenance": self.provenance,
-        }
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
+        out = self._asdict()
+        children = out.pop("children")
+        if children:
+            out["children"] = [c.to_dict() for c in children]
         return out
 
 
@@ -73,14 +71,10 @@ class Plan(namedtuple("Plan", "d best_count best_constructible_count "
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "best_count": self.best_count,
-            "best_constructible_count": self.best_constructible_count,
-            "prime_power_reduction_count": self.prime_power_reduction_count,
-            "best": self.best.to_dict(),
-            "best_constructible": self.best_constructible.to_dict(),
-        }
+        out = self._asdict()
+        out["best"] = self.best.to_dict()
+        out["best_constructible"] = self.best_constructible.to_dict()
+        return out
 
 
 class ImportsTable(namedtuple("ImportsTable", "mols mubs mols_cited exact_mubs")):
@@ -223,12 +217,9 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
     imports = imports or ImportsTable()
     factors = factorize(d)
     primes = [p for p, _ in factors]
-    memo: dict[int, tuple[PlanNode, PlanNode]] = {}
 
+    @functools.cache
     def solve(n: int) -> tuple[PlanNode, PlanNode]:
-        got = memo.get(n)
-        if got is not None:
-            return got
         fac = _factors_over(n, primes)
         candidates: list[PlanNode] = [
             PlanNode(n, "trivial", 1, True, "standard basis")
@@ -251,40 +242,29 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
                 best = cand
             if cand.constructible and cand.count > best_con.count:
                 best_con = cand
-        # Splits n = a * b with 2 <= a <= b, each offering the product of the
-        # factors' best trees, then of their constructible trees; a node is
-        # built only when it strictly beats what it would replace.  The
-        # second count is at most the first, so it can only beat best_con.
+        # Splits n = a * b with 2 <= a <= b: best takes the product of the
+        # factors' best trees, best_con that of their constructible trees,
+        # each node built only when it strictly beats the optimum it would
+        # replace.
         for a in _divisors_of(fac)[1:]:
             if a * a > n:
                 break
             left_best, left_con = solve(a)
             right_best, right_con = solve(n // a)
             count = min(left_best.count, right_best.count)
-            con = left_best.constructible and right_best.constructible
-            if count > best.count or (con and count > best_con.count):
-                node = PlanNode(n, "tensor", count, con, "tensor", (left_best, right_best))
-                if count > best.count:
-                    best = node
-                if con and count > best_con.count:
-                    best_con = node
+            if count > best.count:
+                best = PlanNode(n, "tensor", count,
+                                left_best.constructible and right_best.constructible,
+                                "tensor", (left_best, right_best))
             count = min(left_con.count, right_con.count)
             if count > best_con.count:
                 best_con = PlanNode(n, "tensor", count, True, "tensor", (left_con, right_con))
-        memo[n] = (best, best_con)
-        return memo[n]
+        return best, best_con
 
     best, best_con = solve(d)
-    # The defensive floor of 3 never binds: every n >= 2 has a prime-power
-    # divisor, so tensor routes alone already guarantee at least 3.
-    return Plan(
-        d=d,
-        best_count=max(best.count, 3),
-        best_constructible_count=best_con.count,
-        prime_power_reduction_count=_reduction_count(factors),
-        best=best,
-        best_constructible=best_con,
-    )
+    return Plan(d=d, best_count=best.count, best_constructible_count=best_con.count,
+                prime_power_reduction_count=_reduction_count(factors),
+                best=best, best_constructible=best_con)
 
 
 def count_tag(node: PlanNode) -> str:

@@ -36,7 +36,10 @@ def read_json(path: str | os.PathLike) -> object:
         raise ParseError(f"cannot read {path}: {exc}") from None
     expect(len(data) <= MAX_DOCUMENT_BYTES,
            f"{path} holds more than {MAX_DOCUMENT_BYTES} bytes")
-    return loads(data.decode("utf-8"))
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 # Sorted keys and fixed separators keep byte-identical output for equal

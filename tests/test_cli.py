@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from mubkit import hadamard, mub, net, serial
 from mubkit.cli import build_parser, main
-from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, mols_to_dict
+from mubkit.latin import (MolsSet, complete_mols_prime_power, cyclic_square, mols_from_dict,
+                          mols_to_dict)
 from mubkit.mub import mubs_from_dict, standard_basis, verify_mubs
 
 from conftest import DATA_DIR, built_mubs
@@ -90,6 +91,10 @@ def test_mols_gen_complete_set(capsys):
     assert rc == 0
     assert out.startswith("order 4, 3 squares (complete set)\n")
     assert "square 3:" in out
+    rc, out, _ = run(capsys, "mols", "gen", "--order", "3", "--json")
+    assert rc == 0
+    assert out == serial.dumps(mols_to_dict(complete_mols_prime_power(3)))
+    assert mols_from_dict(json.loads(out)) == complete_mols_prime_power(3)
 
 
 def test_mols_gen_requires_prime_power_or_cyclic(capsys):
@@ -99,6 +104,9 @@ def test_mols_gen_requires_prime_power_or_cyclic(capsys):
     rc, out, _ = run(capsys, "mols", "gen", "--order", "6", "--cyclic")
     assert rc == 0
     assert out.startswith("order 6, 1 squares (cyclic)\n")
+    rc, out, err = run(capsys, "mols", "gen", "--order", "1")
+    assert rc == 2
+    assert err == "error: order must be >= 2, got 1\n"
 
 
 def test_mols_verify_and_product(capsys, tmp_path):
@@ -533,6 +541,17 @@ def test_plan_counts_only_exact_imported_sets_as_constructible(capsys, tmp_path)
         rc, out, _ = run(capsys, "plan", "8", "--imports", str(tmp_path), "--json")
         assert rc == 0
         assert json.loads(out)["best_constructible_count"] == want
+    # 3: the computational basis and the three quadratic-phase bases
+    # w^(a x^2 + b x) make an exact complete set, an imported leaf
+    standard = [{"norm_sq": 1, "amps": [[x, 0]]} for x in range(3)]
+    phase = [[{"norm_sq": 3, "amps": [[x, (a * x * x + b * x) % 3] for x in range(3)]}
+              for b in range(3)] for a in range(3)]
+    doc = {"dim": 3, "root_order": 3, "bases": [standard] + phase}
+    (tmp_path / "complete3").mkdir()
+    (tmp_path / "complete3" / "c3.json").write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "plan", "3", "--imports", str(tmp_path / "complete3"))
+    assert rc == 0
+    assert "constructible route: 3[imported: 4]\n" in out
 
 
 def test_plan_json(capsys):
@@ -588,10 +607,12 @@ def test_missing_files_exit_2(capsys):
 
 def test_malformed_json_exits_2(capsys, tmp_path):
     path = tmp_path / "x.json"
-    path.write_text("{not json")
-    rc, _, err = run(capsys, "mub", "verify", str(path))
-    assert rc == 2
-    assert "invalid JSON" in err
+    for data in [b"{not json", b"\xff\xfe{"]:
+        path.write_bytes(data)
+        rc, _, err = run(capsys, "mub", "verify", str(path))
+        assert rc == 2
+        assert "invalid JSON" in err
+        assert str(path) in err
 
 
 def test_module_entry_point_runs():

@@ -105,6 +105,8 @@ def test_plan_4732_with_imported_mols_of_26(mols26_path):
     assert p.best.kind == "tensor"
     kinds = {(c.kind, c.provenance) for c in p.best.children}
     assert ("square", "imported") in kinds
+    assert p.best_constructible.kind == "trivial"
+    assert count_tag(p.best_constructible) == "trivial"
 
 
 def test_prime_power_reduction_values():
@@ -334,6 +336,9 @@ def test_plans_match_the_eager_search():
     tables = [ImportsTable(), ImportsTable.from_dir(DATA_DIR)]
     rng = random.Random(2004)
     dims = list(range(2, 2001)) + [rng.randrange(2, 10 ** 8) for _ in range(200)]
+    # with the imported 26^2 square, the split 676 x 676 of 676^2 (also a
+    # node of 2 * 676^2's tree) pairs two best trees that are constructible
+    dims += [456976, 913952]
     for d in dims:
         for table in tables:
             assert plan(d, table).to_dict() == eager_plan(d, table), d
