@@ -5,7 +5,11 @@ incidence vector, each amplitude a root of unity taken from one row of a
 generalized Hadamard matrix, with overall scale 1/sqrt(norm_sq).  Block b
 of a (k,s)-net yields one basis of C^(s^2) holding s*s vectors (incidence
 vector index outer, Hadamard row index inner), and the k blocks give k
-mutually unbiased bases.
+mutually unbiased bases.  build_mubs and embed share one helper, which
+checks each support once (weight, order, range) and each Hadamard row once
+(length, exponent range) instead of each amplitude, and builds each
+position's (position, exponent) pairs once, shared by every vector that
+holds them.
 
 Two vectors from different bases share exactly one support point, so their
 unscaled inner product S is a single root of unity and |S|^2 / (nu * nv) =
@@ -22,8 +26,10 @@ exactly when nu*nv = d; disjoint supports give S = 0.  Within a basis it
 visits only the groups that share a position, found through a position ->
 group index.  Every other overlapping pair of groups, a group with itself
 included, is decided by one function on the positions the two share: it
-packs each group's exponent rows once, adds two packed rows into one key
-per vector pair, reads the exponent differences back sorted as
+packs each group's exponent rows once (straight from the amplitude
+dict's values when those positions are the group's whole support), adds
+two packed rows into one key per vector pair, reads the exponent
+differences back sorted as
 bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
 MOD_M reducing each byte mod m (a tuple from an array for 16-bit fields),
 and tests each distinct vector of sorted differences once per call in the
@@ -181,17 +187,61 @@ def _bound_size(vectors: int, amplitudes: int) -> None:
             raise ValueError(f"TooLarge: {count} {noun} exceed the limit {limit}")
 
 
+def _embedded(rows: Sequence[Sequence[int]], root_order: int,
+              support_vecs: Sequence[IncidenceVector]) -> list[MubVector]:
+    """The embedding of each row on each vector's support (see embed),
+    vector outer and row inner.
+
+    MubVector's checks run once per support and once per row, not once per
+    amplitude: every support holds s points, s the length of the first row,
+    strictly increasing inside 0..length-1 (a support that fails is handed
+    to MubVector, which names its first bad entry), and every row holds s
+    exponents in 0..root_order-1.  Each position's (position, exponent)
+    pairs, one per exponent the rows place there, are built once and shared
+    by every vector holding them.
+    """
+    m, s = root_order, len(rows[0])
+    supports = [vec.support for vec in support_vecs]
+    for w in map(len, supports):
+        if w != s:
+            raise ValueError(f"WeightMismatch: row length {s} vs support weight {w}")
+    if m < 1 or s < 1:
+        raise ValueError("dim, root_order and norm_sq must be positive")
+    for vec, support in zip(support_vecs, supports):
+        if not (0 <= support[0] and support[-1] < vec.length
+                and all(map(operator.lt, support, support[1:]))):
+            MubVector(vec.length, m, s, tuple(zip(support, rows[0])))  # raises
+    for row in rows:
+        if len(row) != s:
+            raise ValueError(f"WeightMismatch: row length {len(row)} vs support weight {s}")
+        for e in row:
+            if not 0 <= e < m:
+                raise ValueError(f"exponent {e} out of range for root order {m}")
+    # held[p]: the exponents placed at p, column l of the rows landing at
+    # the l-th position of each support
+    columns = [frozenset(col) for col in zip(*rows)]
+    held: dict[int, set[int]] = {}
+    for support in supports:
+        for p, col in zip(support, columns):
+            held.setdefault(p, set()).update(col)
+    pairs = {p: {e: (p, e) for e in es} for p, es in held.items()}
+    new = tuple.__new__
+    out = []
+    for vec, support in zip(support_vecs, supports):
+        cells = list(map(pairs.__getitem__, support))
+        d = vec.length
+        out.extend([new(MubVector, (d, m, s, tuple(map(operator.getitem, cells, row)), None))
+                    for row in rows])
+    return out
+
+
 def embed(row: Sequence[int], root_order: int, support_vec: IncidenceVector) -> MubVector:
     """Place the exponents of one Hadamard row, each in 0..root_order-1, on
     the support of a 0/1 vector.
 
     Entry l of the row lands at the l-th smallest support position.
     """
-    w = support_vec.weight
-    if len(row) != w:
-        raise ValueError(f"WeightMismatch: row length {len(row)} vs support weight {w}")
-    amps = tuple(zip(support_vec.support, row))
-    return MubVector(dim=support_vec.length, root_order=root_order, norm_sq=w, amps=amps)
+    return _embedded((row,), root_order, (support_vec,))[0]
 
 
 def build_mubs(net: Net, had: GenHadamard) -> MubSet:
@@ -213,12 +263,11 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
         raise ValueError("UnverifiedInput: net fails verification")
     if not verify_hadamard(had).ok:
         raise ValueError("UnverifiedInput: hadamard matrix fails verification")
-    m = had.root_order  # GenHadamard keeps every exponent in 0..m-1
-    bases = tuple(
-        MubBasis(tuple(embed(row, m, vec) for vec in block for row in had.exponents))
-        for block in net.blocks
-    )
-    return MubSet(dim=net.d, bases=bases)
+    vectors = _embedded(had.exponents, had.root_order,
+                        [vec for block in net.blocks for vec in block])
+    d = net.d  # s incidence vectors times s rows per basis
+    return MubSet(dim=d, bases=tuple(MubBasis(tuple(vectors[t:t + d]))
+                                     for t in range(0, len(vectors), d)))
 
 
 def standard_basis(d: int) -> MubSet:
@@ -319,13 +368,19 @@ def _field_code(m: int) -> str:
     return "B" if 2 * m - 1 < 256 else "H"
 
 
-def _row_packer(code: str, positions):
+def _row_packer(code: str, positions=None):
     """amp -> the exponents of amp at positions, one byte-aligned field
     (array item of typecode code) each, as one integer: one pass of array
-    and int.from_bytes per row."""
+    and int.from_bytes per row.  Without positions every exponent of amp
+    is packed, in the dict's order, straight from its values: bytes(...)
+    for 8-bit fields, array(code, ...) for 16-bit ones."""
     order = sys.byteorder
-    return lambda amp: int.from_bytes(array(code, map(amp.__getitem__, positions)).tobytes(),
-                                      order)
+    if positions is not None:
+        return lambda amp: int.from_bytes(
+            array(code, map(amp.__getitem__, positions)).tobytes(), order)
+    if code == "B":
+        return lambda amp: int.from_bytes(bytes(amp.values()), order)
+    return lambda amp: int.from_bytes(array(code, amp.values()).tobytes(), order)
 
 
 def _sorted_diffs(m: int):
@@ -366,8 +421,11 @@ def _group_pair_failures(m: int, diffs_of, memo: dict, tag, test,
     against vs[t], that fail _memo_test(memo, tag, diffs, test), decided on
     the positions of the bitmask common.
 
-    Each group's rows are packed once (see _row_packer).  A pair's key is
-    ru + (m*ONES - rv), ONES having a 1 in every field, so each field holds
+    Each group's rows are packed once (see _row_packer), straight from the
+    amplitude dicts where the common positions are the group's whole
+    support: a dict lists its positions in increasing order, as the common
+    positions are listed, so its values are already the row.  A pair's key
+    is ru + (m*ONES - rv), ONES having a 1 in every field, so each field holds
     e_u - e_v + m, in 1..2m-1: the v side cannot borrow since every e_v < m,
     and the sum cannot carry, so one integer addition per pair gives a key
     that fixes the exponent differences, and hence S, exactly.
@@ -380,20 +438,24 @@ def _group_pair_failures(m: int, diffs_of, memo: dict, tag, test,
     """
     code = _field_code(m)
     positions = [p for p in maps_u[us[0]] if common >> p & 1]
-    pack = _row_packer(code, positions)
-    rows_u = tuple(pack(maps_u[i]) for i in us)
+    whole = _row_packer(code)
+    part = _row_packer(code, positions)
+    n = len(positions)
+    pack = whole if n == len(maps_u[us[0]]) else part
+    rows_u = tuple(map(pack, map(maps_u.__getitem__, us)))
     same = vs is us
     if same:
-        block = (tag, len(positions), rows_u)
+        block = (tag, n, rows_u)
         failures = memo.get(block)
         if failures is not None:
             return failures
-    n = len(positions) * array(code).itemsize
-    m_ones = pack(dict.fromkeys(positions, m))  # m*ONES
+    m_ones = whole(dict.fromkeys(positions, m))  # m*ONES
+    pack = whole if n == len(maps_v[vs[0]]) else part
     rows_v = [m_ones - pack(maps_v[j]) for j in vs]
+    width = n * array(code).itemsize
     failures = tuple((a, t) for a, ru in enumerate(rows_u)
                      for t in range(a + 1 if same else 0, len(rows_v))
-                     if not _memo_test(memo, tag, diffs_of(ru + rows_v[t], n), test))
+                     if not _memo_test(memo, tag, diffs_of(ru + rows_v[t], width), test))
     if same and len(memo) < _MEMO_LIMIT:
         memo[block] = failures
     return failures

@@ -5,6 +5,12 @@ and weight s, such that supports within a block are pairwise disjoint and
 supports from different blocks share exactly one point.  Bits are packed
 into a Python int per vector, so dot products are exact popcounts.
 
+verify_net checks the partition first: when every weight is s and each
+block's supports cover all d points, each block is a partition, and a
+vector meets every vector of another block exactly once iff its s points
+lie in s distinct vectors of that block.  Only a net failing that check
+is walked pair by pair, so its report names every failing pair.
+
 The classical correspondence: w MOLS of order s give a net with k = w + 2
 blocks (rows of the grid, columns of the grid, then one block per square,
 whose vectors are the level sets of each symbol), and any net with k >= 2
@@ -14,6 +20,7 @@ blocks can be read back by using blocks 0 and 1 as coordinates.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from collections import namedtuple
 from collections.abc import Iterable
@@ -68,7 +75,7 @@ class IncidenceVector(namedtuple("IncidenceVector", "length bits")):
 
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
-        # cached: build_mubs embeds s Hadamard rows on each incidence vector.
+        # cached: verify_net and build_mubs both walk each support.
         # One step per set bit, lowest first, not one per position.
         out = []
         bits = self.bits
@@ -126,13 +133,34 @@ class NetReport(namedtuple("NetReport", "s k violations")):
         return not self.violations
 
 
-def verify_net(net: Net) -> NetReport:
-    """Check every weight, every within-block pair, every cross-block pair."""
-    out: list[NetViolation] = []
-    for b, block in enumerate(net.blocks):
-        for i, vec in enumerate(block):
-            if vec.weight != net.s:
-                out.append(NetViolation("weight", b, i, detail=f"weight {vec.weight}, want {net.s}"))
+def _meets_once(net: Net) -> bool:
+    """True when every weight is s, every block's supports cover all d
+    points, and every vector's support meets s distinct vectors of each
+    later block: then each block, s supports of s points covering s^2, is a
+    partition, so supports within a block are disjoint, and a support whose
+    s points lie in s distinct parts of a partition meets each part exactly
+    once.  False means some check of verify_net fails, or may."""
+    s, d = net.s, net.d
+    owners = []  # per block, point -> index of the vector holding it
+    for block in net.blocks:
+        if any(vec.weight != s for vec in block):
+            return False
+        owner = [None] * d
+        for j, vec in enumerate(block):
+            for p in vec.support:
+                owner[p] = j
+        if None in owner:
+            return False
+        owners.append(owner)
+    return all(len(set(map(owner.__getitem__, vec.support))) == s
+               for b, block in enumerate(net.blocks) for owner in owners[b + 1:]
+               for vec in block)
+
+
+def _pairwise_violations(net: Net) -> list[NetViolation]:
+    """The within-block and cross-block violations, one dot product per
+    pair of vectors."""
+    out = []
     # Net fixes every length at s^2, so the dots need no length check.
     bits = [[vec.bits for vec in block] for block in net.blocks]
     for b in range(net.k):
@@ -145,6 +173,22 @@ def verify_net(net: Net) -> NetReport:
                     if got != want:
                         kind = "within-block" if b == c else "cross-block"
                         out.append(NetViolation(kind, b, i, c, j, f"dot {got}, want {want}"))
+    return out
+
+
+def verify_net(net: Net) -> NetReport:
+    """Check every weight, every within-block pair, every cross-block pair.
+
+    A net that passes _meets_once has no pair to report; only one that
+    fails it is walked pair by pair, so its report lists every failing
+    pair."""
+    out: list[NetViolation] = []
+    for b, block in enumerate(net.blocks):
+        for i, vec in enumerate(block):
+            if vec.weight != net.s:
+                out.append(NetViolation("weight", b, i, detail=f"weight {vec.weight}, want {net.s}"))
+    if not _meets_once(net):
+        out.extend(_pairwise_violations(net))
     out.sort(key=NetViolation.sort_key)
     return NetReport(net.s, net.k, tuple(out))
 

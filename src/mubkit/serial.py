@@ -15,13 +15,6 @@ class ParseError(ValueError):
 MAX_DOCUMENT_BYTES = 1 << 26
 
 
-def loads(text: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-
-
 def read_json(path: str | os.PathLike) -> object:
     try:
         with open(path, "rb") as fh:

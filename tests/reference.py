@@ -1,7 +1,8 @@
 """Plain reference implementations the tests check the library against:
 the complete MOLS set computed cell by cell, factorization by trial
 division by every integer, the net of a MOLS set scanned once per
-symbol, the exact inner product of
+symbol, the violations of a net found by counting every pair's common
+points one by one, the exact inner product of
 two vectors with the failing pairs it gives, the failing row pairs of a
 Hadamard matrix tested one pair at a time, the float deviation of a
 Hadamard matrix, and the float oracle written as one loop per pair.
@@ -12,16 +13,16 @@ and a MUB set as the dict its canonical JSON parses to."""
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from collections import Counter
 
-from mubkit import serial
 from mubkit.cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
 from mubkit.galois import GField, prime_power
 from mubkit.hadamard import GenHadamard
 from mubkit.latin import LatinSquare, MolsSet
 from mubkit.mub import MubReport, MubSet, MubVector, MubViolation, mubs_to_json
-from mubkit.net import IncidenceVector, Net
+from mubkit.net import IncidenceVector, Net, NetViolation
 
 
 def approx(x: Cyclotomic) -> complex:
@@ -37,7 +38,7 @@ def entry(h: GenHadamard, r: int, c: int) -> complex:
 
 def mubs_to_dict(x: MubSet) -> dict:
     """The parsed canonical document of x."""
-    return serial.loads(mubs_to_json(x))
+    return json.loads(mubs_to_json(x))
 
 
 def float_document(doc: dict) -> dict:
@@ -99,6 +100,28 @@ def net_from_mols_by_scan(m: MolsSet) -> Net:
                 d, (i * s + j for i in range(s) for j in range(s) if sq.grid[i][j] == v))
             for v in range(s)))
     return Net(s, tuple(blocks))
+
+
+def net_violations(net: Net) -> tuple[NetViolation, ...]:
+    """Every violation verify_net reports, in its order: each vector's
+    weight, then each pair of vectors, the common points of two supports
+    counted one point at a time."""
+    d = net.d
+    points = [[{p for p in range(d) if vec.bits >> p & 1} for vec in block]
+              for block in net.blocks]
+    out = []
+    for b, block in enumerate(points):
+        for i, u in enumerate(block):
+            if len(u) != net.s:
+                out.append(NetViolation("weight", b, i, detail=f"weight {len(u)}, want {net.s}"))
+            for c in range(b, net.k):
+                want = 0 if b == c else 1
+                for j in range(i + 1 if b == c else 0, net.s):
+                    got = sum(1 for p in u if p in points[c][j])
+                    if got != want:
+                        kind = "within-block" if b == c else "cross-block"
+                        out.append(NetViolation(kind, b, i, c, j, f"dot {got}, want {want}"))
+    return tuple(sorted(out, key=NetViolation.sort_key))
 
 
 def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,14 +307,28 @@ def test_json_reads_bound_the_file_size(capsys, tmp_path, monkeypatch):
     run(capsys, "mub", "build", "--square", "2", "-o", str(path))
     size = path.stat().st_size
 
+    parsed = []
+
+    def stub_loads(text):
+        parsed.append(text)
+        raise AssertionError("the parser saw the text")
+
     def check_bound():
         monkeypatch.setattr(serial, "MAX_DOCUMENT_BYTES", size)
         assert run(capsys, "mub", "verify", str(path))[0] == 0
+        # the stub sits where read_json parses: a file within the bound reaches it
+        with monkeypatch.context() as patch:
+            patch.setattr(serial, "json", types.SimpleNamespace(loads=stub_loads))
+            with pytest.raises(AssertionError, match="the parser saw the text"):
+                run(capsys, "mub", "verify", str(path))
+        assert len(parsed) == 1
+        parsed.clear()
         # one byte over the bound is refused before the parser sees the text
         monkeypatch.setattr(serial, "MAX_DOCUMENT_BYTES", size - 1)
         with monkeypatch.context() as patch:
-            patch.setattr(serial, "loads", None)
+            patch.setattr(serial, "json", types.SimpleNamespace(loads=stub_loads))
             rc, out, err = run(capsys, "mub", "verify", str(path))
+        assert parsed == []
         assert (rc, out) == (2, "")
         assert f"{path} holds more than {size - 1} bytes" in err
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
+import json
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import time
 
@@ -190,6 +193,64 @@ def test_build_bounds_the_set_size(monkeypatch):
         with pytest.raises(ValueError, match=f"TooLarge: {limit} {noun} exceed the limit"):
             build_mubs(net, dft(2))
         monkeypatch.setattr(mub, name, limit)
+
+
+# sha256 of mubs_to_json(build_mubs(net_from_mols(mols), dft(s))), the
+# complete MOLS set for s < 26 and tests/data/mols26.json for s = 26, as
+# written when every vector was made by MubVector's own checked constructor
+BUILT_JSON_SHA256 = {
+    2: "ade018b493d499b955677ad7bf7230fc9cda2d9a2c2b5d841b8444b24fe29ffd",
+    3: "6bfca387c6e141aebbc324f5d98b4bef709ec27e4fc43a409141075854bb27cd",
+    4: "c4bf86acd2ecccdb85c87b167899ce9f7071368fa886c584289e0608ae8b7982",
+    5: "604d8c3c960743d2e579862d41c95b286ad066421529f8f954497624facc90eb",
+    9: "5ee9f58d6fbdf164eeb829c013c811c40fc927aca9eb86cf68d1c3a300bf6d25",
+    16: "6ac37b11f84889d3c59f1748dd3a675e9b342f6eefd8f02706da1aff786cd8ae",
+    26: "70c16a8fb820a7c2faf704a10e73414f9f397b8d7288669a8ba411002265c51e",
+}
+
+
+@pytest.mark.parametrize("s", sorted(BUILT_JSON_SHA256))
+def test_built_vectors_are_the_checked_embeddings(s, mols26_path):
+    mols = import_mols(mols26_path) if s == 26 else complete_mols_prime_power(s)
+    net, had = net_from_mols(mols), dft(s)
+    x = build_mubs(net, had)
+    got = [v for basis in x.bases for v in basis.vectors]
+    supports = [vec for block in net.blocks for vec in block]
+    assert got == [embed(row, s, vec) for vec in supports for row in had.exponents]
+    assert got == [MubVector(dim=net.d, root_order=s, norm_sq=s,
+                             amps=tuple(zip(vec.support, row)))
+                   for vec in supports for row in had.exponents]
+    assert all(MubVector._make(v) == v for v in got)
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert hashlib.sha256(mubs_to_json(x).encode()).hexdigest() == BUILT_JSON_SHA256[s]
+    # each (position, exponent) pair is one object, shared by every vector
+    # holding it
+    pairs = [a for v in got for a in v.amps]
+    assert len({id(a) for a in pairs}) == len(set(pairs))
+
+
+def test_bad_rows_and_supports_raise_as_the_checked_constructor_does():
+    mask = IncidenceVector.from_support(9, [0, 2, 8])
+
+    def constructor_error(dim, m, amps):
+        with pytest.raises(ValueError) as err:
+            MubVector(dim=dim, root_order=m, norm_sq=len(amps), amps=amps)
+        return str(err.value)
+
+    for row, m in [((0, 1, 3), 3), ((0, -1, 2), 3), ((7, 0, 9), 3), ((0, 0, 0), 0)]:
+        with pytest.raises(ValueError) as err:
+            embed(row, m, mask)
+        assert str(err.value) == constructor_error(9, m, tuple(zip(mask.support, row)))
+    # a support that the bits of an unchecked IncidenceVector put past its length
+    past_end = tuple.__new__(IncidenceVector, (3, 0b1001))
+    with pytest.raises(ValueError) as err:
+        embed((0, 1), 2, past_end)
+    assert str(err.value) == constructor_error(3, 2, ((0, 0), (3, 1))) \
+        == "position 3 out of range for dim 3"
+    for rows, vec in [(((0, 1),), mask), (((0, 1, 2), (0, 1)), mask),
+                      (((),), IncidenceVector(4, 0))]:
+        with pytest.raises(ValueError, match="WeightMismatch|must be positive"):
+            mub._embedded(rows, 3, [vec])
 
 
 def test_standard_basis_is_exact_and_verified():
@@ -850,7 +911,7 @@ def test_parse_bounds_the_magnitudes_the_float_oracle_sees():
     for n, part in [(MAX_MAGNITUDE + 1, 1.0), (10 ** 400, 1.0), (1, float("nan")),
                     (1, float("inf")), (1, 1e300), (1, 10 ** 400)]:
         with pytest.raises(ParseError) as err:
-            mubs_from_dict(serial.loads(serial.dumps(doc(n, part))))
+            mubs_from_dict(json.loads(serial.dumps(doc(n, part))))
         assert str(err.value).startswith("basis 0 vector 0: ")
         assert str(err.value).count("basis 0 vector 0") == 1
 
@@ -901,6 +962,49 @@ def test_oracles_agree_at_the_key_field_widths(m, code, q):
         exact = verify_mubs(x, mode="exact")
         assert not exact.ok
         assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([128, 200, 260]), st.data())
+def test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths(m, data):
+    # three bases of C^4: Fourier vectors on all four points, pairs of
+    # vectors on {0, 1} and {2, 3}, and Fourier vectors with a quadratic
+    # phase; a group pair then shares either one side's whole support or
+    # both sides', and every exponent may be shifted
+    q = m // 4
+    fourier = [tuple((p, q * k * p % m) for p in range(4)) for k in range(4)]
+    halves = [((a, 0), (a + 1, h)) for a in (0, 2) for h in (0, m // 2)]
+    twisted = [tuple((p, (q * k * p + q * p * p) % m) for p in range(4)) for k in range(4)]
+    bases = []
+    for amps_list in (fourier, halves, twisted):
+        vecs = []
+        for amps in amps_list:
+            shift = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, m // 2, m - 1]),
+                                       min_size=len(amps), max_size=len(amps)))
+            vecs.append(MubVector(dim=4, root_order=m, norm_sq=len(amps),
+                                  amps=tuple((p, (e + t) % m) for (p, e), t in zip(amps, shift))))
+        bases.append(MubBasis(tuple(vecs)))
+    x = MubSet(dim=4, bases=tuple(bases))
+    whole = []
+    row_packer = mub._row_packer
+
+    def spying(code, positions=None):
+        pack = row_packer(code, positions)
+        if positions is not None:
+            return pack
+
+        def counted(amp):
+            whole.append(code)
+            return pack(amp)
+        return counted
+
+    mub._row_packer = spying
+    try:
+        exact = verify_mubs(x, mode="exact").failing_pairs()
+    finally:
+        mub._row_packer = row_packer
+    assert exact == exact_failing_pairs(x) == verify_mubs(x, mode="float").failing_pairs()
+    assert whole and set(whole) == {mub._field_code(m)}
 
 
 MUB_KEYS = ["dim", "root_order", "bases", "norm_sq", "amps", "amps_float", "x"]

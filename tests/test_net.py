@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mubkit import net as net_module
 from mubkit.latin import MolsSet, best_mols, complete_mols_prime_power, cyclic_square, import_mols
 from mubkit.net import (
     IncidenceVector,
@@ -19,7 +20,7 @@ from mubkit.net import (
 )
 from mubkit.serial import ParseError
 
-from reference import net_from_mols_by_scan
+from reference import net_from_mols_by_scan, net_violations
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 9]
 
@@ -209,6 +210,93 @@ def test_dropping_blocks_keeps_a_net_valid(q, data):
     assert report.ok
 
 
+
+
+def from_bits(s: int, blocks) -> Net:
+    return Net(s, tuple(tuple(IncidenceVector(s * s, bits) for bits in block) for block in blocks))
+
+
+def swap_first_points(net: Net, b: int, i: int, j: int) -> Net:
+    """net with the lowest points of vectors i and j of block b exchanged:
+    every weight stays s and every block a partition."""
+    blocks = [[vec.bits for vec in block] for block in net.blocks]
+    u, v = blocks[b][i], blocks[b][j]
+    p, r = u & -u, v & -v
+    blocks[b][i], blocks[b][j] = u ^ p ^ r, v ^ r ^ p
+    return from_bits(net.s, blocks)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_valid_nets_never_enter_the_pairwise_walk(q, monkeypatch):
+    calls = []
+    walk = net_module._pairwise_violations
+
+    def counting(net):
+        calls.append(net)
+        return walk(net)
+
+    monkeypatch.setattr(net_module, "_pairwise_violations", counting)
+    full = net_from_mols(complete_mols_prime_power(q))
+    for k in range(full.k + 1):
+        assert verify_net(Net(q, full.blocks[:k])).ok
+    assert calls == []
+    # a swap inside the row block keeps every block a partition, but puts
+    # one symbol of each square twice into rows 0 and 1: the walk names them
+    bad = swap_first_points(full, 0, 0, 1)
+    report = verify_net(bad)
+    assert len(calls) == 1
+    assert not report.ok and report.violations == net_violations(bad)
+    assert {v.kind for v in report.violations} == {"cross-block"}
+
+
+@st.composite
+def tampered_nets(draw) -> Net:
+    """A net from a complete MOLS set, or a prefix of its blocks, with one
+    tampering: a point moved inside its vector, a point moved to another
+    vector of the block, two vectors of a block swapping a point, a point
+    moved to a vector of any block, a vector overwritten by another, a
+    point added or removed."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    full = net_from_mols(complete_mols_prime_power(q))
+    k = draw(st.integers(1, full.k))
+    blocks = [[vec.bits for vec in block] for block in full.blocks[:k]]
+    d = q * q
+    b, c = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    i, j = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+    u, v = blocks[b][i], blocks[c][j]
+    p = 1 << draw(st.sampled_from([t for t in range(d) if u >> t & 1]))
+    r = 1 << draw(st.integers(0, d - 1))
+    kind = draw(st.sampled_from(["shift", "move", "swap", "across", "duplicate", "weight"]))
+    if kind == "shift" and not u & r:
+        blocks[b][i] = u ^ p ^ r
+    elif kind in ("move", "swap"):
+        j = (i + 1 + j % (q - 1)) % q  # another vector of block b
+        v = blocks[b][j]
+        r = r if kind == "swap" and v & r else 0
+        blocks[b][i], blocks[b][j] = u ^ p | r, (v | p) ^ r
+    elif kind == "across":
+        blocks[b][i] = u ^ p
+        blocks[c][j] = blocks[c][j] | p
+    elif kind == "duplicate":
+        blocks[c][j] = u
+    elif kind == "weight":
+        blocks[b][i] = u ^ r
+    return from_bits(q, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_nets())
+def test_reports_on_tampered_nets_match_the_pairwise_reference(net):
+    assert verify_net(net).violations == net_violations(net)
+
+
+def test_reports_on_swapped_points_match_the_pairwise_reference():
+    # swaps keep the weights and partitions the fast check reads first
+    for q in (3, 4, 5):
+        full = net_from_mols(complete_mols_prime_power(q))
+        for b in range(full.k):
+            bad = swap_first_points(full, b, 0, q - 1)
+            assert verify_net(bad).violations == net_violations(bad) != ()
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 300).flatmap(
