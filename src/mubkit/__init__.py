@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("cyclotomic", "Cyclotomic IntPolynomial cyclo_poly root"),
         ("galois", "GField prime_power"),
         ("hadamard", "GenHadamard char_table dft tensor_hadamard verify_hadamard"),
         ("latin", "LatinSquare MolsSet NotLatinError NotOrthogonalError best_mols"

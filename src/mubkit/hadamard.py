@@ -6,11 +6,11 @@ of unity, so H is stored as an integer exponent table against a fixed root
 order m: entry (r, c) is exp(2 pi i * exponents[r][c] / m).
 
 Row orthogonality is decided exactly: the inner product of rows r and r'
-is sum_c root(m, e[r][c] - e[r'][c]), a group-ring element whose vanishing
-is tested modulo the m-th cyclotomic polynomial.  That sum depends only on
-the multiset of differences, so each distinct sorted tuple of differences
-is tested once per matrix.  The package has no float check of H; the
-tests cross-check this one against a numeric Gram matrix.
+is the sum over c of w_m^(e[r][c] - e[r'][c]), whose vanishing
+cyclotomic.vanishes tests modulo the m-th cyclotomic polynomial.  That sum
+depends only on the multiset of differences, so each distinct sorted tuple
+of differences is tested once per matrix.  The package has no float
+check of H; the tests cross-check this one against a numeric Gram matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import reduce
 
-from .cyclotomic import MAX_ROOT_ORDER, root_sum
+from .cyclotomic import MAX_ROOT_ORDER, vanishes
 from .record import checked_make
 
 MAX_TABLE_SIZE = 1 << 12
@@ -119,7 +119,7 @@ def verify_hadamard(h: GenHadamard) -> HadamardReport:
             key = tuple(sorted(map(m.__rmod__, map(operator.sub, row, rows[r2]))))
             ok = verdicts.get(key)
             if ok is None:
-                ok = root_sum(m, key).is_zero()
+                ok = vanishes(m, key)
                 if len(verdicts) < MAX_TABLE_SIZE:
                     verdicts[key] = ok
             if not ok:

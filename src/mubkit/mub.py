@@ -67,7 +67,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import serial
-from .cyclotomic import MAX_ROOT_ORDER, TOL, Cyclotomic, root_sum
+from .cyclotomic import MAX_ROOT_ORDER, TOL, unbiased, vanishes
 from .record import checked_make
 
 # Verification needs neither net nor hadamard: build_mubs, the one function
@@ -383,12 +383,14 @@ def _row_packer(code: str, positions=None):
     return lambda amp: int.from_bytes(array(code, amp.values()).tobytes(), order)
 
 
+@functools.lru_cache(maxsize=None)
 def _sorted_diffs(m: int):
     """(key, n) -> the exponent differences held in the n-byte key (see
     _group_pair_failures), reduced mod m and sorted, with C builtins doing
     the per-field work.  For 8-bit fields that is bytes(sorted(...)) of the
     key's bytes translated through a 256-byte table v -> v % m; 16-bit
-    fields are read back as an array and give a tuple."""
+    fields are read back as an array and give a tuple.  Built once per
+    root order m and shared by every verify_mubs call at that order."""
     order = sys.byteorder
     code = _field_code(m)
     if code == "B":
@@ -479,8 +481,8 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
     if b == c:
         out = _check_norms_exact(x, b)
 
-        def vanishes(_, diffs) -> bool:
-            return root_sum(m, diffs).is_zero()
+        def orthogonal(_, diffs) -> bool:
+            return vanishes(m, diffs)
 
         # holders[pos] has bit g set when group g holds pos; only the groups
         # sharing a position are visited, all others have disjoint supports
@@ -499,16 +501,15 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
                 (mask_v, _), vs = groups_b[g + low.bit_length() - 1]
                 out.extend(MubViolation("orthogonality", b, min(us[a], vs[t]), c,
                                         max(us[a], vs[t]), "S(u, v) != 0")
-                           for a, t in _group_pair_failures(m, diffs_of, memo, None, vanishes,
+                           for a, t in _group_pair_failures(m, diffs_of, memo, None, orthogonal,
                                                             maps_b, us, maps_b, vs,
                                                             mask_u & mask_v))
         return out
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
     # the ring, which needs no division.
-    def unbiased(nunv, diffs) -> bool:
-        s_val = root_sum(m, diffs)
-        return (s_val * s_val.conj() * d - Cyclotomic.from_int(nunv)).is_zero()
+    def unbiased_pair(nunv, diffs) -> bool:
+        return unbiased(m, diffs, d, nunv)
 
     out = []
     for (mask_u, nu), us in groups_b:
@@ -527,7 +528,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
             else:
                 out.extend(MubViolation("unbiasedness", b, us[a], c, vs[t], f"|S|^2 != {target}")
                            for a, t in _group_pair_failures(m, diffs_of, memo, nu * nv,
-                                                            unbiased, maps_b, us, maps_c, vs,
+                                                            unbiased_pair, maps_b, us, maps_c, vs,
                                                             common))
     return out
 

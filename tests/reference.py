@@ -2,22 +2,22 @@
 the complete MOLS set computed cell by cell, factorization by trial
 division by every integer, the net of a MOLS set scanned once per
 symbol, the violations of a net found by counting every pair's common
-points one by one, the exact inner product of
-two vectors with the failing pairs it gives, the failing row pairs of a
-Hadamard matrix tested one pair at a time, the float deviation of a
-Hadamard matrix, and the float oracle written as one loop per pair.
+points one by one, the exponent differences of two vectors with the
+failing pairs they give (one ring test per vector pair), the failing row
+pairs of a Hadamard matrix tested one pair at a time, the float deviation
+of a Hadamard matrix, and the float oracle written as one loop per pair.
 Beside them sit small tools the tests use to read library objects: the
-complex value of a cyclotomic element, one entry of a Hadamard matrix,
-and a MUB set as the dict its canonical JSON parses to."""
+complex sum of the roots of unity a multiset of exponents names, one
+entry of a Hadamard matrix, and a MUB set as the dict its canonical JSON
+parses to."""
 
 from __future__ import annotations
 
 import cmath
 import json
 import math
-from collections import Counter
 
-from mubkit.cyclotomic import TOL, Cyclotomic, counts_to_cyclotomic
+from mubkit.cyclotomic import TOL, unbiased, vanishes
 from mubkit.galois import GField, prime_power
 from mubkit.hadamard import GenHadamard
 from mubkit.latin import LatinSquare, MolsSet
@@ -25,10 +25,9 @@ from mubkit.mub import MubReport, MubSet, MubVector, MubViolation, mubs_to_json
 from mubkit.net import IncidenceVector, Net, NetViolation
 
 
-def approx(x: Cyclotomic) -> complex:
-    """The complex number x stands for, summed term by term."""
-    return sum((c * cmath.exp(2j * cmath.pi * e / x.order)
-                for e, c in enumerate(x.coeffs) if c), 0j)
+def approx(m: int, exponents) -> complex:
+    """The sum of exp(2 pi i e / m) over exponents, term by term."""
+    return sum((cmath.exp(2j * cmath.pi * e / m) for e in exponents), 0j)
 
 
 def entry(h: GenHadamard, r: int, c: int) -> complex:
@@ -124,9 +123,11 @@ def net_violations(net: Net) -> tuple[NetViolation, ...]:
     return tuple(sorted(out, key=NetViolation.sort_key))
 
 
-def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
-    """Unscaled exact inner product S(u, v) = sum over common support of
-    u_p * conj(v_p); the physical inner product is S / sqrt(nu * nv)."""
+def inner_product(u: MubVector, v: MubVector) -> tuple[int, list[int]]:
+    """(m, diffs) for the unscaled exact inner product S(u, v), the sum over
+    the common support of u_p * conj(v_p): S is the sum of w_m^e over diffs,
+    with m the lcm of the two root orders.  The physical inner product is
+    S / sqrt(nu * nv)."""
     if u.dim != v.dim:
         raise ValueError(f"DimMismatch: {u.dim} vs {v.dim}")
     if not (u.is_exact and v.is_exact):
@@ -134,18 +135,14 @@ def inner_product(u: MubVector, v: MubVector) -> Cyclotomic:
     m = math.lcm(u.root_order, v.root_order)
     fu, fv = m // u.root_order, m // v.root_order
     vmap = v.amp_map()
-    counts: Counter[int] = Counter()
-    for pos, eu in u.amps:
-        ev = vmap.get(pos)
-        if ev is not None:
-            counts[(eu * fu - ev * fv) % m] += 1
-    return counts_to_cyclotomic(m, counts)
+    return m, [(eu * fu - vmap[pos] * fv) % m for pos, eu in u.amps if pos in vmap]
 
 
 def exact_failing_pairs(x: MubSet) -> frozenset[tuple[int, int, int, int]]:
     """(b, i, c, j) for every vector pair of x, b < c or b = c and i <= j,
     whose exact inner product breaks the MUB conditions: S(u, u) = nu,
-    S(u, v) = 0 within a basis, d*S*conj(S) = nu*nv across bases."""
+    S(u, v) = 0 within a basis, d*S*conj(S) = nu*nv across bases.  S(u, u)
+    is a count of equal exponents, so |S|^2 = nu^2 decides it."""
     d = x.dim
     out = set()
     for b, basis_b in enumerate(x.bases):
@@ -154,15 +151,14 @@ def exact_failing_pairs(x: MubSet) -> frozenset[tuple[int, int, int, int]]:
                 for j, v in enumerate(x.bases[c].vectors):
                     if b == c and j < i:
                         continue
-                    s_val = inner_product(u, v)
+                    m, diffs = inner_product(u, v)
                     if b == c and i == j:
-                        bad = not (s_val - Cyclotomic.from_int(u.norm_sq)).is_zero()
+                        ok = unbiased(m, diffs, 1, u.norm_sq ** 2)
                     elif b == c:
-                        bad = not s_val.is_zero()
+                        ok = vanishes(m, diffs)
                     else:
-                        want = Cyclotomic.from_int(u.norm_sq * v.norm_sq)
-                        bad = not (s_val * s_val.conj() * d - want).is_zero()
-                    if bad:
+                        ok = unbiased(m, diffs, d, u.norm_sq * v.norm_sq)
+                    if not ok:
                         out.add((b, i, c, j))
     return frozenset(out)
 
@@ -174,8 +170,7 @@ def hadamard_failing_pairs(h: GenHadamard) -> tuple[tuple[int, int], ...]:
     out = []
     for r in range(s):
         for r2 in range(r + 1, s):
-            counts = Counter((h.exponents[r][c] - h.exponents[r2][c]) % m for c in range(s))
-            if not counts_to_cyclotomic(m, counts).is_zero():
+            if not vanishes(m, [h.exponents[r][c] - h.exponents[r2][c] for c in range(s)]):
                 out.append((r, r2))
     return tuple(out)
 

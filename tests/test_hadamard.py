@@ -8,7 +8,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit.cyclotomic import Cyclotomic, divisors
+from mubkit import hadamard
+from mubkit.cyclotomic import divisors
 from mubkit.hadamard import (
     GenHadamard,
     MAX_TABLE_SIZE,
@@ -178,12 +179,12 @@ def test_the_dft_makes_one_zero_test_per_proper_divisor(s, monkeypatch):
     # rows r and r2 of dft(s) differ by a multiple of gcd(r - r2, s), each
     # taken gcd times, so only tau(s) - 1 difference multisets occur
     calls = []
-    is_zero = Cyclotomic.is_zero
+    vanishes = hadamard.vanishes
 
-    def counting_is_zero(self):
-        calls.append(self.order)
-        return is_zero(self)
+    def counting(m, exponents):
+        calls.append(m)
+        return vanishes(m, exponents)
 
-    monkeypatch.setattr(Cyclotomic, "is_zero", counting_is_zero)
+    monkeypatch.setattr(hadamard, "vanishes", counting)
     assert verify_hadamard(dft(s)).ok
     assert len(calls) == len(divisors(s)) - 1

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubkit import cyclotomic, mub, serial
-from mubkit.cyclotomic import Cyclotomic, TOL
+from mubkit.cyclotomic import TOL, unbiased, vanishes
 from mubkit.hadamard import GenHadamard, dft, verify_hadamard
 from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, import_mols
 from mubkit.mub import (
@@ -266,22 +266,23 @@ def test_inner_product_of_a_vector_with_itself_is_its_norm():
     x = built_mubs(3)
     for basis in x.bases:
         for v in basis.vectors:
-            assert inner_product(v, v) == Cyclotomic.from_int(v.norm_sq)
+            m, diffs = inner_product(v, v)
+            assert len(diffs) == v.norm_sq and unbiased(m, diffs, 1, v.norm_sq ** 2)
 
 
 def test_cross_basis_products_have_unit_square_modulus():
     x = built_mubs(3)
     for u in x.bases[0].vectors:
         for v in x.bases[2].vectors:
-            s = inner_product(u, v)
-            assert s * s.conj() == Cyclotomic.from_int(1)
+            assert unbiased(*inner_product(u, v), 1, 1)
 
 
 def test_inner_product_lifts_mixed_root_orders():
     std = standard_basis(4).bases[0].vectors
     built = built_mubs(2).bases[0].vectors
-    s = inner_product(std[0], built[0])  # root orders 1 and 2
-    assert s == Cyclotomic.from_int(1)
+    m, diffs = inner_product(std[0], built[0])  # root orders 1 and 2
+    assert m == 2 and diffs == [0]
+    assert vanishes(m, diffs + [1]) and unbiased(m, diffs, 1, 1)
 
 
 def test_float_inner_product_tracks_exact():
@@ -291,7 +292,7 @@ def test_float_inner_product_tracks_exact():
         for v in vecs[:6]:
             fu, fv = u.float_map(), v.float_map()
             s = sum(fu[p] * fv[p].conjugate() for p in fu.keys() & fv.keys())
-            assert abs(approx(inner_product(u, v)) - s) < 1e-7
+            assert abs(approx(*inner_product(u, v)) - s) < 1e-7
 
 
 def test_cross_basis_supports_meet_exactly_once():
@@ -378,25 +379,23 @@ def test_jobs_are_capped_at_usable_cpus_and_basis_pairs(monkeypatch):
 @pytest.mark.parametrize("q", [4, 5, 7, 9])
 def test_built_sets_settle_every_cross_pair_by_the_support_identity(q, monkeypatch):
     # every cross-basis pair of supports meets once with nu*nv = d, so no
-    # product is formed; within a basis every overlapping pair is two rows
-    # of the DFT on one support, so at most C(q, 2) zero tests are distinct
+    # unbiasedness test runs; within a basis every overlapping pair is two
+    # rows of the DFT on one support, so at most C(q, 2) zero tests are
+    # distinct
     x = built_mubs(q)
-    calls = {"mul": 0, "zero": 0}
-    mul, is_zero = Cyclotomic.__mul__, Cyclotomic.is_zero
+    calls = {"unbiased": 0, "vanishes": 0}
 
-    def counting_mul(self, other):
-        calls["mul"] += 1
-        return mul(self, other)
+    def counting(name, test):
+        def call(*args):
+            calls[name] += 1
+            return test(*args)
+        return call
 
-    def counting_is_zero(self):
-        calls["zero"] += 1
-        return is_zero(self)
-
-    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
-    monkeypatch.setattr(Cyclotomic, "is_zero", counting_is_zero)
+    monkeypatch.setattr(mub, "unbiased", counting("unbiased", unbiased))
+    monkeypatch.setattr(mub, "vanishes", counting("vanishes", vanishes))
     assert verify_mubs(x, mode="exact").ok
-    assert calls["mul"] == 0
-    assert 0 < calls["zero"] <= q * (q - 1) // 2
+    assert calls["unbiased"] == 0
+    assert 0 < calls["vanishes"] <= q * (q - 1) // 2
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 9])
