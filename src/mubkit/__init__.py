@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("galois", "GField prime_power"),
+        ("arith", "prime_power"),
+        ("galois", "GField"),
         ("hadamard", "GenHadamard char_table dft tensor_hadamard verify_hadamard"),
         ("latin", "LatinSquare MolsSet NotLatinError NotOrthogonalError best_mols"
                   " complete_mols_prime_power cyclic_square import_mols export_mols"

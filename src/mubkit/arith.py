@@ -1,8 +1,8 @@
-"""Integer factorization and the MOLS width it gives.
+"""Integer factorization, the prime-power test and the MOLS width they give.
 
-The planner needs only these two functions from the MOLS side, so they sit
-apart from latin: a plan with no imported squares loads neither Latin
-squares nor finite fields.
+The planner needs only factorize and the MOLS width from the MOLS side, so
+they sit apart from latin: a plan with no imported squares loads neither
+Latin squares nor finite fields.
 """
 
 
@@ -25,6 +25,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p**e for a prime p and e >= 1, or None."""
+    parts = factorize(n) if n >= 1 else []
+    return parts[0] if len(parts) == 1 else None
 
 
 def constructive_mols_count(s: int) -> int:

@@ -173,7 +173,7 @@ def cmd_mols_gen(args) -> int:
         m = latin.MolsSet(s, (latin.cyclic_square(s),))
         _emit_mols(m, args, "cyclic")
         return 0
-    from .galois import prime_power
+    from .arith import prime_power
 
     if prime_power(s) is None:
         return _fail(f"order {s} is not a prime power; use --cyclic or product")
@@ -417,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        return _fail("--jobs must be >= 1")
     try:
         return args.func(args)
     except ValueError as exc:  # serial.ParseError among them

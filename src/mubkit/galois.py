@@ -13,38 +13,11 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
+from .arith import prime_power
+
 MAX_ORDER = 1 << 16
 
 Element = tuple[int, ...]
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
-def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, e) with n = p**e, or None if n is not a prime power."""
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)  # n itself is prime
-        if n % p:
-            continue
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
-    return None
 
 
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -111,7 +84,7 @@ class GField:
     """GF(p^e) with a deterministic modulus and tuple-of-digits elements."""
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ValueError(f"NotPrime: {p} is not prime")
         if e < 1:
             raise ValueError(f"degree must be >= 1, got {e}")

@@ -15,7 +15,7 @@ from itertools import chain
 import os
 
 from . import serial
-from .arith import constructive_mols_count, factorize
+from .arith import constructive_mols_count, factorize, prime_power
 from .record import checked_make
 
 
@@ -133,7 +133,7 @@ def complete_mols_prime_power(q: int) -> MolsSet:
     the field does q^2 additions and q(q - 1) products in all, not q^3
     products.
     """
-    from .galois import GField, prime_power
+    from .galois import GField
 
     pp = prime_power(q)
     if pp is None:

@@ -38,7 +38,8 @@ per distinct row block: the tuple of its packed rows fixes every S among
 its vectors wherever the support lies.  A net set has one block, the
 Hadamard matrix's rows, on all k*s supports, so its within-basis pass
 makes C(s, 2) zero tests.  A root order above MAX_ROOT_ORDER is refused
-before any ring work.
+before any ring work.  The walk yields verdict blocks, two groups with
+their failing pairs or all their pairs, and one expander makes the report.
 
 The float oracle (tolerance 1e-9) stays brute force, summing every inner
 product numerically term by term, so it cross-checks these shortcuts
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import os
@@ -341,15 +343,6 @@ def _float_tables(x: MubSet):
     return tables
 
 
-def _check_norms_exact(x: MubSet, b: int) -> list[MubViolation]:
-    out = []
-    for i, vec in enumerate(x.bases[b].vectors):
-        if len(vec.amps) != vec.norm_sq:
-            out.append(MubViolation("norm", b, i, b, i,
-                                    f"|u|^2 = {len(vec.amps)}/{vec.norm_sq}"))
-    return out
-
-
 def _check_norms_float(x: MubSet, b: int, maps) -> list[MubViolation]:
     out = []
     for i, vec in enumerate(x.bases[b].vectors):
@@ -470,16 +463,19 @@ def _ratio(n: int, d: int) -> str:
 
 
 def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
-                           b: int, c: int) -> list[MubViolation]:
-    """Violations between bases b and c, walked one pair of support groups
-    at a time (see verify_mubs); memo and diffs_of (see _memo_test) are
-    shared by all basis pairs of one call."""
+                           b: int, c: int):
+    """Verdict blocks (kind, detail, us, vs, pairs) between bases b and c,
+    walked one pair of support groups at a time (see verify_mubs): us[a]
+    fails against vs[t] for each (a, t) in pairs, or for every a and t
+    where pairs is None.  memo and diffs_of (see _memo_test) serve one call."""
     d = x.dim
     maps_b, groups_b = tables[b]
     maps_c, groups_c = tables[c]
 
     if b == c:
-        out = _check_norms_exact(x, b)
+        for i, vec in enumerate(x.bases[b].vectors):
+            if len(vec.amps) != vec.norm_sq:
+                yield "norm", f"|u|^2 = {len(vec.amps)}/{vec.norm_sq}", (i,), (i,), None
 
         def orthogonal(_, diffs) -> bool:
             return vanishes(m, diffs)
@@ -499,19 +495,15 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
                 low = near & -near
                 near ^= low
                 (mask_v, _), vs = groups_b[g + low.bit_length() - 1]
-                out.extend(MubViolation("orthogonality", b, min(us[a], vs[t]), c,
-                                        max(us[a], vs[t]), "S(u, v) != 0")
-                           for a, t in _group_pair_failures(m, diffs_of, memo, None, orthogonal,
-                                                            maps_b, us, maps_b, vs,
-                                                            mask_u & mask_v))
-        return out
+                yield "orthogonality", "S(u, v) != 0", us, vs, _group_pair_failures(
+                    m, diffs_of, memo, None, orthogonal, maps_b, us, maps_b, vs, mask_u & mask_v)
+        return
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
     # the ring, which needs no division.
     def unbiased_pair(nunv, diffs) -> bool:
         return unbiased(m, diffs, d, nunv)
 
-    out = []
     for (mask_u, nu), us in groups_b:
         for (mask_v, nv), vs in groups_c:
             common = mask_u & mask_v
@@ -519,17 +511,22 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
             if overlap == 1 and nu * nv == d:
                 continue  # S is one root of unity, so d*S*conj(S) = d = nu*nv
             target = _ratio(nu * nv, d)
-            if overlap == 0:
-                out.extend(MubViolation("unbiasedness", b, i, c, j, f"|S|^2 = 0, want {target}")
-                           for i in us for j in vs)
-            elif overlap == 1:
-                out.extend(MubViolation("unbiasedness", b, i, c, j, f"|S|^2 != {target}")
-                           for i in us for j in vs)
-            else:
-                out.extend(MubViolation("unbiasedness", b, us[a], c, vs[t], f"|S|^2 != {target}")
-                           for a, t in _group_pair_failures(m, diffs_of, memo, nu * nv,
-                                                            unbiased_pair, maps_b, us, maps_c, vs,
-                                                            common))
+            detail = f"|S|^2 = 0, want {target}" if overlap == 0 else f"|S|^2 != {target}"
+            # no shared point, or one at nu*nv != d, fails every pair at once
+            yield "unbiasedness", detail, us, vs, None if overlap < 2 else _group_pair_failures(
+                m, diffs_of, memo, nu * nv, unbiased_pair, maps_b, us, maps_c, vs, common)
+
+
+def _block_violations(b: int, c: int, blocks) -> list[MubViolation]:
+    """The MubViolations of the verdict blocks between bases b and c (see
+    _pair_violations_exact); within a basis the lower index comes first."""
+    out = []
+    for kind, detail, us, vs, pairs in blocks:
+        for i, j in (itertools.product(us, vs) if pairs is None
+                     else [(us[a], vs[t]) for a, t in pairs]):
+            if b == c and j < i:
+                i, j = j, i
+            out.append(MubViolation(kind, b, i, c, j, detail))
     return out
 
 
@@ -586,7 +583,8 @@ def _pair_walker(x: MubSet, mode: str):
         m, tables = _exact_tables(x)
         memo: dict = {}
         diffs_of = _sorted_diffs(m)
-        return lambda b, c: _pair_violations_exact(x, m, tables, memo, diffs_of, b, c)
+        return lambda b, c: _block_violations(
+            b, c, _pair_violations_exact(x, m, tables, memo, diffs_of, b, c))
     tables = _float_tables(x)
     return lambda b, c: _pair_violations_float(x, tables, b, c)
 
@@ -627,10 +625,12 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     against tolerance 1e-9; a vector whose products with a whole basis all
     lie within half that tolerance passes at once.  jobs > 1 spreads basis
     pairs across up to that many processes, capped at the usable CPUs; the
-    report is identical for any job count.
+    report is identical for any job count, and jobs < 1 is refused.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f'mode must be "exact" or "float", got {mode!r}')
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if mode == "exact" and not x.is_exact:
         raise ValueError("ExactUnavailable: set has float-only amplitudes")
     if mode == "exact" and x.root_order > MAX_ROOT_ORDER:

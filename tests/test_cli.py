@@ -218,6 +218,16 @@ def test_mub_verify_modes(capsys, tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_are_refused(capsys, tmp_path, jobs):
+    path = tmp_path / "m4.json"
+    run(capsys, "mub", "build", "--square", "2", "-o", str(path))
+    for argv in (["verify", str(path)], ["build", "--square", "2"],
+                 ["tensor", str(path), str(path)]):
+        assert run(capsys, "mub", *argv, "--jobs", jobs) == (
+            2, "", "error: --jobs must be >= 1\n"), argv
+
+
 def test_mub_verify_failure_names_the_pairs(capsys, tmp_path):
     path = tmp_path / "bad.json"
     run(capsys, "mub", "build", "--square", "3", "-o", str(path))

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from mubkit.galois import GField, MAX_ORDER, is_prime, prime_power
+from mubkit.galois import GField, MAX_ORDER, prime_power
 
 FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -35,8 +35,10 @@ def power(field, a, n):
 
 
 def test_is_prime_small_values():
-    primes = [n for n in range(60) if is_prime(n)]
+    primes = [n for n in range(60) if prime_power(n) == (n, 1)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert [prime_power(n) for n in (-1, 0, 1, 2, 65536, 65537)] == [
+        None, None, None, (2, 1), (2, 16), (65537, 1)]
 
 
 def test_prime_power_detection():

@@ -537,6 +537,12 @@ def test_verify_rejects_unknown_modes():
         verify_mubs(built_mubs(2), mode="approximate")
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_verify_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        verify_mubs(built_mubs(2), jobs=jobs)
+
+
 def test_exact_mode_requires_exact_amplitudes():
     x = as_float_set(built_mubs(2))
     with pytest.raises(ValueError, match="ExactUnavailable"):
@@ -591,6 +597,45 @@ def test_non_integer_unbiasedness_target_fails_both_oracles_identically():
     assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
     assert any(v.kind == "unbiasedness" and v.detail == "|S|^2 != 3/2"
                for v in exact.violations)
+
+
+def every_failure_kind_set() -> MubSet:
+    """Two bases of C^4 at root order 4 whose exact report holds each way a
+    pair of support groups can fail.  Basis 0 is u0 = (1, 1, 0, 0),
+    u1 = (0, 1, i, 0), u2 = (1, -1, 0, 0) and u3 = (0, 0, 0, 1) of norm 2;
+    basis 1 is two DFT rows and (1, 0, 1, 0), (0, 1, 0, 1)."""
+    def vec(amps: dict[int, int], norm_sq: int) -> MubVector:
+        return MubVector(dim=4, root_order=4, norm_sq=norm_sq, amps=tuple(amps.items()))
+
+    return MubSet(dim=4, bases=(
+        MubBasis((vec({0: 0, 1: 0}, 2), vec({1: 0, 2: 1}, 2), vec({0: 0, 1: 2}, 2),
+                  vec({3: 0}, 2))),
+        MubBasis((vec({0: 0, 1: 1, 2: 2, 3: 3}, 4), vec({0: 0, 1: 3, 2: 2, 3: 1}, 4),
+                  vec({0: 0, 2: 0}, 2), vec({1: 0, 3: 0}, 2))),
+    ))
+
+
+def test_exact_report_names_every_failure_kind_in_order():
+    x = every_failure_kind_set()
+    report = verify_mubs(x)
+    assert report.violations == (
+        # groups [u0, u2] and [u1] meet in one point: the pair (u2, u1)
+        # comes from the first group but is named lower index first
+        ("orthogonality", 0, 0, 0, 1, "S(u, v) != 0"),
+        ("orthogonality", 0, 1, 0, 2, "S(u, v) != 0"),
+        # u1 meets both DFT rows in two points, and |S|^2 = 4 or 0
+        ("unbiasedness", 0, 1, 1, 0, "|S|^2 != 2"),
+        ("unbiasedness", 0, 1, 1, 1, "|S|^2 != 2"),
+        ("norm", 0, 3, 0, 3, "|u|^2 = 1/2"),
+        # u3 meets the DFT rows in one point, and nu*nv = 8 is not d
+        ("unbiasedness", 0, 3, 1, 0, "|S|^2 != 2"),
+        ("unbiasedness", 0, 3, 1, 1, "|S|^2 != 2"),
+        # u3 misses (1, 0, 1, 0) altogether; it meets (0, 1, 0, 1) once, at
+        # nu*nv = 4 = d, and passes
+        ("unbiasedness", 0, 3, 1, 2, "|S|^2 = 0, want 1"),
+    )
+    assert verify_mubs(x, jobs=2) == report
+    assert verify_mubs(x, mode="float").failing_pairs() == report.failing_pairs()
 
 
 # -- the float oracle at its tolerance edges
