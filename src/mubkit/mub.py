@@ -18,28 +18,36 @@ unscaled inner product S is a single root of unity and |S|^2 / (nu * nv) =
 vanish.  Verification re-derives all of this from scratch for any set,
 without assuming how the set was produced.
 
-The exact verifier groups each basis's vectors by (support, norm_sq) and
-decides a pair of groups at once wherever a ring identity allows it: two
-supports that meet in one point give S a single root of unity, so
-d*S*conj(S) = d, and the whole product of the two groups is unbiased
-exactly when nu*nv = d; disjoint supports give S = 0.  Within a basis it
-visits only the groups that share a position, found through a position ->
-group index.  Every other overlapping pair of groups, a group with itself
-included, is decided by one function on the positions the two share: it
-packs each group's exponent rows once (straight from the amplitude
-dict's values when those positions are the group's whole support), adds
-two packed rows into one key per vector pair, reads the exponent
-differences back sorted as
+The exact verifier first builds per-basis tables: each basis's vectors
+grouped by (support, norm_sq), each vector's exponents packed once into
+one integer over its whole support, and, when the groups' supports
+partition the points, the group owning each point.  It decides a pair of
+groups at once wherever a ring identity allows it: two supports that meet
+in one point give S a single root of unity, so d*S*conj(S) = d, and the
+whole product of the two groups is unbiased exactly when nu*nv = d;
+disjoint supports give S = 0.  Two partitioned bases with n_b*n_c = d
+groups whose owners pair up in d distinct ways meet once in every pair of
+groups, so with one norm on each side and nu*nv = d the whole basis pair
+passes with no walk; within a partitioned basis only each group's pairs
+with itself can fail.  Other bases visit only the groups that share a
+position, found through a position -> group index.  Every other
+overlapping pair of groups, a group with itself included, is decided by
+one function on the positions the two share: it sorts each side's rows
+there into phase classes, rows equal up to one constant exponent, which
+fixes S up to a unit, tests one pair of representatives per pair of
+classes, and copies each verdict to the member pairs.  A representative
+pair's key is the sum of two packed rows, read back sorted as
 bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
 MOD_M reducing each byte mod m (a tuple from an array for 16-bit fields),
-and tests each distinct vector of sorted differences once per call in the
-cyclotomic group ring.  A group paired with itself is also decided once
-per distinct row block: the tuple of its packed rows fixes every S among
-its vectors wherever the support lies.  A net set has one block, the
-Hadamard matrix's rows, on all k*s supports, so its within-basis pass
-makes C(s, 2) zero tests.  A root order above MAX_ROOT_ORDER is refused
-before any ring work.  The walk yields verdict blocks, two groups with
-their failing pairs or all their pairs, and one expander makes the report.
+and each distinct vector of sorted differences is tested once per call in
+the cyclotomic group ring.  A group paired with itself is also decided
+once per distinct row block: the tuple of its packed rows fixes every S
+among its vectors wherever the support lies.  A net set has one block,
+the Hadamard matrix's rows, on all k*s supports, so its within-basis pass
+makes C(s, 2) zero tests, and every cross-basis pair passes by the
+partition identity.  A root order above MAX_ROOT_ORDER is refused before
+any ring work.  The walk yields verdict blocks, two groups with their
+failing pairs or all their pairs, and one expander makes the report.
 
 The float oracle (tolerance 1e-9) stays brute force, summing every inner
 product numerically term by term, so it cross-checks these shortcuts
@@ -82,8 +90,8 @@ MAX_MAGNITUDE = 1 << 32
 # A loaded document, a built set and a tensor product may hold at most this
 # many vectors and amplitudes in all, so every set built here loads back.
 # The complete s = 32 set (33 * 1024 vectors, 1,081,344 amplitudes) fits;
-# verifying it peaks at about 280 MB, and the sparsest document at the
-# vector bound, one basis of 40,000 one-point vectors, at about 260 MB.
+# verifying it peaks at about 240 MB, and the sparsest document at the
+# vector bound, one basis of 40,000 one-point vectors, at about 150 MB.
 MAX_VECTORS = 40_000
 MAX_AMPLITUDES = 1_250_000
 # Keys the exact pass remembers per verify_mubs call.
@@ -303,24 +311,47 @@ class MubReport(namedtuple("MubReport", "mode dim k violations")):
         return frozenset(v.pair() for v in self.violations)
 
 
+_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
+_NORM_SQ, _ROOT_ORDER = operator.attrgetter("norm_sq"), operator.attrgetter("root_order")
+
+
 def _exact_tables(x: MubSet):
-    """Per basis: amplitude dicts with exponents lifted to the set root order,
-    plus the vector indices grouped by (support bitmask, norm_sq), groups in
-    order of first appearance."""
-    m = x.root_order
+    """Per basis: (groups, owner).  groups lists, for each (support,
+    norm_sq) in order of first appearance, (mask, norm, positions, us,
+    rows): the support as a bitmask and as increasing positions, the
+    indices us of its vectors, and their rows, each vector's exponents
+    lifted to the set root order and packed once over the whole support
+    (see _row_packer).  owner[p] is the index of the group holding
+    position p when the groups' supports partition 0..d-1, else None."""
+    m, d = x.root_order, x.dim
+    pack = _row_packer(_field_code(m))
     tables = []
     for basis in x.bases:
-        maps = []
+        vecs = basis.vectors
+        amps_list = [vec.amps for vec in vecs]
+        exps = map(map, itertools.repeat(_SECOND), amps_list)
+        if not all(map(m.__eq__, map(_ROOT_ORDER, vecs))):
+            exps = itertools.starmap(map, zip(
+                [(m // vec.root_order).__mul__ for vec in vecs], exps))
+        rows = list(map(pack, exps))
         # keyed by the support's positions: a mask 1 << p hashes to
         # 2**(p % 61) on 64-bit builds, so masks would crowd the dict
-        groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        for j, vec in enumerate(basis.vectors):
-            f = m // vec.root_order
-            amp = dict(vec.amps) if f == 1 else {pos: e * f for pos, e in vec.amps}
-            maps.append(amp)
-            groups.setdefault((tuple(amp), vec.norm_sq), []).append(j)
-        tables.append((maps, [((sum(map((1).__lshift__, support)), norm), us)
-                              for (support, norm), us in groups.items()]))
+        index: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        for j, key in enumerate(zip(map(tuple, map(map, itertools.repeat(_FIRST), amps_list)),
+                                    map(_NORM_SQ, vecs))):
+            index.setdefault(key, []).append(j)
+        groups = [(sum(map((1).__lshift__, positions)), norm, positions, us,
+                   tuple(map(rows.__getitem__, us)))
+                  for (positions, norm), us in index.items()]
+        masks = [g[0] for g in groups]
+        owner = None
+        if (sum(map(int.bit_count, masks)) == d
+                and functools.reduce(operator.or_, masks) == (1 << d) - 1):
+            owner = [0] * d
+            for g, group in enumerate(groups):
+                for p in group[2]:
+                    owner[p] = g
+        tables.append((groups, owner))
     return m, tables
 
 
@@ -362,18 +393,20 @@ def _field_code(m: int) -> str:
 
 
 def _row_packer(code: str, positions=None):
-    """amp -> the exponents of amp at positions, one byte-aligned field
-    (array item of typecode code) each, as one integer: one pass of array
-    and int.from_bytes per row.  Without positions every exponent of amp
-    is packed, in the dict's order, straight from its values: bytes(...)
-    for 8-bit fields, array(code, ...) for 16-bit ones."""
+    """row -> the exponents of row, a sequence of them, one byte-aligned
+    field (array item of typecode code) each, as one integer: one pass of
+    bytes(...) for 8-bit fields, array(code, ...) for 16-bit ones, and
+    int.from_bytes.  With positions, only row[i] for each index i in
+    positions, in that order."""
     order = sys.byteorder
+    if positions is not None and code == "B":
+        return lambda row: int.from_bytes(bytes(map(row.__getitem__, positions)), order)
     if positions is not None:
-        return lambda amp: int.from_bytes(
-            array(code, map(amp.__getitem__, positions)).tobytes(), order)
+        return lambda row: int.from_bytes(
+            array(code, map(row.__getitem__, positions)).tobytes(), order)
     if code == "B":
-        return lambda amp: int.from_bytes(bytes(amp.values()), order)
-    return lambda amp: int.from_bytes(array(code, amp.values()).tobytes(), order)
+        return lambda row: int.from_bytes(bytes(row), order)
+    return lambda row: int.from_bytes(array(code, row).tobytes(), order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,47 +443,117 @@ def _memo_test(memo: dict, tag, diffs, test) -> bool:
     return hit
 
 
-def _group_pair_failures(m: int, diffs_of, memo: dict, tag, test,
-                         maps_u, us, maps_v, vs, common: int) -> tuple[tuple[int, int], ...]:
-    """The local pairs (a, t) of the support groups us and vs, vector us[a]
-    against vs[t], that fail _memo_test(memo, tag, diffs, test), decided on
-    the positions of the bitmask common.
-
-    Each group's rows are packed once (see _row_packer), straight from the
-    amplitude dicts where the common positions are the group's whole
-    support: a dict lists its positions in increasing order, as the common
-    positions are listed, so its values are already the row.  A pair's key
-    is ru + (m*ONES - rv), ONES having a 1 in every field, so each field holds
-    e_u - e_v + m, in 1..2m-1: the v side cannot borrow since every e_v < m,
-    and the sum cannot carry, so one integer addition per pair gives a key
-    that fixes the exponent differences, and hence S, exactly.
-
-    A group paired with itself (vs is us) gives the pairs a < t only.  Their
-    verdicts depend on the tuple of packed rows alone, wherever the support
-    lies, so they are remembered in memo under (tag, field count, rows), at
-    most _MEMO_LIMIT entries as in _memo_test.  That is the only block a
-    valid construction repeats; no other group pair is remembered whole.
-    """
+@functools.lru_cache(maxsize=None)
+def _phase_key(m: int):
+    """(row, width) -> the exponents held in the width-byte packed row,
+    each minus the first, mod m: equal for two rows exactly when they
+    differ by one constant exponent mod m.  For 8-bit fields that is the
+    row's bytes translated through one of m 256-byte tables, v -> (v - c)
+    % m for a first exponent c; 16-bit fields give a tuple.  Built once
+    per root order m, like _sorted_diffs."""
+    order = sys.byteorder
     code = _field_code(m)
-    positions = [p for p in maps_u[us[0]] if common >> p & 1]
-    whole = _row_packer(code)
-    part = _row_packer(code, positions)
-    n = len(positions)
-    pack = whole if n == len(maps_u[us[0]]) else part
-    rows_u = tuple(map(pack, map(maps_u.__getitem__, us)))
-    same = vs is us
+    if code == "B":
+        shift = [bytes((v - c) % m for v in range(256)) for c in range(m)]
+
+        def key(row, width):
+            raw = row.to_bytes(width, order)
+            return raw.translate(shift[raw[0]])
+        return key
+
+    def key(row, width):
+        items = array(code, row.to_bytes(width, order))
+        return tuple(map(m.__rmod__, map(operator.sub, items, itertools.repeat(items[0]))))
+    return key
+
+
+def _phase_classes(m: int, cache: dict, group, common: int):
+    """(width, reps, negs, members): the rows of group (see _exact_tables)
+    on the n >= 1 positions of the bitmask common, width bytes each,
+    sorted into phase classes (see _phase_key) in order of first
+    appearance.  members lists each class's local indices, reps holds the
+    packed row of its first member and negs holds m*ONES - rep for each,
+    ONES having a 1 in every field.
+
+    Rows on the group's whole support are the packed rows themselves, and
+    their classes are built once per group and kept in cache under the
+    group's id for the rest of one verify_mubs call.  Other rows are read
+    back from the packed rows and packed again on the common positions
+    (see _row_packer)."""
+    mask, _, positions, _, rows = group
+    code = _field_code(m)
+    size = array(code).itemsize
+    whole = common == mask
+    if whole:
+        hit = cache.get(id(group))
+        if hit is not None:
+            return hit
+        n = len(positions)
+    else:
+        keep = [i for i, p in enumerate(positions) if common >> p & 1]
+        n = len(keep)
+        full = itertools.repeat(len(positions) * size)
+        rows = map(int.to_bytes, rows, full, itertools.repeat(sys.byteorder))
+        if code != "B":
+            rows = map(array, itertools.repeat(code), rows)
+        rows = list(map(_row_packer(code, keep), rows))
+    width = n * size
+    index: dict = {}
+    for a, key in enumerate(map(_phase_key(m), rows, itertools.repeat(width))):
+        index.setdefault(key, []).append(a)
+    members = list(index.values())
+    reps = rows if len(members) == len(rows) else [rows[c[0]] for c in members]
+    m_ones = int.from_bytes(array(code, [m]).tobytes() * n, sys.byteorder)
+    out = (width, reps, [m_ones - rep for rep in reps], members)
+    if whole:
+        cache[id(group)] = out
+    return out
+
+
+def _group_pair_failures(m: int, diffs_of, memo: dict, cache: dict, tag, test,
+                         gu, gv, common: int) -> tuple[tuple[int, int], ...]:
+    """The local pairs (a, t) of the support groups gu and gv (see
+    _exact_tables), vector us[a] of gu against vs[t] of gv, in increasing
+    order, that fail _memo_test(memo, tag, diffs, test), decided on the
+    positions of the bitmask common.
+
+    Each side's rows on those positions are sorted into phase classes (see
+    _phase_classes).  Moving u or v within its class multiplies S by a
+    unit w^c, which changes neither S = 0 nor |S|^2, so one pair of
+    representatives decides each pair of classes and its verdict holds for
+    every member pair.  A representative pair's key is ru + (m*ONES - rv),
+    so each field holds e_u - e_v + m, in 1..2m-1: the v side cannot
+    borrow since every e_v < m, and the sum cannot carry, so one integer
+    addition gives a key that fixes the exponent differences, and hence S,
+    exactly.
+
+    A group paired with itself (gv is gu) gives the pairs a < t only.  Two
+    members of one class differ by a constant c on all n >= 1 positions,
+    so S = n*w^(-c) != 0 and they fail with no test.  These verdicts depend
+    on the tuple of packed rows alone, wherever the support lies, so they
+    are remembered in memo under (tag, field count, rows), at most
+    _MEMO_LIMIT entries as in _memo_test.  That is the only block a valid
+    construction repeats; no other group pair is remembered whole.
+    """
+    same = gv is gu
     if same:
-        block = (tag, n, rows_u)
+        block = (tag, len(gu[2]), gu[4])
         failures = memo.get(block)
         if failures is not None:
             return failures
-    m_ones = whole(dict.fromkeys(positions, m))  # m*ONES
-    pack = whole if n == len(maps_v[vs[0]]) else part
-    rows_v = [m_ones - pack(maps_v[j]) for j in vs]
-    width = n * array(code).itemsize
-    failures = tuple((a, t) for a, ru in enumerate(rows_u)
-                     for t in range(a + 1 if same else 0, len(rows_v))
-                     if not _memo_test(memo, tag, diffs_of(ru + rows_v[t], width), test))
+    width, reps_u, _, members_u = _phase_classes(m, cache, gu, common)
+    _, _, negs_v, members_v = _phase_classes(m, cache, gv, common)
+    failures = [(ca, ct) for ca, ru in enumerate(reps_u)
+                for ct in range(ca + 1 if same else 0, len(negs_v))
+                if not _memo_test(memo, tag, diffs_of(ru + negs_v[ct], width), test)]
+    if len(members_u) < len(gu[3]) or len(members_v) < len(gv[3]):
+        pairs = [(a, t) for ca, ct in failures for a in members_u[ca] for t in members_v[ct]]
+        if same:
+            pairs = [(a, t) if a < t else (t, a) for a, t in pairs]
+            pairs.extend(itertools.chain.from_iterable(
+                itertools.combinations(c, 2) for c in members_u))
+        failures = sorted(pairs)
+    failures = tuple(failures)
     if same and len(memo) < _MEMO_LIMIT:
         memo[block] = failures
     return failures
@@ -462,50 +565,68 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
+def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, diffs_of,
                            b: int, c: int):
     """Verdict blocks (kind, detail, us, vs, pairs) between bases b and c,
     walked one pair of support groups at a time (see verify_mubs): us[a]
     fails against vs[t] for each (a, t) in pairs, or for every a and t
-    where pairs is None.  memo and diffs_of (see _memo_test) serve one call."""
+    where pairs is None.  memo, cache and diffs_of (see _memo_test and
+    _phase_classes) serve one call."""
     d = x.dim
-    maps_b, groups_b = tables[b]
-    maps_c, groups_c = tables[c]
+    groups_b, owner_b = tables[b]
+    groups_c, owner_c = tables[c]
 
     if b == c:
-        for i, vec in enumerate(x.bases[b].vectors):
-            if len(vec.amps) != vec.norm_sq:
-                yield "norm", f"|u|^2 = {len(vec.amps)}/{vec.norm_sq}", (i,), (i,), None
+        for _, norm, positions, us, _ in groups_b:
+            if len(positions) != norm:
+                for i in us:
+                    yield "norm", f"|u|^2 = {len(positions)}/{norm}", (i,), (i,), None
 
         def orthogonal(_, diffs) -> bool:
             return vanishes(m, diffs)
 
-        # holders[pos] has bit g set when group g holds pos; only the groups
-        # sharing a position are visited, all others have disjoint supports
-        # and S = 0 outright.
-        holders: dict[int, int] = {}
-        for g, (_, us) in enumerate(groups_b):
-            for pos in maps_b[us[0]]:
-                holders[pos] = holders.get(pos, 0) | 1 << g
-        for g, ((mask_u, _), us) in enumerate(groups_b):
-            near = functools.reduce(operator.or_, map(holders.__getitem__, maps_b[us[0]]), 0) >> g
-            if len(us) == 1:
-                near &= ~1  # one vector makes no pair with itself
-            while near:
-                low = near & -near
-                near ^= low
-                (mask_v, _), vs = groups_b[g + low.bit_length() - 1]
-                yield "orthogonality", "S(u, v) != 0", us, vs, _group_pair_failures(
-                    m, diffs_of, memo, None, orthogonal, maps_b, us, maps_b, vs, mask_u & mask_v)
+        if owner_b is not None:
+            # disjoint supports give S = 0 outright, so only the pairs
+            # inside a group on at least one point can fail
+            near = [(group, group) for group in groups_b if len(group[3]) > 1 and group[2]]
+        else:
+            # holders[pos] has bit g set when group g holds pos; only the
+            # groups sharing a position are visited
+            holders: dict[int, int] = {}
+            for g, group in enumerate(groups_b):
+                for pos in group[2]:
+                    holders[pos] = holders.get(pos, 0) | 1 << g
+            near = []
+            for g, gu in enumerate(groups_b):
+                bits = functools.reduce(operator.or_, map(holders.__getitem__, gu[2]), 0) >> g
+                if len(gu[3]) == 1:
+                    bits &= ~1  # one vector makes no pair with itself
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    near.append((gu, groups_b[g + low.bit_length() - 1]))
+        for gu, gv in near:
+            yield "orthogonality", "S(u, v) != 0", gu[3], gv[3], _group_pair_failures(
+                m, diffs_of, memo, cache, None, orthogonal, gu, gv, gu[0] & gv[0])
         return
+
+    if (owner_b is not None and owner_c is not None and len(groups_b) * len(groups_c) == d
+            and len(set(zip(owner_b, owner_c))) == d):
+        # every group of b meets every group of c in exactly one point, so
+        # with one norm on each side and nu*nv = d every pair is unbiased
+        norms_b, norms_c = {g[1] for g in groups_b}, {g[1] for g in groups_c}
+        if len(norms_b) == len(norms_c) == 1 and min(norms_b) * min(norms_c) == d:
+            return
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
     # the ring, which needs no division.
     def unbiased_pair(nunv, diffs) -> bool:
         return unbiased(m, diffs, d, nunv)
 
-    for (mask_u, nu), us in groups_b:
-        for (mask_v, nv), vs in groups_c:
+    for gu in groups_b:
+        mask_u, nu, _, us, _ = gu
+        for gv in groups_c:
+            mask_v, nv, _, vs, _ = gv
             common = mask_u & mask_v
             overlap = common.bit_count()
             if overlap == 1 and nu * nv == d:
@@ -514,7 +635,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, diffs_of,
             detail = f"|S|^2 = 0, want {target}" if overlap == 0 else f"|S|^2 != {target}"
             # no shared point, or one at nu*nv != d, fails every pair at once
             yield "unbiasedness", detail, us, vs, None if overlap < 2 else _group_pair_failures(
-                m, diffs_of, memo, nu * nv, unbiased_pair, maps_b, us, maps_c, vs, common)
+                m, diffs_of, memo, cache, nu * nv, unbiased_pair, gu, gv, common)
 
 
 def _block_violations(b: int, c: int, blocks) -> list[MubViolation]:
@@ -582,9 +703,10 @@ def _pair_walker(x: MubSet, mode: str):
     if mode == "exact":
         m, tables = _exact_tables(x)
         memo: dict = {}
+        cache: dict = {}
         diffs_of = _sorted_diffs(m)
         return lambda b, c: _block_violations(
-            b, c, _pair_violations_exact(x, m, tables, memo, diffs_of, b, c))
+            b, c, _pair_violations_exact(x, m, tables, memo, cache, diffs_of, b, c))
     tables = _float_tables(x)
     return lambda b, c: _pair_violations_float(x, tables, b, c)
 
@@ -618,9 +740,11 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     unbiasedness as d*S*conj(S) = nu*nv, which needs no division.  It walks
     pairs of support groups, not pairs of vectors: a cross-basis pair of
     supports meeting in one point is settled for all its vector pairs by
-    S*conj(S) = 1, disjoint supports by S = 0, the pairs inside one group
-    once per distinct block of rows, and only other overlaps are tested
-    pair by pair, each distinct exponent-difference vector once.
+    S*conj(S) = 1, disjoint supports by S = 0, two bases whose supports
+    partition the points and meet once in every pair of groups by one
+    set-size check, the pairs inside one group once per distinct block of
+    rows, and other overlaps once per pair of phase classes, rows equal up
+    to a constant exponent, each distinct exponent-difference vector once.
     mode "float" computes every inner product numerically and compares it
     against tolerance 1e-9; a vector whose products with a whole basis all
     lie within half that tolerance passes at once.  jobs > 1 spreads basis

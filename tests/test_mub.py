@@ -415,6 +415,140 @@ def test_built_sets_decide_their_one_row_block_once(q, monkeypatch):
     assert len(calls) == q * (q - 1) // 2
 
 
+def quadratic_phase(p: int) -> MubSet:
+    """The p + 1 bases of C^p for an odd prime p: the computational basis,
+    then for each a the vectors w^(a x^2 + b x), b = 0..p-1."""
+    twisted = [MubBasis(tuple(MubVector(dim=p, root_order=p, norm_sq=p, amps=tuple(
+        (x, (a * x * x + b * x) % p) for x in range(p))) for b in range(p))) for a in range(p)]
+    return MubSet(dim=p, bases=standard_basis(p).bases + tuple(twisted))
+
+
+def test_a_tensor_set_decides_each_pair_of_phase_classes_once(monkeypatch):
+    # qp3 x WB(4): 4 bases of C^48, C(192, 2) = 18,336 vector pairs.  A
+    # product group meets a group of another basis in 3 points, where its
+    # rows are the 3 rows of qp3 up to a phase, so one pair of classes
+    # stands for 16 vector pairs
+    x = tensor_mubs(quadratic_phase(3), built_mubs(4))
+    calls = {"memo": 0, "unbiased": 0, "vanishes": 0}
+
+    def counting(name, test):
+        def call(*args):
+            calls[name] += 1
+            return test(*args)
+        return call
+
+    monkeypatch.setattr(mub, "_memo_test", counting("memo", mub._memo_test))
+    monkeypatch.setattr(mub, "unbiased", counting("unbiased", unbiased))
+    monkeypatch.setattr(mub, "vanishes", counting("vanishes", vanishes))
+    assert verify_mubs(x, mode="exact").ok
+    pairs = x.k * x.dim * (x.k * x.dim - 1) // 2
+    assert pairs == 18_336
+    assert calls["memo"] == 636 < pairs // 10
+    assert calls["vanishes"] + calls["unbiased"] <= 7 + 16
+
+
+@pytest.mark.parametrize("m", [4, 260])
+def test_rows_one_phase_apart_fail_inside_their_group(m):
+    # Fourier rows 0 and 1 on four points, then the same rows turned by a
+    # constant exponent: each turned row fails against its original,
+    # S = 4*w^(-c), and passes against the other class; at m = 260 the
+    # rows sit in 16-bit fields
+    f = m // 4
+    rows = [[k * p * f for p in range(4)] for k in (0, 1)]
+    rows += [[(e + c * f) % m for e in row] for row, c in zip(rows, (1, 2))]
+    vecs = [MubVector(dim=4, root_order=m, norm_sq=4, amps=tuple(enumerate(row))) for row in rows]
+    x = MubSet(dim=4, bases=(MubBasis(tuple(vecs)),))
+    exact = verify_mubs(x, mode="exact").failing_pairs()
+    assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
+    assert exact == {(0, 0, 0, 2), (0, 1, 0, 3)}
+
+
+def test_vectors_on_no_point_make_no_orthogonality_failure():
+    # basis 0 holds three vectors on no point next to two that split the
+    # points, so its supports partition them with an empty group; each
+    # empty vector breaks its norm, and nothing else inside the basis
+    hadamard2 = [MubVector(dim=5, root_order=2, norm_sq=2, amps=((0, 0), (1, e))) for e in (0, 1)]
+    empty = [MubVector(dim=5, root_order=2, norm_sq=1, amps=()) for _ in range(2)]
+    rest = [MubVector(dim=5, root_order=2, norm_sq=3, amps=((2, 0), (3, 1), (4, 0)))]
+    x = MubSet(dim=5, bases=(MubBasis(tuple(empty + hadamard2 + rest)),
+                             MubBasis(tuple(hadamard2 + empty + empty[:1]))))
+    for mode in ("exact", "float"):
+        report = verify_mubs(x, mode=mode)
+        assert not any(v.kind == "orthogonality" for v in report.violations)
+    exact = verify_mubs(x, mode="exact").failing_pairs()
+    assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
+    assert {(b, i) for b, i, c, j in exact if b == c} == {(0, 0), (0, 1), (1, 2), (1, 3), (1, 4)}
+
+
+def partitioned_set(rng: random.Random) -> MubSet:
+    """Two or three bases of C^(q^2) whose supports partition the points:
+    the supports of built_mubs(q), shuffled across bases, each support
+    holding as many vectors as points.  Some bases move one point to
+    another support, so two groups meet twice, merge two supports, so the
+    group counts no longer multiply to d, or trade a vector for one on no
+    point, an extra group.  A basis gives each support its size or q as
+    its norm, at times plus one, and a support's rows may hold two one
+    phase apart."""
+    q = rng.choice([2, 3])
+    d = q * q
+    m = rng.choice([q, 2 * q, 130])
+    net = built_mubs(q)
+    bases = []
+    for b in rng.sample(range(net.k), rng.choice([2, 3])):
+        supports = [[p for p, _ in net.bases[b].vectors[i * q].amps] for i in range(q)]
+        change = rng.choice(["none", "none", "move", "merge", "empty"])
+        if change == "move":
+            src, dst = rng.sample(range(q), 2)
+            supports[dst].append(supports[src].pop(rng.randrange(q)))
+        elif change == "merge":
+            supports[0] += supports.pop()
+        vecs = []
+        sized = rng.random() < 0.5
+        for support in supports:
+            support.sort()
+            w = len(support)
+            norm = (w if sized else q) + (rng.random() < 0.1)
+            rows = [[rng.choice((0, k * p * m // w % m if m % w == 0 else rng.randrange(m)))
+                     for p in range(w)] for k in range(w)]
+            if rng.random() < 0.4:
+                c = rng.randrange(1, m)
+                rows[-1] = [(e + c) % m for e in rows[0]]
+            vecs += [MubVector(dim=d, root_order=m, norm_sq=norm, amps=tuple(zip(support, row)))
+                     for row in rows]
+        if change == "empty":
+            vecs[-1] = vecs[-1]._replace(amps=())
+        rng.shuffle(vecs)
+        bases.append(MubBasis(tuple(vecs)))
+    return MubSet(dim=d, bases=tuple(bases))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_partitioned_bases_keep_exact_verdicts(seed):
+    x = partitioned_set(random.Random(seed))
+    exact = verify_mubs(x, mode="exact").failing_pairs()
+    assert exact == exact_failing_pairs(x) == verify_mubs(x, mode="float").failing_pairs()
+
+
+def test_partitioned_bases_report_the_same_with_two_jobs():
+    rng = random.Random(11)
+    sets = [partitioned_set(rng) for _ in range(6)]
+    assert any(not verify_mubs(x).ok for x in sets)
+    for x in sets:
+        assert verify_mubs(x, jobs=2) == verify_mubs(x, jobs=1)
+
+
+def test_shuffled_net_supports_settle_every_cross_pair_at_once(monkeypatch):
+    # the supports of built_mubs(3), each basis's vectors shuffled: every
+    # pair of bases tiles the points, so no unbiasedness test runs
+    rng = random.Random(5)
+    x = built_mubs(3)
+    x = MubSet(dim=x.dim, bases=tuple(
+        MubBasis(tuple(rng.sample(basis.vectors, x.dim))) for basis in x.bases))
+    monkeypatch.setattr(mub, "unbiased", None)  # any call fails
+    assert verify_mubs(x, mode="exact").ok
+
+
 def swapped(x: MubSet, b: int, i: int, j: int) -> MubSet:
     """Copy of x with vectors i and j of basis b exchanged."""
     vecs = list(x.bases[b].vectors)
