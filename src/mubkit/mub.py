@@ -19,18 +19,13 @@ vanish.  Verification re-derives all of this from scratch for any set,
 without assuming how the set was produced.
 
 The exact verifier first builds per-basis tables: each basis's vectors
-grouped by (support, norm_sq), each vector's exponents packed once into
-one integer over its whole support, and, when the groups' supports
-partition the points, the group owning each point.  It decides a pair of
-groups at once wherever a ring identity allows it: two supports that meet
-in one point give S a single root of unity, so d*S*conj(S) = d, and the
-whole product of the two groups is unbiased exactly when nu*nv = d;
-disjoint supports give S = 0.  Two partitioned bases with n_b*n_c = d
-groups whose owners pair up in d distinct ways meet once in every pair of
-groups, so with one norm on each side and nu*nv = d the whole basis pair
-passes with no walk; within a partitioned basis only each group's pairs
-with itself can fail.  Other bases visit only the groups that share a
-position, found through a position -> group index.  Every other
+grouped by (support, norm_sq), and each vector's exponents packed once
+into one integer over its whole support.  It decides a pair of groups at
+once wherever a ring identity allows it: two supports that meet in one
+point give S a single root of unity, so d*S*conj(S) = d, and the whole
+product of the two groups is unbiased exactly when nu*nv = d; disjoint
+supports give S = 0.  Within a basis it visits only the groups that share
+a position, found through a position -> group index.  Every other
 overlapping pair of groups, a group with itself included, is decided by
 one function on the positions the two share: it sorts each side's rows
 there into phase classes, rows equal up to one constant exponent, which
@@ -44,10 +39,10 @@ the cyclotomic group ring.  A group paired with itself is also decided
 once per distinct row block: the tuple of its packed rows fixes every S
 among its vectors wherever the support lies.  A net set has one block,
 the Hadamard matrix's rows, on all k*s supports, so its within-basis pass
-makes C(s, 2) zero tests, and every cross-basis pair passes by the
-partition identity.  A root order above MAX_ROOT_ORDER is refused before
-any ring work.  The walk yields verdict blocks, two groups with their
-failing pairs or all their pairs, and one expander makes the report.
+makes C(s, 2) zero tests, and every cross-basis pair of groups meets in
+one point.  A root order above MAX_ROOT_ORDER is refused before any ring
+work.  The walk yields verdict blocks, two groups with their failing pairs
+or all their pairs, and one expander makes the report.
 
 The float oracle (tolerance 1e-9) stays brute force, summing every inner
 product numerically term by term, so it cross-checks these shortcuts
@@ -316,14 +311,12 @@ _NORM_SQ, _ROOT_ORDER = operator.attrgetter("norm_sq"), operator.attrgetter("roo
 
 
 def _exact_tables(x: MubSet):
-    """Per basis: (groups, owner).  groups lists, for each (support,
-    norm_sq) in order of first appearance, (mask, norm, positions, us,
-    rows): the support as a bitmask and as increasing positions, the
-    indices us of its vectors, and their rows, each vector's exponents
-    lifted to the set root order and packed once over the whole support
-    (see _row_packer).  owner[p] is the index of the group holding
-    position p when the groups' supports partition 0..d-1, else None."""
-    m, d = x.root_order, x.dim
+    """Per basis: its groups, for each (support, norm_sq) in order of first
+    appearance (mask, norm, positions, us, rows): the support as a bitmask
+    and as increasing positions, the indices us of its vectors, and their
+    rows, each vector's exponents lifted to the set root order and packed
+    once over the whole support (see _row_packer)."""
+    m = x.root_order
     pack = _row_packer(_field_code(m))
     tables = []
     for basis in x.bases:
@@ -343,15 +336,7 @@ def _exact_tables(x: MubSet):
         groups = [(sum(map((1).__lshift__, positions)), norm, positions, us,
                    tuple(map(rows.__getitem__, us)))
                   for (positions, norm), us in index.items()]
-        masks = [g[0] for g in groups]
-        owner = None
-        if (sum(map(int.bit_count, masks)) == d
-                and functools.reduce(operator.or_, masks) == (1 << d) - 1):
-            owner = [0] * d
-            for g, group in enumerate(groups):
-                for p in group[2]:
-                    owner[p] = g
-        tables.append((groups, owner))
+        tables.append(groups)
     return m, tables
 
 
@@ -573,8 +558,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, d
     where pairs is None.  memo, cache and diffs_of (see _memo_test and
     _phase_classes) serve one call."""
     d = x.dim
-    groups_b, owner_b = tables[b]
-    groups_c, owner_c = tables[c]
+    groups_b, groups_c = tables[b], tables[c]
 
     if b == c:
         for _, norm, positions, us, _ in groups_b:
@@ -585,38 +569,25 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, d
         def orthogonal(_, diffs) -> bool:
             return vanishes(m, diffs)
 
-        if owner_b is not None:
-            # disjoint supports give S = 0 outright, so only the pairs
-            # inside a group on at least one point can fail
-            near = [(group, group) for group in groups_b if len(group[3]) > 1 and group[2]]
-        else:
-            # holders[pos] has bit g set when group g holds pos; only the
-            # groups sharing a position are visited
-            holders: dict[int, int] = {}
-            for g, group in enumerate(groups_b):
-                for pos in group[2]:
-                    holders[pos] = holders.get(pos, 0) | 1 << g
-            near = []
-            for g, gu in enumerate(groups_b):
-                bits = functools.reduce(operator.or_, map(holders.__getitem__, gu[2]), 0) >> g
-                if len(gu[3]) == 1:
-                    bits &= ~1  # one vector makes no pair with itself
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    near.append((gu, groups_b[g + low.bit_length() - 1]))
+        # holders[pos] has bit g set when group g holds pos; only the groups
+        # sharing a position are visited
+        holders: dict[int, int] = {}
+        for g, group in enumerate(groups_b):
+            for pos in group[2]:
+                holders[pos] = holders.get(pos, 0) | 1 << g
+        near = []
+        for g, gu in enumerate(groups_b):
+            bits = functools.reduce(operator.or_, map(holders.__getitem__, gu[2]), 0) >> g
+            if len(gu[3]) == 1:
+                bits &= ~1  # one vector makes no pair with itself
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                near.append((gu, groups_b[g + low.bit_length() - 1]))
         for gu, gv in near:
             yield "orthogonality", "S(u, v) != 0", gu[3], gv[3], _group_pair_failures(
                 m, diffs_of, memo, cache, None, orthogonal, gu, gv, gu[0] & gv[0])
         return
-
-    if (owner_b is not None and owner_c is not None and len(groups_b) * len(groups_c) == d
-            and len(set(zip(owner_b, owner_c))) == d):
-        # every group of b meets every group of c in exactly one point, so
-        # with one norm on each side and nu*nv = d every pair is unbiased
-        norms_b, norms_c = {g[1] for g in groups_b}, {g[1] for g in groups_c}
-        if len(norms_b) == len(norms_c) == 1 and min(norms_b) * min(norms_c) == d:
-            return
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
     # the ring, which needs no division.
@@ -740,11 +711,10 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     unbiasedness as d*S*conj(S) = nu*nv, which needs no division.  It walks
     pairs of support groups, not pairs of vectors: a cross-basis pair of
     supports meeting in one point is settled for all its vector pairs by
-    S*conj(S) = 1, disjoint supports by S = 0, two bases whose supports
-    partition the points and meet once in every pair of groups by one
-    set-size check, the pairs inside one group once per distinct block of
-    rows, and other overlaps once per pair of phase classes, rows equal up
-    to a constant exponent, each distinct exponent-difference vector once.
+    S*conj(S) = 1, disjoint supports by S = 0, the pairs inside one group
+    once per distinct block of rows, and other overlaps once per pair of
+    phase classes, rows equal up to a constant exponent, each distinct
+    exponent-difference vector once.
     mode "float" computes every inner product numerically and compares it
     against tolerance 1e-9; a vector whose products with a whole basis all
     lie within half that tolerance passes at once.  jobs > 1 spreads basis

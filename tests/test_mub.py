@@ -1185,6 +1185,39 @@ def test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths(m, data):
     assert whole and set(whole) == {mub._field_code(m)}
 
 
+@pytest.mark.parametrize("m", [128, 260])
+def test_rows_on_their_whole_support_are_not_packed_again(m):
+    # the bases of the test above, unshifted: the Fourier and twisted
+    # groups on all four points meet each half group on its whole support,
+    # so only their 4-point rows are packed again, on {0, 1} or {2, 3},
+    # once per such group pair; the half groups' rows and every row of a
+    # group paired with itself or with a whole-support group are the
+    # packed rows themselves
+    q = m // 4
+    fourier = [tuple((p, q * k * p % m) for p in range(4)) for k in range(4)]
+    halves = [((a, 0), (a + 1, h)) for a in (0, 2) for h in (0, m // 2)]
+    twisted = [tuple((p, (q * k * p + q * p * p) % m) for p in range(4)) for k in range(4)]
+    x = MubSet(dim=4, bases=tuple(
+        MubBasis(tuple(MubVector(dim=4, root_order=m, norm_sq=len(amps), amps=amps)
+                       for amps in amps_list))
+        for amps_list in (fourier, halves, twisted)))
+    restricted = []
+    row_packer = mub._row_packer
+
+    def spying(code, positions=None):
+        if positions is not None:
+            restricted.append(len(positions))
+        return row_packer(code, positions)
+
+    mub._row_packer = spying
+    try:
+        exact = verify_mubs(x, mode="exact").failing_pairs()
+    finally:
+        mub._row_packer = row_packer
+    assert exact == exact_failing_pairs(x) == verify_mubs(x, mode="float").failing_pairs()
+    assert restricted == [2, 2, 2, 2]
+
+
 MUB_KEYS = ["dim", "root_order", "bases", "norm_sq", "amps", "amps_float", "x"]
 
 
