@@ -20,29 +20,33 @@ without assuming how the set was produced.
 
 The exact verifier first builds per-basis tables: each basis's vectors
 grouped by (support, norm_sq), and each vector's exponents packed once
-into one integer over its whole support.  It decides a pair of groups at
-once wherever a ring identity allows it: two supports that meet in one
-point give S a single root of unity, so d*S*conj(S) = d, and the whole
-product of the two groups is unbiased exactly when nu*nv = d; disjoint
-supports give S = 0.  Within a basis it visits only the groups that share
-a position, found through a position -> group index.  Every other
-overlapping pair of groups, a group with itself included, is decided by
-one function on the positions the two share: it sorts each side's rows
-there into phase classes, rows equal up to one constant exponent, which
-fixes S up to a unit, tests one pair of representatives per pair of
-classes, and copies each verdict to the member pairs.  A representative
-pair's key is the sum of two packed rows, read back sorted as
+into bytes over its whole support, one field per position.  One codec per
+root order (_row_codec) fixes the field width, 8 bits up to m = 128 and
+16 above, and packs, compares and reads back rows; rows stay bytes
+throughout.  It decides a pair of groups at once wherever a ring identity
+allows it: two supports that meet in one point give S a single root of
+unity, so d*S*conj(S) = d, and the whole product of the two groups is
+unbiased exactly when nu*nv = d; disjoint supports give S = 0.  Within a
+basis it visits only the groups that share a position, found through a
+position -> group index.  Every other overlapping pair of groups, a group
+with itself included, is decided by one function on the positions the two
+share: it sorts each side's rows there, the packed rows or the bytes of
+their fields on those positions, into phase classes, rows equal up to one
+constant exponent, which fixes S up to a unit, tests one pair of
+representatives per pair of classes, and copies each verdict to the
+member pairs.  A representative pair's key is one integer addition of two
+rows read as integers, read back sorted (for 8-bit fields as
 bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
-MOD_M reducing each byte mod m (a tuple from an array for 16-bit fields),
-and each distinct vector of sorted differences is tested once per call in
-the cyclotomic group ring.  A group paired with itself is also decided
-once per distinct row block: the tuple of its packed rows fixes every S
-among its vectors wherever the support lies.  A net set has one block,
-the Hadamard matrix's rows, on all k*s supports, so its within-basis pass
+MOD_M reducing each byte mod m), and each distinct vector of sorted
+differences is tested once per call in the cyclotomic group ring.  A
+group paired with itself is also decided once per distinct row block,
+kept under (tag, rows): the tuple of its bytes rows fixes every S among
+its vectors wherever the support lies.  A net set has one block, the
+Hadamard matrix's rows, on all k*s supports, so its within-basis pass
 makes C(s, 2) zero tests, and every cross-basis pair of groups meets in
 one point.  A root order above MAX_ROOT_ORDER is refused before any ring
-work.  The walk yields verdict blocks, two groups with their failing pairs
-or all their pairs, and one expander makes the report.
+work.  The walk yields verdict blocks, two groups with their failing
+pairs or all their pairs, and one expander makes the report.
 
 The float oracle (tolerance 1e-9) stays brute force, summing every inner
 product numerically term by term, so it cross-checks these shortcuts
@@ -315,9 +319,9 @@ def _exact_tables(x: MubSet):
     appearance (mask, norm, positions, us, rows): the support as a bitmask
     and as increasing positions, the indices us of its vectors, and their
     rows, each vector's exponents lifted to the set root order and packed
-    once over the whole support (see _row_packer)."""
+    once over the whole support into bytes (see _row_codec)."""
     m = x.root_order
-    pack = _row_packer(_field_code(m))
+    pack = _row_codec(m).pack
     tables = []
     for basis in x.bases:
         vecs = basis.vectors
@@ -371,48 +375,47 @@ def _check_norms_float(x: MubSet, b: int, maps) -> list[MubViolation]:
     return out
 
 
-def _field_code(m: int) -> str:
-    """Typecode of the narrowest unsigned array item that holds 2m - 1; 16
-    bits hold it for every m up to MAX_ROOT_ORDER."""
-    return "B" if 2 * m - 1 < 256 else "H"
-
-
-def _row_packer(code: str, positions=None):
-    """row -> the exponents of row, a sequence of them, one byte-aligned
-    field (array item of typecode code) each, as one integer: one pass of
-    bytes(...) for 8-bit fields, array(code, ...) for 16-bit ones, and
-    int.from_bytes.  With positions, only row[i] for each index i in
-    positions, in that order."""
-    order = sys.byteorder
-    if positions is not None and code == "B":
-        return lambda row: int.from_bytes(bytes(map(row.__getitem__, positions)), order)
-    if positions is not None:
-        return lambda row: int.from_bytes(
-            array(code, map(row.__getitem__, positions)).tobytes(), order)
-    if code == "B":
-        return lambda row: int.from_bytes(bytes(row), order)
-    return lambda row: int.from_bytes(array(code, row).tobytes(), order)
+_RowCodec = namedtuple("_RowCodec", "size pack phase_key sorted_diffs")
 
 
 @functools.lru_cache(maxsize=None)
-def _sorted_diffs(m: int):
-    """(key, n) -> the exponent differences held in the n-byte key (see
-    _group_pair_failures), reduced mod m and sorted, with C builtins doing
-    the per-field work.  For 8-bit fields that is bytes(sorted(...)) of the
-    key's bytes translated through a 256-byte table v -> v % m; 16-bit
-    fields are read back as an array and give a tuple.  Built once per
-    root order m and shared by every verify_mubs call at that order."""
+def _row_codec(m: int) -> _RowCodec:
+    """How rows are laid out at root order m, built once per m and shared
+    by every verify_mubs call at that order.  A row is bytes, one field of
+    size bytes per position, each the narrowest unsigned array item that
+    holds 2m - 1: 8 bits up to m = 128, 16 bits above, which hold it for
+    every m up to MAX_ROOT_ORDER.  This is the module's one choice between
+    the two widths.
+
+    pack(exps) is the row of an iterable of exponents.  phase_key(row)
+    holds the row's exponents, each minus the first, mod m: equal for two
+    rows exactly when they differ by one constant exponent mod m; for
+    8-bit fields that is the row translated through one of m 256-byte
+    tables, v -> (v - c) % m for a first exponent c.  sorted_diffs(key, n)
+    is the exponent differences held in the n-byte integer key (see
+    _group_pair_failures), reduced mod m and sorted, as bytes for 8-bit
+    fields (the key's bytes translated through a 256-byte table v -> v % m)
+    and as a tuple for 16-bit ones.  C builtins do the per-field work."""
     order = sys.byteorder
-    code = _field_code(m)
-    if code == "B":
+    if 2 * m - 1 < 256:
         mod_m = bytes(v % m for v in range(256))
-        return lambda key, n: bytes(sorted(key.to_bytes(n, order).translate(mod_m)))
-    return lambda key, n: tuple(sorted(map(m.__rmod__, array(code, key.to_bytes(n, order)))))
+        shift = [bytes((v - c) % m for v in range(256)) for c in range(m)]
+        return _RowCodec(1, bytes, lambda row: row.translate(shift[row[0]]),
+                         lambda key, n: bytes(sorted(key.to_bytes(n, order).translate(mod_m))))
+
+    def phase_key(row):
+        items = array("H", row)
+        return tuple(map(m.__rmod__, map(operator.sub, items, itertools.repeat(items[0]))))
+
+    def sorted_diffs(key, n):
+        return tuple(sorted(map(m.__rmod__, array("H", key.to_bytes(n, order)))))
+    return _RowCodec(array("H").itemsize, lambda exps: array("H", exps).tobytes(), phase_key,
+                     sorted_diffs)
 
 
 def _memo_test(memo: dict, tag, diffs, test) -> bool:
     """test(tag, diffs) for the sorted exponent differences diffs of a pair
-    (see _sorted_diffs), remembered for the rest of one verify_mubs call
+    (see _row_codec), remembered for the rest of one verify_mubs call
     under (tag, diffs); tag tells the tests apart.
 
     The sorted differences alone decide S, so a remembered verdict is
@@ -428,67 +431,38 @@ def _memo_test(memo: dict, tag, diffs, test) -> bool:
     return hit
 
 
-@functools.lru_cache(maxsize=None)
-def _phase_key(m: int):
-    """(row, width) -> the exponents held in the width-byte packed row,
-    each minus the first, mod m: equal for two rows exactly when they
-    differ by one constant exponent mod m.  For 8-bit fields that is the
-    row's bytes translated through one of m 256-byte tables, v -> (v - c)
-    % m for a first exponent c; 16-bit fields give a tuple.  Built once
-    per root order m, like _sorted_diffs."""
-    order = sys.byteorder
-    code = _field_code(m)
-    if code == "B":
-        shift = [bytes((v - c) % m for v in range(256)) for c in range(m)]
-
-        def key(row, width):
-            raw = row.to_bytes(width, order)
-            return raw.translate(shift[raw[0]])
-        return key
-
-    def key(row, width):
-        items = array(code, row.to_bytes(width, order))
-        return tuple(map(m.__rmod__, map(operator.sub, items, itertools.repeat(items[0]))))
-    return key
-
-
 def _phase_classes(m: int, cache: dict, group, common: int):
     """(width, reps, negs, members): the rows of group (see _exact_tables)
     on the n >= 1 positions of the bitmask common, width bytes each,
-    sorted into phase classes (see _phase_key) in order of first
+    sorted into phase classes (see _row_codec) in order of first
     appearance.  members lists each class's local indices, reps holds the
-    packed row of its first member and negs holds m*ONES - rep for each,
-    ONES having a 1 in every field.
+    row of its first member as one integer and negs holds m*ONES - rep for
+    each, ONES having a 1 in every field.
 
     Rows on the group's whole support are the packed rows themselves, and
     their classes are built once per group and kept in cache under the
-    group's id for the rest of one verify_mubs call.  Other rows are read
-    back from the packed rows and packed again on the common positions
-    (see _row_packer)."""
+    group's id for the rest of one verify_mubs call.  Other rows are the
+    bytes of the packed rows' fields on the common positions."""
     mask, _, positions, _, rows = group
-    code = _field_code(m)
-    size = array(code).itemsize
     whole = common == mask
     if whole:
         hit = cache.get(id(group))
         if hit is not None:
             return hit
-        n = len(positions)
-    else:
-        keep = [i for i, p in enumerate(positions) if common >> p & 1]
-        n = len(keep)
-        full = itertools.repeat(len(positions) * size)
-        rows = map(int.to_bytes, rows, full, itertools.repeat(sys.byteorder))
-        if code != "B":
-            rows = map(array, itertools.repeat(code), rows)
-        rows = list(map(_row_packer(code, keep), rows))
-    width = n * size
+    codec = _row_codec(m)
+    if not whole:
+        size = codec.size
+        keep = [i * size + j for i, p in enumerate(positions) if common >> p & 1
+                for j in range(size)]
+        rows = [bytes(map(row.__getitem__, keep)) for row in rows]
+    width = len(rows[0])
     index: dict = {}
-    for a, key in enumerate(map(_phase_key(m), rows, itertools.repeat(width))):
+    for a, key in enumerate(map(codec.phase_key, rows)):
         index.setdefault(key, []).append(a)
     members = list(index.values())
-    reps = rows if len(members) == len(rows) else [rows[c[0]] for c in members]
-    m_ones = int.from_bytes(array(code, [m]).tobytes() * n, sys.byteorder)
+    order = sys.byteorder
+    reps = [int.from_bytes(rows[c[0]], order) for c in members]
+    m_ones = int.from_bytes(codec.pack([m] * (width // codec.size)), order)
     out = (width, reps, [m_ones - rep for rep in reps], members)
     if whole:
         cache[id(group)] = out
@@ -516,13 +490,16 @@ def _group_pair_failures(m: int, diffs_of, memo: dict, cache: dict, tag, test,
     members of one class differ by a constant c on all n >= 1 positions,
     so S = n*w^(-c) != 0 and they fail with no test.  These verdicts depend
     on the tuple of packed rows alone, wherever the support lies, so they
-    are remembered in memo under (tag, field count, rows), at most
-    _MEMO_LIMIT entries as in _memo_test.  That is the only block a valid
-    construction repeats; no other group pair is remembered whole.
+    are remembered in memo under (tag, rows), at most _MEMO_LIMIT entries
+    as in _memo_test; a bytes row carries its own length.  The key never
+    equals a (tag, diffs) key of _memo_test, since a nonempty tuple of
+    bytes equals neither bytes nor a tuple of ints.  That is the only
+    block a valid construction repeats; no other group pair is remembered
+    whole.
     """
     same = gv is gu
     if same:
-        block = (tag, len(gu[2]), gu[4])
+        block = (tag, gu[4])
         failures = memo.get(block)
         if failures is not None:
             return failures
@@ -675,7 +652,7 @@ def _pair_walker(x: MubSet, mode: str):
         m, tables = _exact_tables(x)
         memo: dict = {}
         cache: dict = {}
-        diffs_of = _sorted_diffs(m)
+        diffs_of = _row_codec(m).sorted_diffs
         return lambda b, c: _block_violations(
             b, c, _pair_violations_exact(x, m, tables, memo, cache, diffs_of, b, c))
     tables = _float_tables(x)

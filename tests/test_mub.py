@@ -423,12 +423,16 @@ def quadratic_phase(p: int) -> MubSet:
     return MubSet(dim=p, bases=standard_basis(p).bases + tuple(twisted))
 
 
-def test_a_tensor_set_decides_each_pair_of_phase_classes_once(monkeypatch):
+@pytest.mark.parametrize("m", [12, 132])
+def test_a_tensor_set_decides_each_pair_of_phase_classes_once(m, monkeypatch):
     # qp3 x WB(4): 4 bases of C^48, C(192, 2) = 18,336 vector pairs.  A
     # product group meets a group of another basis in 3 points, where its
     # rows are the 3 rows of qp3 up to a phase, so one pair of classes
-    # stands for 16 vector pairs
+    # stands for 16 vector pairs; the set is taken as built, m = 12, and
+    # lifted to m = 132, where its rows sit in 16-bit fields
     x = tensor_mubs(quadratic_phase(3), built_mubs(4))
+    assert x.root_order == 12
+    x = lifted(x, m)
     calls = {"memo": 0, "unbiased": 0, "vanishes": 0}
 
     def counting(name, test):
@@ -445,6 +449,7 @@ def test_a_tensor_set_decides_each_pair_of_phase_classes_once(monkeypatch):
     assert pairs == 18_336
     assert calls["memo"] == 636 < pairs // 10
     assert calls["vanishes"] + calls["unbiased"] <= 7 + 16
+    assert verify_mubs(x, mode="float").ok
 
 
 @pytest.mark.parametrize("m", [4, 260])
@@ -1120,10 +1125,10 @@ def lifted(x: MubSet, m: int) -> MubSet:
 @pytest.mark.parametrize("m, code, q", [
     (127, "B", None), (128, "B", 4), (129, "H", 3), (MAX_ROOT_ORDER, "H", 2)])
 def test_oracles_agree_at_the_key_field_widths(m, code, q):
-    # keys hold e_u - e_v + m, from 1 to 2m - 1, in one array item per
+    # keys hold e_u - e_v + m, from 1 to 2m - 1, in one field per
     # position: bytes up to m = 128, 16-bit items above; exponents 0 and
     # m - 1 reach both ends of a field
-    assert mub._field_code(m) == code
+    assert mub._row_codec(m).size == {"B": 1, "H": 2}[code]
     rng = random.Random(m)
     net = built_mubs(3)
     spread = MubSet(dim=9, bases=tuple(MubBasis(tuple(
@@ -1163,26 +1168,23 @@ def test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths(m, data):
                                   amps=tuple((p, (e + t) % m) for (p, e), t in zip(amps, shift))))
         bases.append(MubBasis(tuple(vecs)))
     x = MubSet(dim=4, bases=tuple(bases))
-    whole = []
-    row_packer = mub._row_packer
+    # the ids of the groups whose whole-support classes are built, once
+    # per cache miss; a group's id stays unique while one call runs
+    built = []
+    phase_classes = mub._phase_classes
 
-    def spying(code, positions=None):
-        pack = row_packer(code, positions)
-        if positions is not None:
-            return pack
+    def spying(m, cache, group, common):
+        if common == group[0] and id(group) not in cache:
+            built.append(id(group))
+        return phase_classes(m, cache, group, common)
 
-        def counted(amp):
-            whole.append(code)
-            return pack(amp)
-        return counted
-
-    mub._row_packer = spying
+    mub._phase_classes = spying
     try:
         exact = verify_mubs(x, mode="exact").failing_pairs()
     finally:
-        mub._row_packer = row_packer
+        mub._phase_classes = phase_classes
     assert exact == exact_failing_pairs(x) == verify_mubs(x, mode="float").failing_pairs()
-    assert whole and set(whole) == {mub._field_code(m)}
+    assert built and len(built) == len(set(built))
 
 
 @pytest.mark.parametrize("m", [128, 260])
@@ -1202,18 +1204,18 @@ def test_rows_on_their_whole_support_are_not_packed_again(m):
                        for amps in amps_list))
         for amps_list in (fourier, halves, twisted)))
     restricted = []
-    row_packer = mub._row_packer
+    phase_classes = mub._phase_classes
 
-    def spying(code, positions=None):
-        if positions is not None:
-            restricted.append(len(positions))
-        return row_packer(code, positions)
+    def spying(m, cache, group, common):
+        if common != group[0]:
+            restricted.append(common.bit_count())
+        return phase_classes(m, cache, group, common)
 
-    mub._row_packer = spying
+    mub._phase_classes = spying
     try:
         exact = verify_mubs(x, mode="exact").failing_pairs()
     finally:
-        mub._row_packer = row_packer
+        mub._phase_classes = phase_classes
     assert exact == exact_failing_pairs(x) == verify_mubs(x, mode="float").failing_pairs()
     assert restricted == [2, 2, 2, 2]
 

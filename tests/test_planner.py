@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +172,18 @@ def test_only_exact_imported_sets_are_tagged_constructible():
     leaf = PlanNode(2, "imported-mubs", 3, False, "imported")
     assert count_tag(leaf) == "float-verified only"
     assert count_tag(leaf._replace(constructible=True)) == "constructible"
+
+
+def test_a_best_tensor_tree_of_constructible_factors_is_constructible():
+    # exact sets of 7 bases for C^6 and C^10 (plan reads only k and
+    # is_exact) make the 6 x 10 split the widest route to 60, and both
+    # of its factors' best trees can be built
+    f = SimpleNamespace(k=7, is_exact=True)
+    p = plan(60, ImportsTable(mubs={6: f, 10: f}, exact_mubs={6: f, 10: f}))
+    assert p.best.describe() == "(6[imported: 7] x 10[imported: 7])"
+    assert p.best.kind == "tensor" and p.best.constructible
+    assert p.best_count == p.best_constructible_count == 7
+    assert p.best_constructible == p.best
 
 
 def test_cited_bounds_feed_square_routes(tmp_path):
