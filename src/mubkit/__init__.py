@@ -14,7 +14,6 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("arith", "prime_power"),
-        ("galois", "GField"),
         ("hadamard", "GenHadamard char_table dft tensor_hadamard verify_hadamard"),
         ("latin", "LatinSquare MolsSet NotLatinError NotOrthogonalError best_mols"
                   " complete_mols_prime_power cyclic_square import_mols export_mols"

@@ -175,7 +175,8 @@ def cmd_mols_gen(args) -> int:
         return 0
     from .arith import prime_power
 
-    if prime_power(s) is None:
+    # above MAX_ORDER the complete set refuses the order before factoring it
+    if s <= latin.MAX_ORDER and prime_power(s) is None:
         return _fail(f"order {s} is not a prime power; use --cyclic or product")
     m = latin.complete_mols_prime_power(s)
     _emit_mols(m, args, "complete set")
@@ -268,13 +269,17 @@ def _check_and_emit(x: mub.MubSet, args, render: bool) -> int:
 
 def cmd_mub_build(args) -> int:
     from . import hadamard, latin, mub, net
+    from .arith import constructive_mols_count
 
     s = args.square
     if s < 2:
         return _fail(f"--square must be >= 2, got {s}")
     table = _load_imports(args)
-    mols = latin.best_mols(s, imported=None if table is None else table.mols.get(s))
-    n = net.net_from_mols(mols)
+    imported = None if table is None else table.mols.get(s)
+    # the set best_mols would give has w + 2 bases: refuse it before building any MOLS
+    w = max(constructive_mols_count(s), 0 if imported is None else imported.width)
+    mub.bound_build(w + 2, s)
+    n = net.net_from_mols(latin.best_mols(s, imported=imported))
     return _check_and_emit(mub.build_mubs(n, hadamard.dft(s)), args, render=True)
 
 

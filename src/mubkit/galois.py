@@ -1,23 +1,22 @@
-"""Finite fields GF(p^e) at desk scale (p^e <= 2**16).
+"""Finite fields GF(p^e) as two rank tables, of order at most latin.MAX_ORDER.
 
-Elements are coefficient tuples of length e over Z_p, low degree first,
-reduced modulo a fixed monic irreducible modulus.  The modulus is the
-lexicographically smallest monic irreducible of degree e, coefficients
-compared low degree first, so every table derived from a field is identical
-across runs.  For e = 1 that convention picks x itself and arithmetic is
-plain mod p.  The element <-> integer bijection is by base-p digits.
+An element is a coefficient vector of length e over Z_p, reduced modulo a
+fixed monic irreducible modulus, and its rank is the integer whose base-p
+digits, low digit first, are its coefficients, low degree first.  The
+modulus is the lexicographically smallest monic irreducible of degree e,
+coefficients compared low degree first, so every table is identical across
+runs.  For e = 1 that convention picks x itself and arithmetic is plain
+mod p.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
 
 from .arith import prime_power
-
-MAX_ORDER = 1 << 16
-
-Element = tuple[int, ...]
+from .latin import MAX_ORDER
 
 
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -37,19 +36,6 @@ def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _has_root(coeffs: list[int], p: int) -> bool:
@@ -80,64 +66,37 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
-class GField:
-    """GF(p^e) with a deterministic modulus and tuple-of-digits elements."""
+def field_tables(q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(add, mul) for GF(q): add[a][b] and mul[a][b] are the ranks of a + b
+    and a*b, for ranks a and b.  Rank 0 is zero and rank 1 is one.
 
-    def __init__(self, p: int, e: int = 1):
-        if prime_power(p) != (p, 1):
-            raise ValueError(f"NotPrime: {p} is not prime")
-        if e < 1:
-            raise ValueError(f"degree must be >= 1, got {e}")
-        if p**e > MAX_ORDER:
-            raise ValueError(f"TooLarge: {p}^{e} exceeds {MAX_ORDER}")
-        self.p = p
-        self.e = e
-        self.q = p**e
-        if e == 1:
-            self.modulus: tuple[int, ...] = (0, 1)  # x - 0; arithmetic is mod p
-        else:
-            for cand in _monic_polys(e, p):
-                if _is_irreducible(cand, p):
-                    self.modulus = tuple(cand)
-                    break
-
-    # -- element <-> integer bijection (base-p digits, low digit first)
-
-    def index(self, i: int) -> Element:
-        if not 0 <= i < self.q:
-            raise ValueError(f"OutOfRange: index {i} not in [0, {self.q})")
-        digits = []
-        for _ in range(self.e):
-            digits.append(i % self.p)
-            i //= self.p
-        return tuple(digits)
-
-    def rank(self, a: Element) -> int:
-        self._check(a)
-        out = 0
-        for d in reversed(a):
-            out = out * self.p + d
-        return out
-
-    def _check(self, a: Element) -> None:
-        if len(a) != self.e or any(not 0 <= c < self.p for c in a):
-            raise ValueError(f"OutOfRange: {a!r} is not an element of GF({self.p}^{self.e})")
-
-    # -- arithmetic
-
-    def add(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        prod = _pmul(list(a), list(b), self.p)
-        _, rem = _pdivmod(prod, list(self.modulus), self.p)
-        rem += [0] * (self.e - len(rem))
-        return tuple(rem)
-
-    def __repr__(self) -> str:
-        return f"GField({self.p}, {self.e})"
-
+    An order above MAX_ORDER is refused (TooLarge), and so is one that is
+    not a prime power (NotPrimePower), before any table is built.
+    """
+    if q > MAX_ORDER:
+        raise ValueError(f"TooLarge: order {q} exceeds {MAX_ORDER}")
+    pp = prime_power(q)
+    if pp is None:
+        raise ValueError(f"NotPrimePower: {q}")
+    p, e = pp
+    modulus = [0, 1] if e == 1 else next(
+        cand for cand in _monic_polys(e, p) if _is_irreducible(cand, p))
+    weights = [p**i for i in range(e)]
+    times_x = []  # rank(x*c) per rank c: c's coefficients moved up a degree, reduced
+    for c in range(q):
+        _, rem = _pdivmod([0] + [c // w % p for w in weights], modulus, p)
+        times_x.append(sum(map(operator.mul, rem, weights)))
+    # A rank c splits as c_0 + p*c' and the element as c_0 + x*c', so
+    # a + b = (a_0 + b_0) + x*(a' + b') and a*b = b_0*a + x*(a*b'): every
+    # entry is read from an earlier row or an earlier entry of its row.
+    add = [tuple(range(q))]
+    for a in range(1, q):
+        up = add[a // p]
+        add.append(tuple((a + b) % p + p * up[b // p] for b in range(q)))
+    mul = []
+    for a in range(q):
+        row = [0]
+        for b in range(1, q):
+            row.append(add[row[-1]][a] if b < p else add[row[b % p]][times_x[row[b // p]]])
+        mul.append(tuple(row))
+    return add, mul

@@ -15,8 +15,12 @@ from itertools import chain
 import os
 
 from . import serial
-from .arith import constructive_mols_count, factorize, prime_power
+from .arith import constructive_mols_count, factorize
 from .record import checked_make
+
+# The largest order of a square built here: the side of net.MAX_POINTS, so
+# no larger grid can become a net.
+MAX_ORDER = 256
 
 
 class NotLatinError(ValueError):
@@ -119,6 +123,8 @@ def cyclic_square(s: int) -> LatinSquare:
     """The addition table grid[i][j] = (i + j) mod s; Latin for every s >= 1."""
     if s < 1:
         raise ValueError(f"order must be >= 1, got {s}")
+    if s > MAX_ORDER:
+        raise ValueError(f"TooLarge: order {s} exceeds {MAX_ORDER}")
     return LatinSquare(tuple(tuple((i + j) % s for j in range(s)) for i in range(s)))
 
 
@@ -126,26 +132,15 @@ def complete_mols_prime_power(q: int) -> MolsSet:
     """The complete set of q - 1 MOLS of prime-power order q.
 
     Square a (a nonzero field element) is grid[i][j] = a*x_i + x_j computed in
-    GF(q), with x_i the i-th field element in rank order.  Squares are listed
-    with a in rank order 1..q-1.
-
-    Row i of square a is row rank(a*x_i) of the addition table by rank, so
-    the field does q^2 additions and q(q - 1) products in all, not q^3
-    products.
+    GF(q), with x_i the field element of rank i.  Squares are listed with a
+    in rank order 1..q-1.  Row i of square a is row mul[a][i] of the
+    addition table.
     """
-    from .galois import GField
+    from .galois import field_tables
 
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"NotPrimePower: {q}")
-    fld = GField(*pp)
-    elems = [fld.index(i) for i in range(q)]
-    add_rows = [tuple(fld.rank(fld.add(x, y)) for y in elems) for x in elems]
-    squares = tuple(
-        LatinSquare(tuple(add_rows[fld.rank(fld.mul(a, x))] for x in elems))
-        for a in elems[1:]
-    )
-    return MolsSet(q, squares)
+    add, mul = field_tables(q)
+    return MolsSet(q, tuple(LatinSquare(tuple(map(add.__getitem__, mul[a])))
+                            for a in range(1, q)))
 
 
 def macneish_product(a: MolsSet, b: MolsSet) -> MolsSet:
@@ -158,6 +153,8 @@ def macneish_product(a: MolsSet, b: MolsSet) -> MolsSet:
         raise ValueError("EmptyInput: MacNeish product needs at least one square on each side")
     s1, s2 = a.order, b.order
     s = s1 * s2
+    if s > MAX_ORDER:
+        raise ValueError(f"TooLarge: order {s1}*{s2} = {s} exceeds {MAX_ORDER}")
     w = min(a.width, b.width)
     squares = []
     for t in range(w):

@@ -196,6 +196,13 @@ def _bound_size(vectors: int, amplitudes: int) -> None:
             raise ValueError(f"TooLarge: {count} {noun} exceed the limit {limit}")
 
 
+def bound_build(k: int, s: int) -> None:
+    """TooLarge for k bases of C^(s^2) from a net and an s x s Hadamard
+    matrix, k*s^2 vectors of s amplitudes each, when the set could not be
+    loaded back (see MAX_VECTORS)."""
+    _bound_size(k * s * s, k * s**3)
+
+
 def _embedded(rows: Sequence[Sequence[int]], root_order: int,
               support_vecs: Sequence[IncidenceVector]) -> list[MubVector]:
     """The embedding of each row on each vector's support (see embed),
@@ -267,7 +274,7 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
 
     if had.size != net.s:
         raise ValueError(f"SizeMismatch: hadamard size {had.size} vs net order {net.s}")
-    _bound_size(net.k * net.d, net.k * net.d * net.s)
+    bound_build(net.k, net.s)
     if not verify_net(net).ok:
         raise ValueError("UnverifiedInput: net fails verification")
     if not verify_hadamard(had).ok:

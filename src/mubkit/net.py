@@ -27,12 +27,12 @@ from collections.abc import Iterable
 from itertools import chain
 
 from . import serial
-from .latin import LatinSquare, MolsSet
+from .latin import MAX_ORDER, LatinSquare, MolsSet
 from .record import checked_make
 
 # net_from_mols writes (w + 2) * s vectors of s^2 bits each, and a MOLS
 # document of any order may hold no squares, so the grid is bounded.
-MAX_POINTS = 1 << 16
+MAX_POINTS = MAX_ORDER**2
 
 
 class IncidenceVector(namedtuple("IncidenceVector", "length bits")):

@@ -18,7 +18,7 @@ import json
 import math
 
 from mubkit.cyclotomic import TOL, unbiased, vanishes
-from mubkit.galois import GField, prime_power
+from mubkit.galois import field_tables
 from mubkit.hadamard import GenHadamard
 from mubkit.latin import LatinSquare, MolsSet
 from mubkit.mub import MubReport, MubSet, MubVector, MubViolation, mubs_to_json
@@ -58,13 +58,11 @@ def float_document(doc: dict) -> dict:
 def complete_mols_by_cells(q: int) -> MolsSet:
     """The q - 1 MOLS of prime-power order q, square a (a nonzero, in rank
     order) holding rank(a*x_i + x_j) in cell (i, j), each cell one product
-    and one sum in GF(q)."""
-    fld = GField(*prime_power(q))
-    elems = [fld.index(i) for i in range(q)]
+    and one sum read from GF(q)'s tables."""
+    add, mul = field_tables(q)
     return MolsSet(q, tuple(
-        LatinSquare(tuple(tuple(fld.rank(fld.add(fld.mul(a, x), y)) for y in elems)
-                          for x in elems))
-        for a in elems[1:]))
+        LatinSquare(tuple(tuple(add[mul[a][i]][j] for j in range(q)) for i in range(q)))
+        for a in range(1, q)))
 
 
 def factorize_by_trial(n: int) -> list[tuple[int, int]]:

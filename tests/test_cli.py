@@ -16,7 +16,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit import hadamard, mub, net, serial
+from mubkit import hadamard, latin, mub, net, serial
 from mubkit.cli import build_parser, main
 from mubkit.latin import (MolsSet, complete_mols_prime_power, cyclic_square, mols_from_dict,
                           mols_to_dict)
@@ -126,6 +126,21 @@ def test_mols_verify_and_product(capsys, tmp_path):
     rc, out, _ = run(capsys, "mols", "verify", str(a))
     assert rc == 1
     assert "verification failed" in out
+
+
+def test_mols_gen_and_product_refuse_an_order_over_the_limit(capsys, tmp_path):
+    # no net holds a grid of side above 256, so none is built
+    start = time.perf_counter()
+    for argv in (["--order", "257", "--cyclic"], ["--order", "257"], ["--order", "10000000000"]):
+        rc, out, err = run(capsys, "mols", "gen", *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: TooLarge: order ") and err.endswith(" exceeds 256\n")
+    a = tmp_path / "a.json"
+    assert run(capsys, "mols", "gen", "--order", "256", "--cyclic", "-o", str(a))[0] == 0
+    rc, out, err = run(capsys, "mols", "product", str(a), str(a))
+    assert (rc, out) == (2, "")
+    assert err == "error: TooLarge: order 256*256 = 65536 exceeds 256\n"
+    assert time.perf_counter() - start < 5
 
 
 # -- net subcommands
@@ -433,14 +448,20 @@ def test_float_is_a_flag_of_mub_verify_only(capsys, tmp_path):
         assert "--float" in err
 
 
-def test_build_and_tensor_refuse_sets_the_loader_would_refuse(capsys, tmp_path):
-    # the complete s = 37 set has 38 * 37^2 = 52,022 vectors; one basis of
-    # 201 * 200 one-point vectors has 40,200
+def test_build_and_tensor_refuse_sets_the_loader_would_refuse(capsys, tmp_path, monkeypatch):
+    # the complete s = 37 set has 38 * 37^2 = 52,022 vectors, the s = 127
+    # one 128 * 127^2 = 2,064,512; one basis of 201 * 200 one-point vectors
+    # has 40,200
     out_path = tmp_path / "out.json"
     start = time.perf_counter()
     rc, out, err = run(capsys, "mub", "build", "--square", "37", "-o", str(out_path))
     assert (rc, out) == (2, "") and not out_path.exists()
     assert f"TooLarge: 52022 vectors exceed the limit {mub.MAX_VECTORS}" in err
+    # refused before any MOLS is built
+    monkeypatch.setattr(latin, "best_mols", lambda *a, **k: pytest.fail("best_mols called"))
+    rc, out, err = run(capsys, "mub", "build", "--square", "127", "-o", str(out_path))
+    assert (rc, out) == (2, "") and not out_path.exists()
+    assert f"TooLarge: 2064512 vectors exceed the limit {mub.MAX_VECTORS}" in err
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(mub.mubs_to_json(standard_basis(201)))
     b.write_text(mub.mubs_to_json(standard_basis(200)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubkit.latin import (
+    MAX_ORDER,
     LatinSquare,
     MolsSet,
     NotLatinError,
@@ -113,6 +114,19 @@ def test_macneish_product_multiplies_orders():
     m2 = macneish_product(complete_mols_prime_power(2), complete_mols_prime_power(13))
     assert m2.order == 26
     assert m2.width == 1
+
+
+def test_grids_over_the_order_limit_are_refused():
+    assert MAX_ORDER == 256
+    assert cyclic_square(MAX_ORDER).order == MAX_ORDER
+    with pytest.raises(ValueError, match="TooLarge: order 257 exceeds 256"):
+        cyclic_square(257)
+    with pytest.raises(ValueError, match="TooLarge: order 257 exceeds 256"):
+        complete_mols_prime_power(257)
+    m2, m3 = MolsSet(2, (cyclic_square(2),)), MolsSet(129, (cyclic_square(129),))
+    assert macneish_product(m2, MolsSet(128, (cyclic_square(128),))).order == 256
+    with pytest.raises(ValueError, match=r"TooLarge: order 2\*129 = 258 exceeds 256"):
+        macneish_product(m2, m3)
 
 
 def test_factorize_matches_trial_division_by_every_integer():
