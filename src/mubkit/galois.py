@@ -19,23 +19,22 @@ from .arith import prime_power
 from .latin import MAX_ORDER
 
 
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Polynomial divmod over Z_p; b must be nonzero."""
+def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The remainder of a divided by b over Z_p, without trailing zeros;
+    b must be nonzero."""
     rem = [c % p for c in a]
     while rem and rem[-1] == 0:
         rem.pop()
     db = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(len(rem) - db, 0)
     for i in range(len(rem) - db - 1, -1, -1):
         c = (rem[i + db] * inv_lead) % p
         if c:
-            quot[i] = c
             for j, bc in enumerate(b):
                 rem[i + j] = (rem[i + j] - c * bc) % p
     while rem and rem[-1] == 0:
         rem.pop()
-    return quot, rem
+    return rem
 
 
 def _has_root(coeffs: list[int], p: int) -> bool:
@@ -60,8 +59,7 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
         return False
     for d in range(2, e // 2 + 1):
         for g in _monic_polys(d, p):
-            _, rem = _pdivmod(coeffs, g, p)
-            if not rem:
+            if not _pmod(coeffs, g, p):
                 return False
     return True
 
@@ -84,7 +82,7 @@ def field_tables(q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     weights = [p**i for i in range(e)]
     times_x = []  # rank(x*c) per rank c: c's coefficients moved up a degree, reduced
     for c in range(q):
-        _, rem = _pdivmod([0] + [c // w % p for w in weights], modulus, p)
+        rem = _pmod([0] + [c // w % p for w in weights], modulus, p)
         times_x.append(sum(map(operator.mul, rem, weights)))
     # A rank c splits as c_0 + p*c' and the element as c_0 + x*c', so
     # a + b = (a_0 + b_0) + x*(a' + b') and a*b = b_0*a + x*(a*b'): every

@@ -38,15 +38,24 @@ member pairs.  A representative pair's key is one integer addition of two
 rows read as integers, read back sorted (for 8-bit fields as
 bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
 MOD_M reducing each byte mod m), and each distinct vector of sorted
-differences is tested once per call in the cyclotomic group ring.  A
-group paired with itself is also decided once per distinct row block,
-kept under (tag, rows): the tuple of its bytes rows fixes every S among
-its vectors wherever the support lies.  A net set has one block, the
-Hadamard matrix's rows, on all k*s supports, so its within-basis pass
-makes C(s, 2) zero tests, and every cross-basis pair of groups meets in
-one point.  A root order above MAX_ROOT_ORDER is refused before any ring
-work.  The walk yields verdict blocks, two groups with their failing
-pairs or all their pairs, and one expander makes the report.
+differences is tested once per call in the cyclotomic group ring.  Across
+bases a ring identity takes most of those pairs: when the class keys of
+both groups, read as offsets from each side's first key, form one
+subgroup H of n rows (the bases of the Wootters-Fields and
+Klappenecker-Roetteler sets, orbits of a character group, are such
+cosets), every pair of classes has the differences delta + h for some h
+in H, each h as often, so n keys decide all n*n pairs; a failing key, a
+set that is no subgroup or two different sets fall back to the pair
+walk.  The closure check runs only there, once per distinct tuple of
+keys and per distinct H.  A group paired with itself is also decided
+once per distinct row block, kept under (tag, rows): the tuple of its
+bytes rows fixes every S among its vectors wherever the support lies.
+A net set has one block, the Hadamard matrix's rows, on all k*s
+supports, so its within-basis pass makes C(s, 2) zero tests, and every
+cross-basis pair of groups meets in one point.  A root order above
+MAX_ROOT_ORDER is refused before any ring work.  The walk yields verdict
+blocks, two groups with their failing pairs or all their pairs, and one
+expander makes the report.
 
 The float oracle (tolerance 1e-9) stays brute force, summing every inner
 product numerically term by term, so it cross-checks these shortcuts
@@ -382,7 +391,7 @@ def _check_norms_float(x: MubSet, b: int, maps) -> list[MubViolation]:
     return out
 
 
-_RowCodec = namedtuple("_RowCodec", "size pack phase_key sorted_diffs")
+_RowCodec = namedtuple("_RowCodec", "size pack phase_key m_ones reduce sorted_diffs")
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,29 +403,43 @@ def _row_codec(m: int) -> _RowCodec:
     every m up to MAX_ROOT_ORDER.  This is the module's one choice between
     the two widths.
 
-    pack(exps) is the row of an iterable of exponents.  phase_key(row)
-    holds the row's exponents, each minus the first, mod m: equal for two
-    rows exactly when they differ by one constant exponent mod m; for
+    pack(exps) is the row of an iterable of exponents.  phase_key(row) is
+    the row of the row's exponents, each minus the first, mod m: equal for
+    two rows exactly when they differ by one constant exponent mod m; for
     8-bit fields that is the row translated through one of m 256-byte
-    tables, v -> (v - c) % m for a first exponent c.  sorted_diffs(key, n)
-    is the exponent differences held in the n-byte integer key (see
-    _group_pair_failures), reduced mod m and sorted, as bytes for 8-bit
-    fields (the key's bytes translated through a 256-byte table v -> v % m)
-    and as a tuple for 16-bit ones.  C builtins do the per-field work."""
+    tables, v -> (v - c) % m for a first exponent c.  m_ones(n) is the
+    n-byte row with m in every field, read as an integer.  A key is a sum
+    of rows read as integers whose fields stay below 2m (see
+    _group_pair_failures); reduce(key, n) is the n-byte row of its fields
+    mod m, and sorted_diffs(key, n) those fields sorted, as bytes for
+    8-bit fields (the key's bytes translated through a 256-byte table
+    v -> v % m) and as a tuple for 16-bit ones.  C builtins do the
+    per-field work."""
     order = sys.byteorder
     if 2 * m - 1 < 256:
         mod_m = bytes(v % m for v in range(256))
         shift = [bytes((v - c) % m for v in range(256)) for c in range(m)]
         return _RowCodec(1, bytes, lambda row: row.translate(shift[row[0]]),
+                         lambda n: int.from_bytes(bytes([m]) * n, order),
+                         lambda key, n: key.to_bytes(n, order).translate(mod_m),
                          lambda key, n: bytes(sorted(key.to_bytes(n, order).translate(mod_m))))
 
     def phase_key(row):
         items = array("H", row)
-        return tuple(map(m.__rmod__, map(operator.sub, items, itertools.repeat(items[0]))))
+        return array("H", map(m.__rmod__, map(operator.sub, items,
+                                              itertools.repeat(items[0])))).tobytes()
+
+    size = array("H").itemsize
+
+    def m_ones(n):
+        return int.from_bytes(array("H", [m] * (n // size)).tobytes(), order)
+
+    def reduce(key, n):
+        return array("H", map(m.__rmod__, array("H", key.to_bytes(n, order)))).tobytes()
 
     def sorted_diffs(key, n):
         return tuple(sorted(map(m.__rmod__, array("H", key.to_bytes(n, order)))))
-    return _RowCodec(array("H").itemsize, lambda exps: array("H", exps).tobytes(), phase_key,
+    return _RowCodec(size, lambda exps: array("H", exps).tobytes(), phase_key, m_ones, reduce,
                      sorted_diffs)
 
 
@@ -439,12 +462,13 @@ def _memo_test(memo: dict, tag, diffs, test) -> bool:
 
 
 def _phase_classes(m: int, cache: dict, group, common: int):
-    """(width, reps, negs, members): the rows of group (see _exact_tables)
-    on the n >= 1 positions of the bitmask common, width bytes each,
-    sorted into phase classes (see _row_codec) in order of first
-    appearance.  members lists each class's local indices, reps holds the
-    row of its first member as one integer and negs holds m*ONES - rep for
-    each, ONES having a 1 in every field.
+    """(width, reps, negs, members, keys): the rows of group (see
+    _exact_tables) on the n >= 1 positions of the bitmask common, width
+    bytes each, sorted into phase classes (see _row_codec) in order of
+    first appearance.  members lists each class's local indices, keys
+    holds its phase key, reps holds the row of its first member as one
+    integer and negs holds m*ONES - rep for each, ONES having a 1 in every
+    field.
 
     Rows on the group's whole support are the packed rows themselves, and
     their classes are built once per group and kept in cache under the
@@ -469,10 +493,42 @@ def _phase_classes(m: int, cache: dict, group, common: int):
     members = list(index.values())
     order = sys.byteorder
     reps = [int.from_bytes(rows[c[0]], order) for c in members]
-    m_ones = int.from_bytes(codec.pack([m] * (width // codec.size)), order)
-    out = (width, reps, [m_ones - rep for rep in reps], members)
+    m_ones = codec.m_ones(width)
+    out = (width, reps, [m_ones - rep for rep in reps], members, tuple(index))
     if whole:
         cache[id(group)] = out
+    return out
+
+
+def _offset_group(m: int, cache: dict, keys: tuple, width: int):
+    """The offsets of the phase keys keys (see _phase_classes), each key
+    minus the first field by field mod m, as a dict from each offset's row
+    to its integer in the order of keys, when they form a set H closed
+    under subtraction, a subgroup of the rows mod m; None when they do
+    not.  Deciding closure costs len(keys)**2 one-addition keys.  The
+    answer is kept in cache under keys, and the closure verdict under the
+    frozenset H, so groups whose classes are cosets of one H pay for it
+    once; both are stored only while cache holds fewer than _MEMO_LIMIT
+    entries, which bounds memory on unstructured input."""
+    hit = cache.get(keys, False)
+    if hit is not False:
+        return hit
+    codec = _row_codec(m)
+    order = sys.byteorder
+    m_ones = codec.m_ones(width)
+    neg = m_ones - int.from_bytes(keys[0], order)
+    rows = [codec.reduce(int.from_bytes(key, order) + neg, width) for key in keys]
+    offsets = dict(zip(rows, [int.from_bytes(h, order) for h in rows]))
+    members = frozenset(rows)
+    closed = cache.get(members)
+    if closed is None:
+        negs = [m_ones - h for h in offsets.values()]
+        closed = all(codec.reduce(h + g, width) in offsets
+                     for h in offsets.values() for g in negs)
+    out = offsets if closed else None
+    if len(cache) < _MEMO_LIMIT:
+        cache[keys] = out
+        cache[members] = closed
     return out
 
 
@@ -493,6 +549,16 @@ def _group_pair_failures(m: int, diffs_of, memo: dict, cache: dict, tag, test,
     addition gives a key that fixes the exponent differences, and hence S,
     exactly.
 
+    Across bases the class keys can settle more.  Read each side's keys as
+    offsets from its first key, field by field mod m (see _offset_group).
+    When both sides have n >= 2 classes and their offsets form one
+    subgroup H, class pair (a, t) has the key differences
+    delta + (h_a - h'_t), delta = key_u[0] - key_v[0], and h_a - h'_t runs
+    over H, each value for n pairs.  So the n keys delta + h, h in H, each
+    field reduced mod m before the addition and so at most 2m - 2, decide
+    all n*n class pairs: when they all pass, no pair fails.  A failing key
+    and every other pair of groups take the walk above.
+
     A group paired with itself (gv is gu) gives the pairs a < t only.  Two
     members of one class differ by a constant c on all n >= 1 positions,
     so S = n*w^(-c) != 0 and they fail with no test.  These verdicts depend
@@ -510,8 +576,19 @@ def _group_pair_failures(m: int, diffs_of, memo: dict, cache: dict, tag, test,
         failures = memo.get(block)
         if failures is not None:
             return failures
-    width, reps_u, _, members_u = _phase_classes(m, cache, gu, common)
-    _, _, negs_v, members_v = _phase_classes(m, cache, gv, common)
+    width, reps_u, _, members_u, keys_u = _phase_classes(m, cache, gu, common)
+    _, _, negs_v, members_v, keys_v = _phase_classes(m, cache, gv, common)
+    if not same and len(keys_u) == len(keys_v) > 1:
+        offsets = _offset_group(m, cache, keys_u, width)
+        if offsets is not None and offsets == _offset_group(m, cache, keys_v, width):
+            codec = _row_codec(m)
+            order = sys.byteorder
+            delta = int.from_bytes(codec.reduce(int.from_bytes(keys_u[0], order)
+                                                + codec.m_ones(width)
+                                                - int.from_bytes(keys_v[0], order), width), order)
+            if all(_memo_test(memo, tag, diffs_of(delta + h, width), test)
+                   for h in offsets.values()):
+                return ()
     failures = [(ca, ct) for ca, ru in enumerate(reps_u)
                 for ct in range(ca + 1 if same else 0, len(negs_v))
                 if not _memo_test(memo, tag, diffs_of(ru + negs_v[ct], width), test)]
@@ -698,7 +775,10 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     S*conj(S) = 1, disjoint supports by S = 0, the pairs inside one group
     once per distinct block of rows, and other overlaps once per pair of
     phase classes, rows equal up to a constant exponent, each distinct
-    exponent-difference vector once.
+    exponent-difference vector once.  Across bases, two groups whose n
+    classes are cosets of one subgroup of rows, as in the quadratic-phase
+    sets of prime dimension and their tensor products, take n tests for
+    their n*n pairs of classes, and fall back to the pairs when one fails.
     mode "float" computes every inner product numerically and compares it
     against tolerance 1e-9; a vector whose products with a whole basis all
     lie within half that tolerance passes at once.  jobs > 1 spreads basis

@@ -428,7 +428,9 @@ def test_a_tensor_set_decides_each_pair_of_phase_classes_once(m, monkeypatch):
     # qp3 x WB(4): 4 bases of C^48, C(192, 2) = 18,336 vector pairs.  A
     # product group meets a group of another basis in 3 points, where its
     # rows are the 3 rows of qp3 up to a phase, so one pair of classes
-    # stands for 16 vector pairs; the set is taken as built, m = 12, and
+    # stands for 16 vector pairs, and the 3 class keys of either side are
+    # cosets of the one subgroup of linear phases, so 3 keys decide the
+    # 3 x 3 pairs of classes; the set is taken as built, m = 12, and
     # lifted to m = 132, where its rows sit in 16-bit fields
     x = tensor_mubs(quadratic_phase(3), built_mubs(4))
     assert x.root_order == 12
@@ -447,9 +449,188 @@ def test_a_tensor_set_decides_each_pair_of_phase_classes_once(m, monkeypatch):
     assert verify_mubs(x, mode="exact").ok
     pairs = x.k * x.dim * (x.k * x.dim - 1) // 2
     assert pairs == 18_336
-    assert calls["memo"] == 636 < pairs // 10
+    assert calls["memo"] == 348 < pairs // 10
     assert calls["vanishes"] + calls["unbiased"] <= 7 + 16
     assert verify_mubs(x, mode="float").ok
+
+
+def test_a_dense_set_decides_each_pair_of_bases_by_one_key_per_class(monkeypatch):
+    # qp31: each of the 31 twisted bases is one group on all 31 points
+    # whose class keys are a coset of the linear phases b*x, so each of the
+    # C(31, 2) pairs of them takes 31 keys instead of 31 x 31; each basis's
+    # own 465 class pairs are walked, and the computational basis meets
+    # every other group in one point: 465*31 + 31*465 = 28,830 (461,280
+    # with every cross pair of classes walked)
+    x = quadratic_phase(31)
+    calls = []
+    memo_test = mub._memo_test
+
+    def counting(*args):
+        calls.append(args)
+        return memo_test(*args)
+
+    monkeypatch.setattr(mub, "_memo_test", counting)
+    assert verify_mubs(x, mode="exact").ok
+    assert len(calls) == 28_830
+
+
+def test_a_dense_set_reports_the_same_with_two_jobs():
+    x = quadratic_phase(17)
+    bad = tampered(x, 3, 5, 2)
+    assert not verify_mubs(bad).ok
+    for y in (x, bad):
+        assert verify_mubs(y, jobs=2) == verify_mubs(y, jobs=1)
+
+
+def coset_basis(m: int, base, offsets, turns, norm: int) -> MubBasis:
+    """Vectors on all len(base) points at root order m, vector j holding
+    the exponents base + offsets[j] + turns[j] mod m: offsets[j] a row and
+    turns[j] one constant, a turn of the whole vector by a phase."""
+    return MubBasis(tuple(
+        MubVector(dim=len(base), root_order=m, norm_sq=norm, amps=tuple(
+            (p, (e + h + turn) % m) for p, (e, h) in enumerate(zip(base, row))))
+        for row, turn in zip(offsets, turns)))
+
+
+# Two bases of C^4, exponents in quarter turns: G = (0, 1, 2, 3) is a
+# Fourier character and F = (0, 0, 2, 2) has order 2.  Each case names a
+# basis by (base, offsets, turns, norm); norms 2 and 4 put the cross target
+# d*|S|^2 = nu*nv at |S|^2 = 2.
+_O, _G, _2G, _3G, _F = (0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1), (0, 0, 2, 2)
+_COSET_CASES = {
+    # offsets {0, G, 3G} on both sides: no subgroup, since G - 3G = 2G is
+    # missing; the keys for 0, G and 3G all pass, and only the class pairs
+    # 2G apart fail
+    "not_closed": (((0, 2, 0, 3), (_O, _G, _3G, _O), (0, 0, 0, 1), 2),
+                   (_O, (_O, _G, _3G, _O), (0, 0, 0, 1), 4),
+                   {(0, 1, 1, 2), (0, 2, 1, 1)}),
+    # subgroups {0, 2G} and {0, F} of one size: the keys for 0 and 2G pass,
+    # and only the class pairs F apart fail
+    "other_subgroup": (((0, 0, 2, 3), (_O, _2G, _O, _2G), (0, 0, 1, 1), 2),
+                       (_O, (_O, _F, _O, _F), (0, 0, 1, 1), 4),
+                       {(0, i, 1, j) for i in (0, 2) for j in (1, 3)}),
+    # one subgroup {0, 2G} on both sides: the key for 0 fails and the key
+    # for 2G passes, so the pairs of equal offsets fail
+    "failing_key": (((0, 0, 0, 1), (_O, _2G, _O, _2G), (0, 0, 1, 1), 2),
+                    (_O, (_O, _2G, _O, _2G), (0, 0, 1, 1), 4),
+                    {(0, i, 1, j) for i in range(4) for j in range(4) if i % 2 == j % 2}),
+}
+
+
+@pytest.mark.parametrize("m", [4, 132])
+@pytest.mark.parametrize("case", sorted(_COSET_CASES))
+def test_class_keys_off_one_coset_take_the_walk(case, m):
+    # at m = 132 the rows sit in 16-bit fields
+    *bases, across = _COSET_CASES[case]
+    f = m // 4
+    x = MubSet(dim=4, bases=tuple(
+        coset_basis(m, [f * e for e in base], [[f * e for e in row] for row in offsets],
+                    [f * t for t in turns], norm)
+        for base, offsets, turns, norm in bases))
+    exact = verify_mubs(x, mode="exact").failing_pairs()
+    assert exact == exact_failing_pairs(x) == verify_mubs(x, mode="float").failing_pairs()
+    assert {pair for pair in exact if pair[0] < pair[2]} == across
+
+
+def subgroup(gens, m: int) -> list[tuple[int, ...]]:
+    """The rows mod m that sums of gens reach, the zero row first."""
+    found = [(0,) * len(gens[0])]
+    seen = set(found)
+    for row in found:  # grows while it is read
+        for g in gens:
+            step = tuple((a + b) % m for a, b in zip(row, g))
+            if step not in seen:
+                seen.add(step)
+                found.append(step)
+    return found
+
+
+def coset_set(rng: random.Random, wide: bool) -> MubSet:
+    """Two or three bases of C^d, each one group of d vectors on all d
+    points, vector j holding base_b + offsets[j] plus at times a turn by a
+    constant.  Either d = p = 3 or 5 at root order p, the offsets the p
+    linear phases b*x and base_b the quadratic phase a_b*x^2 plus a
+    linear one, an unbiased set; or d = 4 at root order 4, the offsets a
+    random subgroup of 2 to 4 rows and every base random, where |S|^2 is
+    an integer: the norms mostly set the target to |S|^2 of one pair of
+    offsets, so some keys meet it and others do not.  When wide, every
+    exponent is lifted to a root order above 128, so 16-bit fields.
+
+    One case is drawn: "cosets" keeps the offsets a subgroup H on every basis; "moved" takes
+    one row out of its coset; "other subgroup" gives basis 0 another one
+    of the same size; "not closed" gives every basis one set of offsets
+    that holds 0, listed first, and is no subgroup; "same phase" repeats
+    base_0 on basis 1; "norm" changes basis 1's norm."""
+    case = rng.choice(["cosets", "moved", "other subgroup", "not closed", "same phase", "norm"])
+    if rng.random() < 0.5:
+        d = m0 = rng.choice([3, 5])
+        norms = [d] * 3
+
+        def random_group(size):  # every one has p rows
+            return subgroup([[0, 1] + [rng.randrange(d) for _ in range(d - 2)]], d)
+
+        group = subgroup([list(range(d))], d)
+        phases = rng.sample(range(d), 3)
+        bases = [[(a * x * x + rng.randrange(d) * x) % d for x in range(d)] for a in phases]
+    else:
+        d = m0 = 4
+        norms = None
+
+        def random_group(size):
+            while True:
+                gens = [[0] + [rng.randrange(4) for _ in range(3)] for _ in range(rng.choice([1, 2]))]
+                found = subgroup(gens, 4)
+                if 2 <= len(found) <= 4 and len(found) == (size or len(found)):
+                    return found
+
+        group = random_group(None)
+        bases = [[rng.randrange(4) for _ in range(4)] for _ in range(3)]
+    k = rng.choice([2, 3])
+    if case == "same phase":
+        bases[1] = bases[0]
+    offsets = [list(group) for _ in range(k)]
+    if case == "other subgroup":
+        offsets[0] = random_group(len(group))
+    elif case == "not closed":
+        subset = [group[0]] + rng.sample(group[1:], rng.randrange(1, min(len(group), d - 1)))
+        if len(subgroup(subset, m0)) == len(subset):  # closed after all: add a stray row
+            subset.append(tuple([0] + [rng.randrange(m0) for _ in range(d - 1)]))
+        offsets = [list(subset)] * k
+    if norms is None:
+        # nu*nv = d*|S|^2 for one pair of offsets, so its key passes
+        norms = [4]
+        for b in range(1, k):
+            u = [e + h for e, h in zip(bases[0], rng.choice(offsets[0]))]
+            v = [e + h for e, h in zip(bases[b], rng.choice(offsets[b]))]
+            square = abs(sum(1j ** ((a - c) % 4) for a, c in zip(u, v))) ** 2
+            norms.append(max(round(square), 1) if rng.random() < 0.8 else rng.choice([1, 2, 8]))
+    if case == "norm":
+        norms[1] += 1
+    t = rng.randrange(129 // m0 + 1, 129 // m0 + 4) if wide else 1
+    m = m0 * t
+    out = []
+    for b in range(k):
+        rows = list(offsets[b])
+        rows += [rng.choice(rows) for _ in range(d - len(rows))]
+        turns = [rng.randrange(m0) if rng.random() < 0.4 else 0 for _ in rows]
+        if case != "not closed":
+            rng.shuffle(rows)
+        vecs = list(coset_basis(m, [t * e for e in bases[b]], [[t * e for e in row] for row in rows],
+                                [t * c for c in turns], norms[b]).vectors)
+        if case == "moved" and b == 0:
+            j = rng.randrange(d)
+            vecs[j] = vecs[j]._replace(amps=tuple((x, rng.randrange(m)) for x in range(d)))
+        out.append(MubBasis(tuple(vecs)))
+    return MubSet(dim=d, bases=tuple(out))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_coset_bases_keep_exact_verdicts(wide, seed):
+    x = coset_set(random.Random(seed), wide)
+    exact = verify_mubs(x, mode="exact").failing_pairs()
+    assert exact == exact_failing_pairs(x) == verify_mubs(x, mode="float").failing_pairs()
 
 
 @pytest.mark.parametrize("m", [4, 260])
