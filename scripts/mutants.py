@@ -13,12 +13,11 @@ old text no longer matches exactly once (a refactor must update the list)
 or the clean tree fails.  The script itself uses the standard library
 only; the tests it starts need pytest and hypothesis.
 
-    python scripts/mutants.py [--timeout SECONDS] [--only SUBSTRING]
+    python scripts/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -28,6 +27,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MUB = "src/mubkit/mub.py"
 T = "tests/test_mub.py::"
+TIMEOUT = 300  # seconds allowed for each pytest run
 
 # (name, file, old text, new text, test node ids)
 MUTANTS = [
@@ -81,33 +81,27 @@ MUTANTS = [
 ]
 
 
-def run_tests(tree: str, ids: list[str], timeout: float) -> tuple[bool, str]:
+def run_tests(tree: str, ids: list[str]) -> tuple[bool, str]:
     """(passed, tail of output) for pytest on ids inside tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", *ids]
     try:
         done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {timeout} s"
+        return False, f"timed out after {TIMEOUT} s"
     return done.returncode == 0, "\n".join(done.stdout.splitlines()[-3:]) or "no output"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--timeout", type=float, default=300.0,
-                    help="seconds allowed for each pytest run")
-    ap.add_argument("--only", default="", help="run only mutants whose name holds this text")
-    args = ap.parse_args(argv)
-    mutants = [mutant for mutant in MUTANTS if args.only in mutant[0]]
+def main() -> int:
     bad = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tree:
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)
-        for name, path, old, new, _ in mutants:
+        for name, path, old, new, _ in MUTANTS:
             with open(os.path.join(tree, path), encoding="utf-8") as fh:
                 text = fh.read()
             count = text.count(old)
@@ -121,20 +115,20 @@ def main(argv=None) -> int:
         if bad:
             print("\n".join(bad))
             return 1
-        ids = sorted({i for mutant in mutants for i in mutant[4]})
-        ok, tail = run_tests(tree, ids, args.timeout)
+        ids = sorted({i for mutant in MUTANTS for i in mutant[4]})
+        ok, tail = run_tests(tree, ids)
         print(f"clean tree: {'pass' if ok else 'FAIL'} ({len(ids)} tests)")
         if not ok:
             print(tail)
             return 1
-        for name, path, old, new, tests in mutants:
+        for name, path, old, new, tests in MUTANTS:
             target = os.path.join(tree, path)
             with open(target, encoding="utf-8") as fh:
                 clean = fh.read()
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(clean.replace(old, new))
             try:
-                survived, tail = run_tests(tree, tests, args.timeout)
+                survived, tail = run_tests(tree, tests)
             finally:
                 with open(target, "w", encoding="utf-8") as fh:
                     fh.write(clean)
@@ -142,9 +136,9 @@ def main(argv=None) -> int:
             if survived:
                 bad.append(name)
     if bad:
-        print(f"{len(bad)} of {len(mutants)} mutants survived: {', '.join(bad)}")
+        print(f"{len(bad)} of {len(MUTANTS)} mutants survived: {', '.join(bad)}")
         return 1
-    print(f"all {len(mutants)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
