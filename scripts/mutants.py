@@ -1,7 +1,8 @@
-"""Mutation gate for the exact verifier's shortcuts.
+"""Mutation gate for the verifiers' shortcuts and the size bounds.
 
-Every shortcut of the exact oracle must be pinned by a test that fails
-when the shortcut is broken.  Each entry of MUTANTS names a file under
+Every shortcut of an exact checker (MUB set, net, Hadamard matrix) and
+every bound that must act before costly work must be pinned by a test
+that fails when it is broken.  Each entry of MUTANTS names a file under
 src/, a text that occurs in it exactly once, its replacement and the
 tests that must catch the change.  The run copies src/, tests/ and
 pyproject.toml to a temporary directory, runs every named test on the
@@ -26,6 +27,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MUB = "src/mubkit/mub.py"
+NET = "src/mubkit/net.py"
+HAD = "src/mubkit/hadamard.py"
+SERIAL = "src/mubkit/serial.py"
+CLI = "src/mubkit/cli.py"
 T = "tests/test_mub.py::"
 TIMEOUT = 300  # seconds allowed for each pytest run
 
@@ -45,8 +50,8 @@ MUTANTS = [
      "                   for h in list(offsets.values())[1:]):",
      [T + "test_class_keys_off_one_coset_take_the_walk"]),
     ("no walk after a failing key", MUB,
-     "            if all(_memo_test(memo, tag, diffs_of(delta + h, width), test)",
-     "            if True or all(_memo_test(memo, tag, diffs_of(delta + h, width), test)",
+     "            if all(_memo_test(memo, m, d, tag, diffs_of(delta + h, width))",
+     "            if True or all(_memo_test(memo, m, d, tag, diffs_of(delta + h, width))",
      [T + "test_class_keys_off_one_coset_take_the_walk"]),
     # earlier shortcuts of the exact verifier
     ("one shared point settles a pair whatever nu*nv", MUB,
@@ -61,23 +66,65 @@ MUTANTS = [
     ("_memo_test key without its tag", MUB,
      "    hit = memo.get((tag, diffs))\n"
      "    if hit is None:\n"
-     "        hit = test(tag, diffs)\n"
+     "        hit = vanishes(m, diffs) if tag is None else unbiased(m, diffs, d, tag)\n"
      "        if len(memo) < _MEMO_LIMIT:\n"
      "            memo[tag, diffs] = hit\n",
      "    hit = memo.get(diffs)\n"
      "    if hit is None:\n"
-     "        hit = test(tag, diffs)\n"
+     "        hit = vanishes(m, diffs) if tag is None else unbiased(m, diffs, d, tag)\n"
      "        if len(memo) < _MEMO_LIMIT:\n"
      "            memo[diffs] = hit\n",
      [T + "test_exact_report_names_every_failure_kind_in_order"]),
-    ("row-block memo looked up without its tag", MUB,
-     "        failures = memo.get(block)\n",
-     "        failures = memo.get(block[1])\n",
-     [T + "test_built_sets_decide_their_one_row_block_once"]),
+    ("row-block memo keyed by the number of rows", MUB,
+     "        block = gu[4]\n",
+     "        block = len(gu[4])\n",
+     [T + "test_row_blocks_keep_each_groups_own_failing_pairs",
+      "tests/test_acceptance.py::"
+      "test_criterion_7_single_exponent_flips_fail_both_oracles_identically"]),
     ("whole-support classes not kept", MUB,
      "        cache[id(group)] = out\n",
      "        pass\n",
      [T + "test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths"]),
+    # net._meets_once, which lets verify_net skip the pairwise walk
+    ("net cover check skipped", NET,
+     "        if None in owner:\n"
+     "            return False\n",
+     "",
+     ["tests/test_net.py::test_within_block_violation_is_reported",
+      "tests/test_net.py::test_reports_on_tampered_nets_match_the_pairwise_reference"]),
+    ("net cross check asks for one shared vector, not s", NET,
+     "    return all(len(set(map(owner.__getitem__, vec.support))) == s\n",
+     "    return all(len(set(map(owner.__getitem__, vec.support))) >= 1\n",
+     ["tests/test_net.py::test_cross_block_violation_is_reported",
+      "tests/test_net.py::test_reports_on_swapped_points_match_the_pairwise_reference"]),
+    # hadamard.verify_hadamard's difference-class key
+    ("Hadamard key drops the multiplicities", HAD,
+     "            key = tuple(sorted(map(m.__rmod__, map(operator.sub, row, rows[r2]))))\n",
+     "            key = tuple(sorted(set(map(m.__rmod__, map(operator.sub, row, rows[r2])))))\n",
+     ["tests/test_hadamard.py::test_difference_sets_of_other_multiplicities_are_tested_apart",
+      "tests/test_hadamard.py::test_the_report_matches_one_ring_test_per_row_pair"]),
+    # bounds that must act before the costly step they guard
+    ("read_json size bound moved after parsing", SERIAL,
+     "    expect(len(data) <= MAX_DOCUMENT_BYTES,\n"
+     "           f\"{path} holds more than {MAX_DOCUMENT_BYTES} bytes\")\n"
+     "    try:\n"
+     "        return json.loads(data.decode(\"utf-8\"))\n"
+     "    except ValueError as exc:  # not UTF-8, or not JSON\n"
+     "        raise ParseError(f\"{path}: invalid JSON: {exc}\") from None\n",
+     "    try:\n"
+     "        doc = json.loads(data.decode(\"utf-8\"))\n"
+     "    except ValueError as exc:  # not UTF-8, or not JSON\n"
+     "        raise ParseError(f\"{path}: invalid JSON: {exc}\") from None\n"
+     "    expect(len(data) <= MAX_DOCUMENT_BYTES,\n"
+     "           f\"{path} holds more than {MAX_DOCUMENT_BYTES} bytes\")\n"
+     "    return doc\n",
+     ["tests/test_cli.py::test_json_reads_bound_the_file_size"]),
+    ("bound_build moved after best_mols", CLI,
+     "    mub.bound_build(w + 2, s)\n"
+     "    n = net.net_from_mols(latin.best_mols(s, imported=imported))\n",
+     "    n = net.net_from_mols(latin.best_mols(s, imported=imported))\n"
+     "    mub.bound_build(w + 2, s)\n",
+     ["tests/test_cli.py::test_build_and_tensor_refuse_sets_the_loader_would_refuse"]),
 ]
 
 

@@ -297,8 +297,8 @@ def cmd_mub_tensor(args) -> int:
     from . import mub
 
     try:
-        a = mub.import_mubs(args.file_a, jobs=args.jobs)
-        b = mub.import_mubs(args.file_b, jobs=args.jobs)
+        a = mub.import_mubs(args.file_a)
+        b = mub.import_mubs(args.file_b)
     except mub.VerificationFailedError as exc:
         print(f"verification failed on input: {exc}")
         return 1
@@ -344,7 +344,7 @@ def _add_verify_flags(p: argparse.ArgumentParser):
                        help="run the float oracle after the exact one and fail on any"
                        " disagreement")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="verify basis pairs with N worker processes")
+                   help="spread the float oracle's basis pairs over N worker processes")
     return group
 
 

@@ -48,14 +48,16 @@ in H, each h as often, so n keys decide all n*n pairs; a failing key, a
 set that is no subgroup or two different sets fall back to the pair
 walk.  The closure check runs only there, once per distinct tuple of
 keys and per distinct H.  A group paired with itself is also decided
-once per distinct row block, kept under (tag, rows): the tuple of its
-bytes rows fixes every S among its vectors wherever the support lies.
+once per distinct row block, kept under the tuple of its bytes rows,
+which fixes every S among its vectors wherever the support lies.
 A net set has one block, the Hadamard matrix's rows, on all k*s
 supports, so its within-basis pass makes C(s, 2) zero tests, and every
 cross-basis pair of groups meets in one point.  A root order above
 MAX_ROOT_ORDER is refused before any ring work.  The walk yields verdict
 blocks, two groups with their failing pairs or all their pairs, and one
-expander makes the report.
+expander makes the report.  The exact oracle runs in one process, since
+its tables, phase classes, offset groups and memo serve every pair of
+bases; only the float oracle spreads basis pairs over worker processes.
 
 The float oracle (tolerance 1e-9) stays brute force, summing every inner
 product numerically term by term, so it cross-checks these shortcuts
@@ -443,10 +445,12 @@ def _row_codec(m: int) -> _RowCodec:
                      sorted_diffs)
 
 
-def _memo_test(memo: dict, tag, diffs, test) -> bool:
-    """test(tag, diffs) for the sorted exponent differences diffs of a pair
-    (see _row_codec), remembered for the rest of one verify_mubs call
-    under (tag, diffs); tag tells the tests apart.
+def _memo_test(memo: dict, m: int, d: int, tag, diffs) -> bool:
+    """The ring test of a pair with the sorted exponent differences diffs
+    (see _row_codec) at root order m in C^d, chosen by tag: S = 0,
+    vanishes(m, diffs), for tag None, and d*S*conj(S) = nu*nv,
+    unbiased(m, diffs, d, tag), for the integer tag nu*nv.  The verdict is
+    remembered for the rest of one verify_mubs call under (tag, diffs).
 
     The sorted differences alone decide S, so a remembered verdict is
     exact, and pairs whose packed keys differ only in whole turns or in the
@@ -455,7 +459,7 @@ def _memo_test(memo: dict, tag, diffs, test) -> bool:
     """
     hit = memo.get((tag, diffs))
     if hit is None:
-        hit = test(tag, diffs)
+        hit = vanishes(m, diffs) if tag is None else unbiased(m, diffs, d, tag)
         if len(memo) < _MEMO_LIMIT:
             memo[tag, diffs] = hit
     return hit
@@ -532,11 +536,11 @@ def _offset_group(m: int, cache: dict, keys: tuple, width: int):
     return out
 
 
-def _group_pair_failures(m: int, diffs_of, memo: dict, cache: dict, tag, test,
+def _group_pair_failures(m: int, d: int, memo: dict, cache: dict, tag,
                          gu, gv, common: int) -> tuple[tuple[int, int], ...]:
     """The local pairs (a, t) of the support groups gu and gv (see
     _exact_tables), vector us[a] of gu against vs[t] of gv, in increasing
-    order, that fail _memo_test(memo, tag, diffs, test), decided on the
+    order, that fail _memo_test(memo, m, d, tag, diffs), decided on the
     positions of the bitmask common.
 
     Each side's rows on those positions are sorted into phase classes (see
@@ -563,35 +567,35 @@ def _group_pair_failures(m: int, diffs_of, memo: dict, cache: dict, tag, test,
     members of one class differ by a constant c on all n >= 1 positions,
     so S = n*w^(-c) != 0 and they fail with no test.  These verdicts depend
     on the tuple of packed rows alone, wherever the support lies, so they
-    are remembered in memo under (tag, rows), at most _MEMO_LIMIT entries
+    are remembered in memo under that tuple, at most _MEMO_LIMIT entries
     as in _memo_test; a bytes row carries its own length.  The key never
-    equals a (tag, diffs) key of _memo_test, since a nonempty tuple of
-    bytes equals neither bytes nor a tuple of ints.  That is the only
-    block a valid construction repeats; no other group pair is remembered
-    whole.
+    equals a (tag, diffs) key of _memo_test, whose tag is None or an int,
+    never bytes.  That is the only block a valid construction repeats; no
+    other group pair is remembered whole.
     """
     same = gv is gu
     if same:
-        block = (tag, gu[4])
+        block = gu[4]
         failures = memo.get(block)
         if failures is not None:
             return failures
+    codec = _row_codec(m)
+    diffs_of = codec.sorted_diffs
     width, reps_u, _, members_u, keys_u = _phase_classes(m, cache, gu, common)
     _, _, negs_v, members_v, keys_v = _phase_classes(m, cache, gv, common)
     if not same and len(keys_u) == len(keys_v) > 1:
         offsets = _offset_group(m, cache, keys_u, width)
         if offsets is not None and offsets == _offset_group(m, cache, keys_v, width):
-            codec = _row_codec(m)
             order = sys.byteorder
             delta = int.from_bytes(codec.reduce(int.from_bytes(keys_u[0], order)
                                                 + codec.m_ones(width)
                                                 - int.from_bytes(keys_v[0], order), width), order)
-            if all(_memo_test(memo, tag, diffs_of(delta + h, width), test)
+            if all(_memo_test(memo, m, d, tag, diffs_of(delta + h, width))
                    for h in offsets.values()):
                 return ()
     failures = [(ca, ct) for ca, ru in enumerate(reps_u)
                 for ct in range(ca + 1 if same else 0, len(negs_v))
-                if not _memo_test(memo, tag, diffs_of(ru + negs_v[ct], width), test)]
+                if not _memo_test(memo, m, d, tag, diffs_of(ru + negs_v[ct], width))]
     if len(members_u) < len(gu[3]) or len(members_v) < len(gv[3]):
         pairs = [(a, t) for ca, ct in failures for a in members_u[ca] for t in members_v[ct]]
         if same:
@@ -611,12 +615,11 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, diffs_of,
-                           b: int, c: int):
+def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, b: int, c: int):
     """Verdict blocks (kind, detail, us, vs, pairs) between bases b and c,
     walked one pair of support groups at a time (see verify_mubs): us[a]
     fails against vs[t] for each (a, t) in pairs, or for every a and t
-    where pairs is None.  memo, cache and diffs_of (see _memo_test and
+    where pairs is None.  memo and cache (see _memo_test and
     _phase_classes) serve one call."""
     d = x.dim
     groups_b, groups_c = tables[b], tables[c]
@@ -626,9 +629,6 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, d
             if len(positions) != norm:
                 for i in us:
                     yield "norm", f"|u|^2 = {len(positions)}/{norm}", (i,), (i,), None
-
-        def orthogonal(_, diffs) -> bool:
-            return vanishes(m, diffs)
 
         # holders[pos] has bit g set when group g holds pos; only the groups
         # sharing a position are visited
@@ -647,14 +647,11 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, d
                 near.append((gu, groups_b[g + low.bit_length() - 1]))
         for gu, gv in near:
             yield "orthogonality", "S(u, v) != 0", gu[3], gv[3], _group_pair_failures(
-                m, diffs_of, memo, cache, None, orthogonal, gu, gv, gu[0] & gv[0])
+                m, d, memo, cache, None, gu, gv, gu[0] & gv[0])
         return
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
     # the ring, which needs no division.
-    def unbiased_pair(nunv, diffs) -> bool:
-        return unbiased(m, diffs, d, nunv)
-
     for gu in groups_b:
         mask_u, nu, _, us, _ = gu
         for gv in groups_c:
@@ -667,7 +664,7 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, d
             detail = f"|S|^2 = 0, want {target}" if overlap == 0 else f"|S|^2 != {target}"
             # no shared point, or one at nu*nv != d, fails every pair at once
             yield "unbiasedness", detail, us, vs, None if overlap < 2 else _group_pair_failures(
-                m, diffs_of, memo, cache, nu * nv, unbiased_pair, gu, gv, common)
+                m, d, memo, cache, nu * nv, gu, gv, common)
 
 
 def _block_violations(b: int, c: int, blocks) -> list[MubViolation]:
@@ -729,30 +726,16 @@ def _pair_violations_float(x: MubSet, tables, b: int, c: int) -> list[MubViolati
     return out
 
 
-def _pair_walker(x: MubSet, mode: str):
-    """(b, c) -> violations between bases b and c, over tables (and, in
-    exact mode, a memo) built here for one verify_mubs call."""
-    if mode == "exact":
-        m, tables = _exact_tables(x)
-        memo: dict = {}
-        cache: dict = {}
-        diffs_of = _row_codec(m).sorted_diffs
-        return lambda b, c: _block_violations(
-            b, c, _pair_violations_exact(x, m, tables, memo, cache, diffs_of, b, c))
-    tables = _float_tables(x)
-    return lambda b, c: _pair_violations_float(x, tables, b, c)
-
-
-# The pool's per-process state: each worker builds its own walker once.
+# The float pool's per-process state: each worker builds its tables once.
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(x: MubSet, mode: str) -> None:
-    _WORKER_STATE["walk"] = _pair_walker(x, mode)
+def _init_worker(x: MubSet) -> None:
+    _WORKER_STATE["args"] = (x, _float_tables(x))
 
 
 def _run_pair(task: tuple[int, int]) -> list[MubViolation]:
-    return _WORKER_STATE["walk"](*task)
+    return _pair_violations_float(*_WORKER_STATE["args"], *task)
 
 
 def _usable_cpus() -> int:
@@ -781,9 +764,11 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     their n*n pairs of classes, and fall back to the pairs when one fails.
     mode "float" computes every inner product numerically and compares it
     against tolerance 1e-9; a vector whose products with a whole basis all
-    lie within half that tolerance passes at once.  jobs > 1 spreads basis
-    pairs across up to that many processes, capped at the usable CPUs; the
-    report is identical for any job count, and jobs < 1 is refused.
+    lie within half that tolerance passes at once.  In float mode jobs > 1
+    spreads basis pairs across up to that many processes, capped at the
+    usable CPUs and the basis pairs; the exact oracle always runs in this
+    process, where its tables, classes and memo serve every basis pair.
+    The report is identical for any job count, and jobs < 1 is refused.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f'mode must be "exact" or "float", got {mode!r}')
@@ -795,15 +780,21 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
         raise ValueError(f"TooLarge: root order {x.root_order} exceeds the limit {MAX_ROOT_ORDER}")
     tasks = [(b, c) for b in range(x.k) for c in range(b, x.k)]
     workers = min(jobs, len(tasks), _usable_cpus())
-    if workers > 1:
-        import multiprocessing  # only parallel runs pay for its import
+    if mode == "exact":
+        m, tables = _exact_tables(x)
+        memo: dict = {}
+        cache: dict = {}
+        chunks = [_block_violations(b, c, _pair_violations_exact(x, m, tables, memo, cache, b, c))
+                  for b, c in tasks]
+    elif workers > 1:
+        import multiprocessing  # only parallel float runs pay for its import
 
         ctx = multiprocessing.get_context("fork" if os.name == "posix" else None)
-        with ctx.Pool(workers, _init_worker, (x, mode)) as pool:
+        with ctx.Pool(workers, _init_worker, (x,)) as pool:
             chunks = pool.map(_run_pair, tasks)
     else:
-        walk = _pair_walker(x, mode)
-        chunks = [walk(b, c) for b, c in tasks]
+        tables = _float_tables(x)
+        chunks = [_pair_violations_float(x, tables, b, c) for b, c in tasks]
     violations = sorted((v for chunk in chunks for v in chunk), key=MubViolation.sort_key)
     return MubReport(mode=mode, dim=x.dim, k=x.k, violations=tuple(violations))
 
@@ -958,19 +949,19 @@ def mubs_from_dict(data: object) -> MubSet:
         raise serial.ParseError(str(exc)) from None
 
 
-def verified_from_dict(data: object, jobs: int = 1) -> MubSet:
+def verified_from_dict(data: object) -> MubSet:
     """Parse and verify a mub document: exactly, or with the float oracle
     where it holds float-only amplitudes (x.is_exact tells which)."""
     x = mubs_from_dict(data)
-    report = verify_mubs(x, mode="exact" if x.is_exact else "float", jobs=jobs)
+    report = verify_mubs(x, mode="exact" if x.is_exact else "float")
     if not report.ok:
         raise VerificationFailedError(report)
     return x
 
 
-def import_mubs(path, jobs: int = 1) -> MubSet:
+def import_mubs(path) -> MubSet:
     """Load and verify a mub file; raises VerificationFailedError on bad data."""
-    return verified_from_dict(serial.read_json(path), jobs=jobs)
+    return verified_from_dict(serial.read_json(path))
 
 
 def export_mubs(x: MubSet, path) -> None:

@@ -78,6 +78,16 @@ def test_tampering_breaks_orthogonality():
     assert not float_deviation(bad) < TOL * max(1, bad.size)
 
 
+def test_difference_sets_of_other_multiplicities_are_tested_apart():
+    # rows 0 and 1 differ by the multiset {0, 0, 1, 1}, whose sum 1 + 1 - 1 - 1
+    # vanishes; rows 0 and 2 by {0, 1, 1, 1}, the same set of values, whose
+    # sum is -2: a verdict keyed by the set alone would pass both
+    h = GenHadamard(2, ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 1), (0, 1, 0, 1)))
+    report = verify_hadamard(h)
+    assert (0, 1) not in report.violations and (0, 2) in report.violations
+    assert report.violations == hadamard_failing_pairs(h)
+
+
 def test_tensor_combines_sizes_and_root_orders():
     t = tensor_hadamard(dft(2), dft(3))
     assert t.size == 6

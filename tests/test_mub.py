@@ -321,9 +321,9 @@ def test_built_sets_verify_in_both_modes(q):
 
 def test_parallel_verification_matches_serial():
     x = built_mubs(3)
-    assert verify_mubs(x, jobs=2) == verify_mubs(x, jobs=1)
+    assert verify_mubs(x, mode="float", jobs=2) == verify_mubs(x, mode="float", jobs=1)
     bad = tampered(x, 1, 2, 0)
-    assert verify_mubs(bad, jobs=2) == verify_mubs(bad, jobs=1)
+    assert verify_mubs(bad, mode="float", jobs=2) == verify_mubs(bad, mode="float", jobs=1)
 
 
 def test_a_nested_call_leaves_the_outer_report_intact(monkeypatch):
@@ -369,10 +369,16 @@ def test_jobs_are_capped_at_usable_cpus_and_basis_pairs(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: FakeContext)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     x = built_mubs(3)  # 4 bases, 10 basis pairs
-    assert verify_mubs(x, jobs=64) == verify_mubs(x)
-    assert verify_mubs(x, jobs=2).ok
+    bad = tampered(x, 1, 2, 0)
+    # the exact oracle never starts a pool, whatever jobs asks for
+    assert verify_mubs(x, jobs=64).ok
+    assert verify_mubs(bad, jobs=64) == verify_mubs(bad)
+    assert started == []
+    # the float oracle starts min(jobs, basis pairs, usable CPUs) workers
+    assert verify_mubs(bad, mode="float", jobs=64) == verify_mubs(bad, mode="float")
+    assert verify_mubs(x, mode="float", jobs=2).ok
     two = MubSet(dim=9, bases=x.bases[:2])  # 3 basis pairs
-    assert verify_mubs(two, jobs=64).ok
+    assert verify_mubs(two, mode="float", jobs=64).ok
     assert started == [4, 2, 3]
 
 
@@ -477,9 +483,9 @@ def test_a_dense_set_decides_each_pair_of_bases_by_one_key_per_class(monkeypatch
 def test_a_dense_set_reports_the_same_with_two_jobs():
     x = quadratic_phase(17)
     bad = tampered(x, 3, 5, 2)
-    assert not verify_mubs(bad).ok
+    assert not verify_mubs(bad, mode="float").ok
     for y in (x, bad):
-        assert verify_mubs(y, jobs=2) == verify_mubs(y, jobs=1)
+        assert verify_mubs(y, mode="float", jobs=2) == verify_mubs(y, mode="float", jobs=1)
 
 
 def coset_basis(m: int, base, offsets, turns, norm: int) -> MubBasis:
@@ -719,9 +725,9 @@ def test_partitioned_bases_keep_exact_verdicts(seed):
 def test_partitioned_bases_report_the_same_with_two_jobs():
     rng = random.Random(11)
     sets = [partitioned_set(rng) for _ in range(6)]
-    assert any(not verify_mubs(x).ok for x in sets)
+    assert any(not verify_mubs(x, mode="float").ok for x in sets)
     for x in sets:
-        assert verify_mubs(x, jobs=2) == verify_mubs(x, jobs=1)
+        assert verify_mubs(x, mode="float", jobs=2) == verify_mubs(x, mode="float", jobs=1)
 
 
 def test_shuffled_net_supports_settle_every_cross_pair_at_once(monkeypatch):
