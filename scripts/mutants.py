@@ -1,13 +1,13 @@
 """Mutation gate for the verifiers' shortcuts and the size bounds.
 
-Every shortcut of an exact checker (MUB set, net, Hadamard matrix) and
-every bound that must act before costly work must be pinned by a test
-that fails when it is broken.  Each entry of MUTANTS names a file under
-src/, a text that occurs in it exactly once, its replacement and the
-tests that must catch the change.  The run copies src/, tests/ and
-pyproject.toml to a temporary directory, runs every named test on the
-unmutated copy (all must pass), then applies one mutant at a time and runs
-its tests (at least one must fail).
+Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
+is checked as one MUB basis) and every bound that must act before costly
+work must be pinned by a test that fails when it is broken.  Each entry
+of MUTANTS names a file under src/, a text that occurs in it exactly
+once, its replacement and the tests that must catch the change.  The run
+copies src/, tests/ and pyproject.toml to a temporary directory, runs
+every named test on the unmutated copy (all must pass), then applies one
+mutant at a time and runs its tests (at least one must fail).
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, an
 old text no longer matches exactly once (a refactor must update the list)
@@ -28,7 +28,6 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MUB = "src/mubkit/mub.py"
 NET = "src/mubkit/net.py"
-HAD = "src/mubkit/hadamard.py"
 SERIAL = "src/mubkit/serial.py"
 CLI = "src/mubkit/cli.py"
 T = "tests/test_mub.py::"
@@ -97,10 +96,11 @@ MUTANTS = [
      "    return all(len(set(map(owner.__getitem__, vec.support))) >= 1\n",
      ["tests/test_net.py::test_cross_block_violation_is_reported",
       "tests/test_net.py::test_reports_on_swapped_points_match_the_pairwise_reference"]),
-    # hadamard.verify_hadamard's difference-class key
-    ("Hadamard key drops the multiplicities", HAD,
-     "            key = tuple(sorted(map(m.__rmod__, map(operator.sub, row, rows[r2]))))\n",
-     "            key = tuple(sorted(set(map(m.__rmod__, map(operator.sub, row, rows[r2])))))\n",
+    # the 8-bit difference key of mub._row_codec, which verify_hadamard's
+    # rows go through as one basis
+    ("difference key drops the multiplicities", MUB,
+     "lambda key, n: bytes(sorted(key.to_bytes(n, order).translate(mod_m))))",
+     "lambda key, n: bytes(sorted(set(key.to_bytes(n, order).translate(mod_m)))))",
      ["tests/test_hadamard.py::test_difference_sets_of_other_multiplicities_are_tested_apart",
       "tests/test_hadamard.py::test_the_report_matches_one_ring_test_per_row_pair"]),
     # bounds that must act before the costly step they guard
@@ -120,10 +120,10 @@ MUTANTS = [
      "    return doc\n",
      ["tests/test_cli.py::test_json_reads_bound_the_file_size"]),
     ("bound_build moved after best_mols", CLI,
-     "    mub.bound_build(w + 2, s)\n"
+     "    mub.bound_build(latin.best_mols_width(s, imported) + 2, s)\n"
      "    n = net.net_from_mols(latin.best_mols(s, imported=imported))\n",
      "    n = net.net_from_mols(latin.best_mols(s, imported=imported))\n"
-     "    mub.bound_build(w + 2, s)\n",
+     "    mub.bound_build(latin.best_mols_width(s, imported) + 2, s)\n",
      ["tests/test_cli.py::test_build_and_tensor_refuse_sets_the_loader_would_refuse"]),
 ]
 

@@ -89,26 +89,24 @@ def _print_mols(m: latin.MolsSet, note: str) -> None:
             print("  " + " ".join(str(v) for v in row))
 
 
+def _emit(args, encode, show) -> None:
+    """Write the document text encode() returns to -o FILE and print it
+    under --json, encoding it at most once; without --json show() prints
+    the human text instead."""
+    text = encode() if args.output or args.json else ""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if args.json:
+        print(text, end="")
+    else:
+        show()
+
+
 def _emit_mols(m: latin.MolsSet, args, note: str) -> None:
     from . import latin, serial
 
-    if args.output:
-        latin.export_mols(m, args.output)
-    if args.json:
-        print(serial.dumps(latin.mols_to_dict(m)), end="")
-    else:
-        _print_mols(m, note)
-
-
-def _emit_net(n: net.Net, args) -> None:
-    from . import net, serial
-
-    if args.output:
-        net.save_net(n, args.output)
-    if args.json:
-        print(serial.dumps(net.net_to_dict(n)), end="")
-    else:
-        print(f"net: s = {n.s}, k = {n.k}, d = {n.d}")
+    _emit(args, lambda: serial.dumps(latin.mols_to_dict(m)), lambda: _print_mols(m, note))
 
 
 # -- verification plumbing ---------------------------------------------------
@@ -208,10 +206,11 @@ def cmd_mols_product(args) -> int:
 # -- net ---------------------------------------------------------------------
 
 def cmd_net_from_mols(args) -> int:
-    from . import latin, net
+    from . import latin, net, serial
 
-    m = latin.import_mols(args.file)
-    _emit_net(net.net_from_mols(m), args)
+    n = net.net_from_mols(latin.import_mols(args.file))
+    _emit(args, lambda: serial.dumps(net.net_to_dict(n)),
+          lambda: print(f"net: s = {n.s}, k = {n.k}, d = {n.d}"))
     return 0
 
 
@@ -257,19 +256,14 @@ def _check_and_emit(x: mub.MubSet, args, render: bool) -> int:
     dest = sys.stderr if args.json else sys.stdout
     text, status = _verify(x, args, dest)
     if status == 0:
-        if args.output:
-            mub.export_mubs(x, args.output)
-        if args.json:
-            print(mub.mubs_to_json(x), end="")
-        else:
-            print(render_mubs(x) if render else f"d = {x.dim}, k = {x.k} bases (tensor)")
+        _emit(args, lambda: mub.mubs_to_json(x), lambda: print(
+            render_mubs(x) if render else f"d = {x.dim}, k = {x.k} bases (tensor)"))
     print(text, file=dest)
     return status
 
 
 def cmd_mub_build(args) -> int:
     from . import hadamard, latin, mub, net
-    from .arith import constructive_mols_count
 
     s = args.square
     if s < 2:
@@ -277,8 +271,7 @@ def cmd_mub_build(args) -> int:
     table = _load_imports(args)
     imported = None if table is None else table.mols.get(s)
     # the set best_mols would give has w + 2 bases: refuse it before building any MOLS
-    w = max(constructive_mols_count(s), 0 if imported is None else imported.width)
-    mub.bound_build(w + 2, s)
+    mub.bound_build(latin.best_mols_width(s, imported) + 2, s)
     n = net.net_from_mols(latin.best_mols(s, imported=imported))
     return _check_and_emit(mub.build_mubs(n, hadamard.dft(s)), args, render=True)
 

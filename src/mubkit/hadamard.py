@@ -5,23 +5,20 @@ H H* = s I, i.e. distinct rows are orthogonal.  Every entry here is a root
 of unity, so H is stored as an integer exponent table against a fixed root
 order m: entry (r, c) is exp(2 pi i * exponents[r][c] / m).
 
-Row orthogonality is decided exactly: the inner product of rows r and r'
-is the sum over c of w_m^(e[r][c] - e[r'][c]), whose vanishing
-cyclotomic.vanishes tests modulo the m-th cyclotomic polynomial.  That sum
-depends only on the multiset of differences, so each distinct sorted tuple
-of differences is tested once per matrix.  The package has no float
-check of H; the tests cross-check this one against a numeric Gram matrix.
+H H* = s I says exactly that the rows of H, each scaled by 1/sqrt(s), form
+one orthonormal basis of C^s, so verify_hadamard hands that one-basis set
+to the exact MUB verifier (mub.verify_mubs) rather than keeping a row-pair
+walk of its own.  The package has no float check of H; the tests
+cross-check this one against a numeric Gram matrix.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import reduce
 
-from .cyclotomic import MAX_ROOT_ORDER, vanishes
 from .record import checked_make
 
 MAX_TABLE_SIZE = 1 << 12
@@ -100,28 +97,18 @@ class HadamardReport(namedtuple("HadamardReport", "size violations")):
 
 def verify_hadamard(h: GenHadamard) -> HadamardReport:
     """Exact check that all distinct row pairs are orthogonal; a root order
-    above MAX_ROOT_ORDER is refused.
+    above MAX_ROOT_ORDER is refused (TooLarge).
 
-    Rows r < r2 are keyed by their sorted differences e[r][c] - e[r2][c]
-    mod m, which fix their inner product, and each distinct key gets one
-    ring zero test: dft(n) makes tau(n) - 1 of them, not C(n, 2).  At most
-    MAX_TABLE_SIZE verdicts are kept, which bounds memory on unstructured
-    input.  The failing pairs (r, r2) are listed in row-major order.
+    Row r becomes the vector of C^s with exponent e[r][c] at position c and
+    norm s, and exact verify_mubs checks the one basis they form.  Its
+    memo tests each distinct multiset of row differences once, so dft(s)
+    takes tau(s) - 1 ring zero tests, not C(s, 2); rows equal up to one
+    constant exponent fail with no test.  The failing pairs (r, r2),
+    r < r2, are listed in row-major order.
     """
-    m = h.root_order
-    if m > MAX_ROOT_ORDER:
-        raise ValueError(f"TooLarge: root order {m} exceeds the limit {MAX_ROOT_ORDER}")
-    rows = h.exponents
-    verdicts: dict[tuple[int, ...], bool] = {}
-    bad = []
-    for r, row in enumerate(rows):
-        for r2 in range(r + 1, h.size):
-            key = tuple(sorted(map(m.__rmod__, map(operator.sub, row, rows[r2]))))
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = vanishes(m, key)
-                if len(verdicts) < MAX_TABLE_SIZE:
-                    verdicts[key] = ok
-            if not ok:
-                bad.append((r, r2))
-    return HadamardReport(h.size, tuple(bad))
+    from .mub import MubBasis, MubSet, MubVector, verify_mubs
+
+    s, m = h.size, h.root_order
+    rows = MubBasis(tuple(MubVector(s, m, s, tuple(enumerate(row))) for row in h.exponents))
+    report = verify_mubs(MubSet(s, (rows,)))
+    return HadamardReport(s, tuple((v.index, v.index2) for v in report.violations))

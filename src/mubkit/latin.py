@@ -168,14 +168,26 @@ def macneish_product(a: MolsSet, b: MolsSet) -> MolsSet:
     return MolsSet(s, tuple(squares))
 
 
+def best_mols_width(s: int, imported: MolsSet | None = None) -> int:
+    """The width of best_mols(s, imported), found without building a square:
+    the imported set's when it has order s and is wider than
+    constructive_mols_count(s), the width of every set built here, else
+    that count."""
+    w = constructive_mols_count(s)
+    if imported is not None and imported.order == s and imported.width > w:
+        return imported.width
+    return w
+
+
 def best_mols(s: int, imported: MolsSet | None = None) -> MolsSet:
     """A concrete MOLS set of order s realizing the constructive bound.
 
-    Uses the imported set when it is wider than anything buildable here.
+    Uses the imported set when it is wider than anything buildable here
+    (see best_mols_width).
     """
     if s < 2:
         raise ValueError(f"order must be >= 2, got {s}")
-    if imported is not None and imported.order == s and imported.width > constructive_mols_count(s):
+    if best_mols_width(s, imported) > constructive_mols_count(s):
         return imported
     parts = [p**e for p, e in factorize(s)]
     out = complete_mols_prime_power(parts[0])

@@ -58,16 +58,15 @@ class IncidenceVector(namedtuple("IncidenceVector", "length bits")):
 
     @staticmethod
     def from_bits01(text: str) -> "IncidenceVector":
+        # int() would also take "_" and spaces, so the check comes first
         if set(text) - {"0", "1"}:
             raise ValueError("incidence string must contain only 0 and 1")
-        bits = 0
-        for p, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << p
-        return IncidenceVector(len(text), bits)
+        # character p is bit p: the reversed string is the binary numeral
+        return IncidenceVector(len(text), int(text[::-1] or "0", 2))
 
     def to_bits01(self) -> str:
-        return "".join("1" if self.bits >> p & 1 else "0" for p in range(self.length))
+        # a leading 1 at bit length keeps the high zeros, and length 0 works
+        return bin(self.bits | 1 << self.length)[3:][::-1]
 
     @property
     def weight(self) -> int:

@@ -493,24 +493,55 @@ def test_mub_build_reverifies_imported_mols(capsys, tmp_path):
 
 def test_mub_build_checks_each_object_once(capsys, monkeypatch):
     # the net is checked by build_mubs alone: net_from_mols trusts its
-    # verified MOLS, and the set is checked once, exactly, at the end
+    # verified MOLS; the matrix's rows are checked once as one basis of
+    # C^s inside verify_hadamard, and the set once, exactly, at the end
     calls = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((name, kwargs.get("mode")))
+            # verify_mubs: the set's dimension and the mode it runs in
+            calls.append((name, 0, "") if name != "verify_mubs" else
+                         (name, args[0].dim, kwargs.get("mode", "exact")))
             return fn(*args, **kwargs)
         return wrapper
 
-    # build_mubs imports verify_net and verify_hadamard from their modules
-    # when it runs, so patching them there catches its calls
+    # build_mubs and verify_hadamard import the checks they call from their
+    # modules when they run, so patching them there catches their calls
     for module, name in [(net, "verify_net"), (hadamard, "verify_hadamard"),
                          (mub, "verify_mubs")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rc, _, _ = run(capsys, "mub", "build", "--square", "4")
     assert rc == 0
-    assert sorted(calls) == [("verify_hadamard", None), ("verify_mubs", "exact"),
-                             ("verify_net", None)]
+    assert sorted(calls) == [("verify_hadamard", 0, ""), ("verify_mubs", 4, "exact"),
+                             ("verify_mubs", 16, "exact"), ("verify_net", 0, "")]
+
+
+def test_json_output_encodes_once_and_writes_what_it_prints(capsys, tmp_path, monkeypatch):
+    # under -o FILE --json each command encodes its document once, then
+    # writes it and prints it
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(mub, "mubs_to_json")
+    counted(serial, "dumps")
+    mols_path = tmp_path / "m.json"
+    for argv, encoder in [(("mols", "gen", "--order", "4"), "dumps"),
+                          (("net", "from-mols", str(mols_path)), "dumps"),
+                          (("mub", "build", "--square", "4"), "mubs_to_json")]:
+        out_path = tmp_path / "out.json"
+        calls.clear()
+        rc, out, _ = run(capsys, *argv, "-o", str(out_path), "--json")
+        assert rc == 0 and calls == [encoder], argv
+        assert out_path.read_bytes() == out.encode("utf-8") and out.endswith("}\n")
+        if argv[0] == "mols":
+            out_path.replace(mols_path)
 
 
 # -- plan

@@ -14,6 +14,7 @@ from mubkit.latin import (
     NotLatinError,
     NotOrthogonalError,
     best_mols,
+    best_mols_width,
     complete_mols_prime_power,
     constructive_mols_count,
     cyclic_square,
@@ -167,6 +168,16 @@ def test_best_mols_uses_wider_imports(mols26_path):
     imported = import_mols(mols26_path)
     assert best_mols(26, imported) is imported
     assert best_mols(26).width == 1
+
+
+def test_best_mols_width_is_the_width_best_mols_builds(mols26_path):
+    # mub build sizes its bound check by it before any square is built;
+    # the order-26 set is ignored at every other order
+    imported = import_mols(mols26_path)
+    for s in range(2, 31):
+        for imp in (None, imported):
+            assert best_mols_width(s, imp) == best_mols(s, imp).width, (s, imp is None)
+    assert best_mols_width(26, imported) == imported.width == 4
 
 
 def test_json_round_trip(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +51,24 @@ def test_incidence_vector_validation():
 @given(st.text(alphabet="01", min_size=0, max_size=40))
 def test_bits01_round_trip(text):
     assert vec(text).to_bits01() == text
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 4096])
+def test_bits01_round_trip_at_word_edges(length):
+    # character p is bit p, and the zeros past the highest set bit survive
+    rng = random.Random(length)
+    for bits in {0, (1 << length) - 1, 1 << length >> 1, rng.getrandbits(length)}:
+        v = IncidenceVector(length, bits)
+        text = v.to_bits01()
+        assert len(text) == length
+        assert text == "".join("1" if bits >> p & 1 else "0" for p in range(length))
+        assert vec(text) == v
+
+
+@pytest.mark.parametrize("text", ["1_0", " 10", "10 ", "+1", "0b1", "١"])
+def test_bits01_takes_no_other_numeral_syntax(text):
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        vec(text)
 
 
 # -- the reference (3,2)-net over 4 points
