@@ -30,6 +30,7 @@ MUB = "src/mubkit/mub.py"
 NET = "src/mubkit/net.py"
 SERIAL = "src/mubkit/serial.py"
 CLI = "src/mubkit/cli.py"
+LATIN = "src/mubkit/latin.py"
 T = "tests/test_mub.py::"
 TIMEOUT = 300  # seconds allowed for each pytest run
 
@@ -103,6 +104,21 @@ MUTANTS = [
      "lambda key, n: bytes(sorted(set(key.to_bytes(n, order).translate(mod_m)))))",
      ["tests/test_hadamard.py::test_difference_sets_of_other_multiplicities_are_tested_apart",
       "tests/test_hadamard.py::test_the_report_matches_one_ring_test_per_row_pair"]),
+    # the byte-row checks of latin, which let LatinSquare and MolsSet skip
+    # the cell walks
+    ("Latin column check dropped", LATIN,
+     "    return (not flat.translate(None, sym) and _distinct(rows, sym)\n"
+     "            and _distinct([flat[c::s] for c in range(s)], sym))\n",
+     "    return not flat.translate(None, sym) and _distinct(rows, sym)\n",
+     ["tests/test_latin.py::test_latin_square_rejects_repeats"]),
+    ("Latin symbol range check dropped", LATIN,
+     "    return (not flat.translate(None, sym) and _distinct(rows, sym)\n",
+     "    return (_distinct(rows, sym)\n",
+     ["tests/test_latin.py::test_latin_square_rejects_repeats"]),
+    ("orthogonality read off the rows of the table matrix", LATIN,
+     "    return _distinct([table[x::256] for x in range(s)], _SYMBOLS[:s])\n",
+     "    return _distinct([table[256 * x:256 * x + s] for x in range(s)], _SYMBOLS[:s])\n",
+     ["tests/test_latin.py::test_orthogonality_witness"]),
     # bounds that must act before the costly step they guard
     ("read_json size bound moved after parsing", SERIAL,
      "    expect(len(data) <= MAX_DOCUMENT_BYTES,\n"
@@ -119,6 +135,34 @@ MUTANTS = [
      "           f\"{path} holds more than {MAX_DOCUMENT_BYTES} bytes\")\n"
      "    return doc\n",
      ["tests/test_cli.py::test_json_reads_bound_the_file_size"]),
+    ("MOLS order bound moved after the squares are built", LATIN,
+     "    if order > MAX_ORDER:  # before any square is read\n"
+     "        raise ValueError(f\"TooLarge: order {order} exceeds {MAX_ORDER}\")\n"
+     "    raw = data[\"squares\"]\n"
+     "    serial.expect(isinstance(raw, list), '\"squares\" must be a list')\n"
+     "    squares = []\n"
+     "    for idx, grid in enumerate(raw):\n"
+     "        serial.expect(_is_int_rows(grid), f\"square {idx} must be a list of integer rows\")\n"
+     "        serial.expect(len(grid) == order and set(map(len, grid)) == {order},\n"
+     "                      f\"square {idx} must be {order}x{order}\")\n"
+     "        try:\n"
+     "            squares.append(square_of(grid))\n"
+     "        except NotLatinError as exc:\n"
+     "            raise NotLatinError(str(exc), square=idx, row=exc.row, col=exc.col) from None\n",
+     "    raw = data[\"squares\"]\n"
+     "    serial.expect(isinstance(raw, list), '\"squares\" must be a list')\n"
+     "    squares = []\n"
+     "    for idx, grid in enumerate(raw):\n"
+     "        serial.expect(_is_int_rows(grid), f\"square {idx} must be a list of integer rows\")\n"
+     "        serial.expect(len(grid) == order and set(map(len, grid)) == {order},\n"
+     "                      f\"square {idx} must be {order}x{order}\")\n"
+     "        try:\n"
+     "            squares.append(square_of(grid))\n"
+     "        except NotLatinError as exc:\n"
+     "            raise NotLatinError(str(exc), square=idx, row=exc.row, col=exc.col) from None\n"
+     "    if order > MAX_ORDER:\n"
+     "        raise ValueError(f\"TooLarge: order {order} exceeds {MAX_ORDER}\")\n",
+     ["tests/test_cli.py::test_mols_files_over_the_order_limit_are_refused_before_any_square"]),
     ("bound_build moved after best_mols", CLI,
      "    mub.bound_build(latin.best_mols_width(s, imported) + 2, s)\n"
      "    n = net.net_from_mols(latin.best_mols(s, imported=imported))\n",

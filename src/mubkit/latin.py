@@ -6,12 +6,22 @@ superimposing them yields every ordered symbol pair exactly once.  A set of
 pairwise orthogonal squares (MOLS) of order s can hold at most s - 1 squares;
 that cap is enforced at construction together with pairwise orthogonality,
 so holding a MolsSet is proof of the property.
+
+No square above MAX_ORDER = 256 is built or read (TooLarge), so every
+symbol fits in one byte and the checks run on byte rows in C builtins: a
+grid is Latin when deleting its symbols from its cells leaves nothing and
+every row and every column has s distinct bytes, and squares A and B are
+orthogonal when the rows bytes.maketrans(A_i, B_i), which map each symbol
+of A to the symbol of B in the same cell, have columns of s distinct
+bytes.  These hold for any input.  A grid or pair that fails them, or a
+grid of cells that are not byte values, is decided by the cell walk,
+which names the first failing row, column or repeated pair.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 import os
 
 from . import serial
@@ -44,23 +54,80 @@ class NotOrthogonalError(ValueError):
         self.pair = pair
 
 
+# The symbols 0..255; _SYMBOLS[:s] are those of a square of order s.
+_SYMBOLS = bytes(range(MAX_ORDER))
+
+
+def _byte_rows(grid, s: int) -> tuple[bytes, ...] | None:
+    """The rows of grid as bytes when it holds s tuple or list rows of s
+    cells in 0..255, else None."""
+    if not set(map(type, grid)) <= {tuple, list}:  # bytes(n) is n zero bytes
+        return None
+    try:
+        rows = tuple(map(bytes, grid))
+    except (TypeError, ValueError):  # a cell that is not a byte value
+        return None
+    return rows if set(map(len, rows)) == {s} else None
+
+
+def _distinct(rows, sym: bytes) -> bool:
+    """Every item of rows holds len(sym) distinct bytes: the table that
+    maps its k-th byte to k maps it back onto sym only then."""
+    tables = map(bytes.maketrans, rows, repeat(sym))
+    return b"".join(map(bytes.translate, rows, tables)) == sym * len(rows)
+
+
+def _is_latin(rows: tuple[bytes, ...]) -> bool:
+    """The s byte rows form a Latin square: no byte outside 0..s-1, and s
+    distinct bytes in every row and every column."""
+    s = len(rows)
+    sym = _SYMBOLS[:s]
+    flat = b"".join(rows)
+    return (not flat.translate(None, sym) and _distinct(rows, sym)
+            and _distinct([flat[c::s] for c in range(s)], sym))
+
+
+def _orthogonal(rows_a: tuple[bytes, ...], rows_b: tuple[bytes, ...]) -> bool:
+    """Latin squares a and b (as byte rows) are orthogonal: the 256-byte
+    table bytes.maketrans(a_i, b_i) maps each symbol of row i of a to the
+    symbol of b in the same cell, so entry x of the s tables, one per row,
+    must be s distinct bytes for every symbol x."""
+    s = len(rows_a)
+    table = b"".join(map(bytes.maketrans, rows_a, rows_b))
+    return _distinct([table[x::256] for x in range(s)], _SYMBOLS[:s])
+
+
+def _latin_witness(grid, s: int) -> None:
+    """The cell walk: raise NotLatinError at the first short or long row,
+    row that is not a permutation of 0..s-1, or such column."""
+    symbols = set(range(s))
+    for r, row in enumerate(grid):
+        if len(row) != s:
+            raise NotLatinError(f"row {r} has length {len(row)}, want {s}", row=r)
+        if set(row) != symbols:
+            raise NotLatinError(f"row {r} is not a permutation of 0..{s - 1}", row=r)
+    for c, col in enumerate(zip(*grid)):
+        if set(col) != symbols:
+            raise NotLatinError(f"column {c} is not a permutation of 0..{s - 1}", col=c)
+
+
 class LatinSquare(namedtuple("LatinSquare", "grid")):
-    __slots__ = ()
+    # no __slots__: each square keeps its byte rows in its __dict__ for
+    # MolsSet's pair checks, None when only the cell walk accepted it
 
     def __new__(cls, grid: tuple[tuple[int, ...], ...]) -> "LatinSquare":
         s = len(grid)
         if s == 0:
             raise NotLatinError("empty grid")
-        symbols = set(range(s))
-        for r, row in enumerate(grid):
-            if len(row) != s:
-                raise NotLatinError(f"row {r} has length {len(row)}, want {s}", row=r)
-            if set(row) != symbols:
-                raise NotLatinError(f"row {r} is not a permutation of 0..{s - 1}", row=r)
-        for c, col in enumerate(zip(*grid)):
-            if set(col) != symbols:
-                raise NotLatinError(f"column {c} is not a permutation of 0..{s - 1}", col=c)
-        return tuple.__new__(cls, (grid,))
+        if s > MAX_ORDER:
+            raise ValueError(f"TooLarge: order {s} exceeds {MAX_ORDER}")
+        rows = _byte_rows(grid, s)
+        if rows is None or not _is_latin(rows):
+            _latin_witness(grid, s)
+            rows = None
+        sq = tuple.__new__(cls, (grid,))
+        sq._rows = rows
+        return sq
 
     _make = classmethod(checked_make)
 
@@ -105,8 +172,12 @@ class MolsSet(namedtuple("MolsSet", "order squares")):
         cap = max(s - 1, 0)
         if len(squares) > cap:
             raise ValueError(f"{len(squares)} MOLS of order {s} is impossible (max {cap})")
+        rows = [getattr(sq, "_rows", None) for sq in squares]
         for i in range(len(squares)):
             for j in range(i + 1, len(squares)):
+                if rows[i] is not None and rows[j] is not None \
+                        and _orthogonal(rows[i], rows[j]):
+                    continue
                 pair = _orthogonality_witness(squares[i], squares[j])
                 if pair is not None:
                     raise NotOrthogonalError(i, j, pair)
@@ -209,7 +280,7 @@ def _is_int_rows(grid: object) -> bool:
     """A list of lists whose cells all pass serial.is_int.  A valid decoded
     JSON grid holds plain ints only, so one pass over the cell types accepts
     it; the per-cell test decides any grid holding another type."""
-    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+    if not isinstance(grid, list) or not all(map(isinstance, grid, repeat(list))):
         return False
     if set(map(type, chain.from_iterable(grid))) <= {int}:
         return True
@@ -222,15 +293,15 @@ def mols_from_dict(data: object) -> MolsSet:
                   'MOLS document needs exactly the keys "order" and "squares"')
     order = data["order"]
     serial.expect(serial.is_int(order) and order >= 1, '"order" must be a positive integer')
+    if order > MAX_ORDER:  # before any square is read
+        raise ValueError(f"TooLarge: order {order} exceeds {MAX_ORDER}")
     raw = data["squares"]
     serial.expect(isinstance(raw, list), '"squares" must be a list')
     squares = []
     for idx, grid in enumerate(raw):
         serial.expect(_is_int_rows(grid), f"square {idx} must be a list of integer rows")
-        serial.expect(
-            len(grid) == order and all(len(row) == order for row in grid),
-            f"square {idx} must be {order}x{order}",
-        )
+        serial.expect(len(grid) == order and set(map(len, grid)) == {order},
+                      f"square {idx} must be {order}x{order}")
         try:
             squares.append(square_of(grid))
         except NotLatinError as exc:

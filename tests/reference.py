@@ -1,5 +1,6 @@
 """Plain reference implementations the tests check the library against:
-the complete MOLS set computed cell by cell, factorization by trial
+the complete MOLS set computed cell by cell, the Latin and orthogonality
+verdicts of grids walked one cell at a time, factorization by trial
 division by every integer, the net of a MOLS set scanned once per
 symbol, the violations of a net found by counting every pair's common
 points one by one, the exponent differences of two vectors with the
@@ -63,6 +64,39 @@ def complete_mols_by_cells(q: int) -> MolsSet:
     return MolsSet(q, tuple(
         LatinSquare(tuple(tuple(add[mul[a][i]][j] for j in range(q)) for i in range(q)))
         for a in range(1, q)))
+
+
+def latin_failure(grid) -> tuple[str, int | None, int | None] | None:
+    """The cell walk: None when grid (of at most MAX_ORDER rows) is a Latin
+    square, else (message, row, col) of the first failure NotLatinError
+    names, checking each row's length and symbols, then each column's,
+    one cell at a time."""
+    s = len(grid)
+    if s == 0:
+        return "empty grid", None, None
+    want = set(range(s))
+    for r, row in enumerate(grid):
+        if len(row) != s:
+            return f"row {r} has length {len(row)}, want {s}", r, None
+        if {row[c] for c in range(s)} != want:
+            return f"row {r} is not a permutation of 0..{s - 1}", r, None
+    for c in range(s):
+        if {grid[r][c] for r in range(s)} != want:
+            return f"column {c} is not a permutation of 0..{s - 1}", None, c
+    return None
+
+
+def first_repeated_pair(a, b) -> tuple | None:
+    """None when the grids a and b of one order hold every ordered symbol
+    pair once, else the first pair that repeats in row-major cell order."""
+    seen = set()
+    for i in range(len(a)):
+        for j in range(len(a)):
+            pair = (a[i][j], b[i][j])
+            if pair in seen:
+                return pair
+            seen.add(pair)
+    return None
 
 
 def factorize_by_trial(n: int) -> list[tuple[int, int]]:

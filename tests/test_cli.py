@@ -194,12 +194,24 @@ def test_net_verify_lists_at_most_50_violations(capsys, tmp_path):
 
 
 def test_net_from_mols_rejects_a_grid_over_the_limit(capsys, tmp_path):
+    # the loader refuses the order first; the net keeps its own bound
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"order": 257, "squares": []}))
     rc, out, err = run(capsys, "net", "from-mols", str(path))
-    assert rc == 2
-    assert out == ""
-    assert "TooLarge: 257^2 points exceeds 65536" in err
+    assert (rc, out, err) == (2, "", "error: TooLarge: order 257 exceeds 256\n")
+    with pytest.raises(ValueError, match=r"TooLarge: 257\^2 points exceeds 65536"):
+        net.net_from_mols(MolsSet(257, ()))
+
+
+def test_mols_files_over_the_order_limit_are_refused_before_any_square(capsys, tmp_path):
+    # a square of the wrong shape would be a parse error: the bound acts first
+    path = tmp_path / "big.json"
+    cyclic_257 = [[(i + j) % 257 for j in range(257)] for i in range(257)]
+    for order, squares in [(1009, [[[0]]]), (257, [cyclic_257])]:
+        path.write_text(json.dumps({"order": order, "squares": squares}))
+        for argv in (["mols", "verify", str(path)], ["mols", "product", str(path), str(path)]):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out, err) == (2, "", f"error: TooLarge: order {order} exceeds 256\n")
 
 
 def test_net_to_mols_needs_two_blocks(capsys, tmp_path):

@@ -26,10 +26,12 @@ from mubkit.latin import (
     mols_to_dict,
     square_of,
 )
-from mubkit.galois import prime_power
+from mubkit import latin
+from mubkit.galois import field_tables, prime_power
 from mubkit.serial import ParseError
 
-from reference import complete_mols_by_cells, factorize_by_trial
+from reference import (complete_mols_by_cells, factorize_by_trial, first_repeated_pair,
+                       latin_failure)
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -258,3 +260,166 @@ def test_constructive_count_is_a_positive_macneish_bound(s):
     w = constructive_mols_count(s)
     assert 1 <= w <= s - 1
     assert w == min(p**e for p, e in factorize(s)) - 1
+
+
+# -- the byte-row checks against the cell walk
+
+def _field_grid(q: int, a: int) -> list[list[int]]:
+    """Square a of the complete set of order q, read off GF(q)'s tables."""
+    add, mul = field_tables(q)
+    return [list(add[mul[a][i]]) for i in range(q)]
+
+
+def _shuffled(rnd, grid):
+    rows, cols = list(range(len(grid))), list(range(len(grid)))
+    rnd.shuffle(rows)
+    rnd.shuffle(cols)
+    return [[grid[i][j] for j in cols] for i in rows]
+
+
+@st.composite
+def tampered_grids(draw):
+    """A cyclic or field square of order 1, 2, ..., 255 or 256 under a
+    random row and column permutation, with at most one cell changed to
+    another symbol, to a symbol outside 0..s-1, or swapped with a cell of
+    its row (a repeat only columns show), its cells as ints, floats or
+    (order <= 2) bools, its rows tuples or lists."""
+    s = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 255, 256]))
+    rnd = draw(st.randoms(use_true_random=False))
+    if prime_power(s) and draw(st.booleans()):
+        grid = _field_grid(s, rnd.randrange(1, s))
+    else:
+        grid = [[(i + j) % s for j in range(s)] for i in range(s)]
+    grid = _shuffled(rnd, grid)
+    r, c, c2 = rnd.randrange(s), rnd.randrange(s), rnd.randrange(s)
+    kind = draw(st.sampled_from(["none", "cell", "in-row swap", "out of range"]))
+    if kind == "cell":
+        grid[r][c] = (grid[r][c] + rnd.randrange(1, s + 1)) % s
+    elif kind == "in-row swap":
+        grid[r][c], grid[r][c2] = grid[r][c2], grid[r][c]
+    elif kind == "out of range":
+        grid[r][c] = draw(st.sampled_from([s, s + 1, 255, 256, -1, 1000]))
+    cell = draw(st.sampled_from([int, float, bool] if s <= 2 else [int, int, float]))
+    row = draw(st.sampled_from([tuple, list]))
+    return tuple(row(map(cell, r)) for r in grid)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tampered_grids())
+def test_latin_verdicts_match_the_cell_walk(grid):
+    try:
+        sq = LatinSquare(grid)
+    except NotLatinError as exc:
+        assert exc.square is None
+        got = (str(exc), exc.row, exc.col)
+    else:
+        assert sq.grid is grid
+        got = None
+    assert got == latin_failure(grid)
+
+
+@st.composite
+def tampered_sets(draw):
+    """Up to three squares of a complete set of order q (2 to 256) under one
+    row and one column permutation, which keeps them orthogonal, with at
+    most one edit: a square repeated, one square's rows or symbols
+    permuted apart from the rest, or one cell changed."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 256]))
+    rnd = draw(st.randoms(use_true_random=False))
+    grids = [_field_grid(q, a) for a in rnd.sample(range(1, q), draw(st.integers(1, min(3, q - 1))))]
+    rows, cols = list(range(q)), list(range(q))
+    rnd.shuffle(rows)
+    rnd.shuffle(cols)
+    grids = [[[g[i][j] for j in cols] for i in rows] for g in grids]
+    t = rnd.randrange(len(grids))
+    kind = draw(st.sampled_from(["none", "repeat", "rows", "symbols", "cell"]))
+    if kind == "repeat" and len(grids) < q - 1:
+        grids.insert(rnd.randrange(len(grids) + 1), grids[t])
+    elif kind == "rows":
+        rnd.shuffle(grids[t])
+    elif kind == "symbols":
+        relabel = rnd.sample(range(q), q)
+        grids[t] = [[relabel[x] for x in row] for row in grids[t]]
+    elif kind == "cell":
+        r, c = rnd.randrange(q), rnd.randrange(q)
+        grids[t][r][c] = (grids[t][r][c] + rnd.randrange(1, q)) % q
+    return q, grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(tampered_sets())
+def test_mols_verdicts_match_the_cell_walk(case):
+    q, grids = case
+    want = None
+    for idx, grid in enumerate(grids):
+        failure = latin_failure(grid)
+        if failure is not None:
+            message, row, col = failure
+            want = (NotLatinError, f"square {idx}: {message}", (idx, row, col))
+            break
+    pairs = [(i, j) for i in range(len(grids)) for j in range(i + 1, len(grids))]
+    for i, j in pairs if want is None else ():
+        pair = first_repeated_pair(grids[i], grids[j])
+        if pair is not None:
+            want = (NotOrthogonalError,
+                    f"squares {i} and {j} are not orthogonal: pair {pair} repeats", (i, j, pair))
+            break
+    try:
+        m = mols_from_dict({"order": q, "squares": grids})
+    except NotLatinError as exc:
+        got = (NotLatinError, str(exc), (exc.square, exc.row, exc.col))
+    except NotOrthogonalError as exc:
+        got = (NotOrthogonalError, str(exc), (exc.i, exc.j, exc.pair))
+    else:
+        assert [sq.grid for sq in m.squares] == [tuple(map(tuple, g)) for g in grids]
+        got = None
+    assert got == want
+
+
+def test_float_and_bool_cells_keep_the_cell_walks_verdict():
+    # float cells are no byte values, so the cell walk decides them
+    floats = tuple(tuple(float((i + j) % 3) for j in range(3)) for i in range(3))
+    bools = ((False, True), (True, False))
+    for grid in (floats, bools):
+        sq = LatinSquare(grid)
+        assert sq.grid is grid and sq == cyclic_square(len(grid))
+    sq = LatinSquare(floats)
+    assert MolsSet(3, (sq, complete_mols_prime_power(3).squares[1])).width == 2
+    with pytest.raises(NotOrthogonalError, match=r"pair \(1\.0, 1\.0\) repeats$"):
+        MolsSet(3, (sq, sq))
+    with pytest.raises(NotLatinError, match="^row 0 is not a permutation of 0..1$"):
+        LatinSquare(((0.5, 1.0), (1.0, 0.0)))
+    with pytest.raises(NotLatinError, match="^column 0 is not a permutation of 0..1$"):
+        LatinSquare(((True, False), (True, False)))
+
+
+def test_squares_over_the_order_limit_are_refused_before_they_are_checked():
+    grid = tuple(tuple((i + j) % 257 for j in range(257)) for i in range(257))
+    with pytest.raises(ValueError, match="^TooLarge: order 257 exceeds 256$"):
+        LatinSquare(grid)
+    with pytest.raises(ValueError, match="^TooLarge: order 1009 exceeds 256$"):
+        mols_from_dict({"order": 1009, "squares": [[[0]]]})
+
+
+def test_the_cell_walks_run_only_on_failing_input(monkeypatch, mols26_path):
+    calls = []
+
+    def spy(name):
+        real = getattr(latin, name)
+        monkeypatch.setattr(latin, name, lambda *args: calls.append(name) or real(*args))
+
+    spy("_latin_witness")
+    spy("_orthogonality_witness")
+    assert complete_mols_prime_power(16).width == 15
+    assert complete_mols_prime_power(64).width == 63
+    assert import_mols(mols26_path).width == 4
+    assert calls == []
+    sq = complete_mols_prime_power(16).squares[2]
+    with pytest.raises(NotOrthogonalError) as info:
+        MolsSet(16, (sq, sq))
+    pair = first_repeated_pair(sq.grid, sq.grid)
+    assert str(info.value) == f"squares 0 and 1 are not orthogonal: pair {pair} repeats"
+    assert calls == ["_orthogonality_witness"]
+    with pytest.raises(NotLatinError, match="^column 0 is not a permutation of 0..1$"):
+        LatinSquare(((0, 1), (0, 1)))
+    assert calls == ["_orthogonality_witness", "_latin_witness"]
