@@ -1,8 +1,10 @@
 """Mutation gate for the verifiers' shortcuts and the size bounds.
 
 Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
-is checked as one MUB basis) and every bound that must act before costly
-work must be pinned by a test that fails when it is broken.  Each entry
+is checked as one MUB basis), every bound that must act before costly
+work, the Latin refusal of non-integer cells and the planner's reading
+of each node off the divisors of d must be pinned by a test that fails
+when it is broken.  Each entry
 of MUTANTS names a file under src/, a text that occurs in it exactly
 once, its replacement and the tests that must catch the change.  The run
 copies src/, tests/ and pyproject.toml to a temporary directory, runs
@@ -31,6 +33,7 @@ NET = "src/mubkit/net.py"
 SERIAL = "src/mubkit/serial.py"
 CLI = "src/mubkit/cli.py"
 LATIN = "src/mubkit/latin.py"
+PLANNER = "src/mubkit/planner.py"
 T = "tests/test_mub.py::"
 TIMEOUT = 300  # seconds allowed for each pytest run
 
@@ -119,6 +122,20 @@ MUTANTS = [
      "    return _distinct([table[x::256] for x in range(s)], _SYMBOLS[:s])\n",
      "    return _distinct([table[256 * x:256 * x + s] for x in range(s)], _SYMBOLS[:s])\n",
      ["tests/test_latin.py::test_orthogonality_witness"]),
+    ("non-integer cells accepted once the cell walk passes them", LATIN,
+     "            raise NotLatinError(\"cells must be integers\")\n",
+     "",
+     ["tests/test_latin.py::test_float_celled_squares_never_reach_a_net_or_a_file"]),
+    # the planner's reading of each node off the divisors of d
+    ("a node that two primes of d divide taken for a prime power", PLANNER,
+     "if sum(n % p == 0 for p in primes) == 1:",
+     "if sum(n % p == 0 for p in primes) >= 1:",
+     ["tests/test_planner.py::test_plan_small_dimensions"]),
+    ("divisors of d that do not divide the node taken as splits", PLANNER,
+     "            if n % a:\n"
+     "                continue\n",
+     "",
+     ["tests/test_planner.py::test_plans_match_the_eager_search"]),
     # bounds that must act before the costly step they guard
     ("read_json size bound moved after parsing", SERIAL,
      "    expect(len(data) <= MAX_DOCUMENT_BYTES,\n"

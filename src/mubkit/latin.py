@@ -13,9 +13,10 @@ grid is Latin when deleting its symbols from its cells leaves nothing and
 every row and every column has s distinct bytes, and squares A and B are
 orthogonal when the rows bytes.maketrans(A_i, B_i), which map each symbol
 of A to the symbol of B in the same cell, have columns of s distinct
-bytes.  These hold for any input.  A grid or pair that fails them, or a
-grid of cells that are not byte values, is decided by the cell walk,
-which names the first failing row, column or repeated pair.
+bytes.  These hold for any input.  Only a grid or pair that fails them is
+walked cell by cell, to name the first failing row, column or repeated
+pair; a grid the walk accepts but whose cells are not integers is
+refused, so every square has byte rows.
 """
 
 from __future__ import annotations
@@ -59,12 +60,10 @@ _SYMBOLS = bytes(range(MAX_ORDER))
 
 
 def _byte_rows(grid, s: int) -> tuple[bytes, ...] | None:
-    """The rows of grid as bytes when it holds s tuple or list rows of s
-    cells in 0..255, else None."""
-    if not set(map(type, grid)) <= {tuple, list}:  # bytes(n) is n zero bytes
-        return None
-    try:
-        rows = tuple(map(bytes, grid))
+    """The rows of grid as bytes when it holds s rows of s integer cells in
+    0..255, else None."""
+    try:  # through tuple, since bytes(n) is n zero bytes
+        rows = tuple(map(bytes, map(tuple, grid)))
     except (TypeError, ValueError):  # a cell that is not a byte value
         return None
     return rows if set(map(len, rows)) == {s} else None
@@ -113,7 +112,7 @@ def _latin_witness(grid, s: int) -> None:
 
 class LatinSquare(namedtuple("LatinSquare", "grid")):
     # no __slots__: each square keeps its byte rows in its __dict__ for
-    # MolsSet's pair checks, None when only the cell walk accepted it
+    # MolsSet's pair checks
 
     def __new__(cls, grid: tuple[tuple[int, ...], ...]) -> "LatinSquare":
         s = len(grid)
@@ -124,7 +123,9 @@ class LatinSquare(namedtuple("LatinSquare", "grid")):
         rows = _byte_rows(grid, s)
         if rows is None or not _is_latin(rows):
             _latin_witness(grid, s)
-            rows = None
+            # on integer cells the byte checks and the walk agree, so only
+            # cells equal to 0..s-1 that are not integers get here
+            raise NotLatinError("cells must be integers")
         sq = tuple.__new__(cls, (grid,))
         sq._rows = rows
         return sq
@@ -140,21 +141,14 @@ def square_of(rows: list[list[int]]) -> LatinSquare:
     return LatinSquare(tuple(tuple(r) for r in rows))
 
 
-def _cell_pairs(a: LatinSquare, b: LatinSquare):
-    return zip(chain.from_iterable(a.grid), chain.from_iterable(b.grid))
-
-
-def _orthogonality_witness(a: LatinSquare, b: LatinSquare) -> tuple[int, int] | None:
-    """None when a and b are orthogonal, else the first repeated ordered
-    pair in row-major cell order."""
-    if len(set(_cell_pairs(a, b))) == a.order * a.order:
-        return None
+def _orthogonality_witness(a: LatinSquare, b: LatinSquare) -> tuple[int, int]:
+    """The first repeated ordered pair in row-major cell order of squares
+    a and b that are not orthogonal."""
     seen: set[tuple[int, int]] = set()
-    for pair in _cell_pairs(a, b):
+    for pair in zip(chain.from_iterable(a.grid), chain.from_iterable(b.grid)):
         if pair in seen:
             return pair
         seen.add(pair)
-    return None
 
 
 class MolsSet(namedtuple("MolsSet", "order squares")):
@@ -172,15 +166,10 @@ class MolsSet(namedtuple("MolsSet", "order squares")):
         cap = max(s - 1, 0)
         if len(squares) > cap:
             raise ValueError(f"{len(squares)} MOLS of order {s} is impossible (max {cap})")
-        rows = [getattr(sq, "_rows", None) for sq in squares]
         for i in range(len(squares)):
             for j in range(i + 1, len(squares)):
-                if rows[i] is not None and rows[j] is not None \
-                        and _orthogonal(rows[i], rows[j]):
-                    continue
-                pair = _orthogonality_witness(squares[i], squares[j])
-                if pair is not None:
-                    raise NotOrthogonalError(i, j, pair)
+                if not _orthogonal(squares[i]._rows, squares[j]._rows):
+                    raise NotOrthogonalError(i, j, _orthogonality_witness(squares[i], squares[j]))
         return tuple.__new__(cls, (order, squares))
 
     _make = classmethod(checked_make)

@@ -5,11 +5,11 @@ incidence vector, each amplitude a root of unity taken from one row of a
 generalized Hadamard matrix, with overall scale 1/sqrt(norm_sq).  Block b
 of a (k,s)-net yields one basis of C^(s^2) holding s*s vectors (incidence
 vector index outer, Hadamard row index inner), and the k blocks give k
-mutually unbiased bases.  build_mubs and embed share one helper, which
-checks each support once (weight, order, range) and each Hadamard row once
-(length, exponent range) instead of each amplitude, and builds each
-position's (position, exponent) pairs once, shared by every vector that
-holds them.
+mutually unbiased bases.  build_mubs verifies the net and the matrix,
+whose constructors already fix every support and row, so it builds its
+vectors unchecked, each position's (position, exponent) pairs once,
+shared by every vector that holds them; embed places one row through the
+checked constructor.
 
 Two vectors from different bases share exactly one support point, so their
 unscaled inner product S is a single root of unity and |S|^2 / (nu * nv) =
@@ -214,61 +214,16 @@ def bound_build(k: int, s: int) -> None:
     _bound_size(k * s * s, k * s**3)
 
 
-def _embedded(rows: Sequence[Sequence[int]], root_order: int,
-              support_vecs: Sequence[IncidenceVector]) -> list[MubVector]:
-    """The embedding of each row on each vector's support (see embed),
-    vector outer and row inner.
-
-    MubVector's checks run once per support and once per row, not once per
-    amplitude: every support holds s points, s the length of the first row,
-    strictly increasing inside 0..length-1 (a support that fails is handed
-    to MubVector, which names its first bad entry), and every row holds s
-    exponents in 0..root_order-1.  Each position's (position, exponent)
-    pairs, one per exponent the rows place there, are built once and shared
-    by every vector holding them.
-    """
-    m, s = root_order, len(rows[0])
-    supports = [vec.support for vec in support_vecs]
-    for w in map(len, supports):
-        if w != s:
-            raise ValueError(f"WeightMismatch: row length {s} vs support weight {w}")
-    if m < 1 or s < 1:
-        raise ValueError("dim, root_order and norm_sq must be positive")
-    for vec, support in zip(support_vecs, supports):
-        if not (0 <= support[0] and support[-1] < vec.length
-                and all(map(operator.lt, support, support[1:]))):
-            MubVector(vec.length, m, s, tuple(zip(support, rows[0])))  # raises
-    for row in rows:
-        if len(row) != s:
-            raise ValueError(f"WeightMismatch: row length {len(row)} vs support weight {s}")
-        for e in row:
-            if not 0 <= e < m:
-                raise ValueError(f"exponent {e} out of range for root order {m}")
-    # held[p]: the exponents placed at p, column l of the rows landing at
-    # the l-th position of each support
-    columns = [frozenset(col) for col in zip(*rows)]
-    held: dict[int, set[int]] = {}
-    for support in supports:
-        for p, col in zip(support, columns):
-            held.setdefault(p, set()).update(col)
-    pairs = {p: {e: (p, e) for e in es} for p, es in held.items()}
-    new = tuple.__new__
-    out = []
-    for vec, support in zip(support_vecs, supports):
-        cells = list(map(pairs.__getitem__, support))
-        d = vec.length
-        out.extend([new(MubVector, (d, m, s, tuple(map(operator.getitem, cells, row)), None))
-                    for row in rows])
-    return out
-
-
 def embed(row: Sequence[int], root_order: int, support_vec: IncidenceVector) -> MubVector:
     """Place the exponents of one Hadamard row, each in 0..root_order-1, on
     the support of a 0/1 vector.
 
     Entry l of the row lands at the l-th smallest support position.
     """
-    return _embedded((row,), root_order, (support_vec,))[0]
+    support = support_vec.support
+    if len(row) != len(support):
+        raise ValueError(f"WeightMismatch: row length {len(row)} vs support weight {len(support)}")
+    return MubVector(support_vec.length, root_order, len(row), tuple(zip(support, row)))
 
 
 def build_mubs(net: Net, had: GenHadamard) -> MubSet:
@@ -290,9 +245,25 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
         raise ValueError("UnverifiedInput: net fails verification")
     if not verify_hadamard(had).ok:
         raise ValueError("UnverifiedInput: hadamard matrix fails verification")
-    vectors = _embedded(had.exponents, had.root_order,
-                        [vec for block in net.blocks for vec in block])
-    d = net.d  # s incidence vectors times s rows per basis
+    # Every MubVector invariant holds already: each support is s increasing
+    # positions below d (IncidenceVector, verify_net) and each row s
+    # exponents in 0..m-1 (GenHadamard).  held[p]: the exponents placed at
+    # p, column l of the rows landing at the l-th position of each support.
+    m, s, d, rows = had.root_order, net.s, net.d, had.exponents
+    supports = [vec.support for block in net.blocks for vec in block]
+    columns = [frozenset(col) for col in zip(*rows)]
+    held: dict[int, set[int]] = {}
+    for support in supports:
+        for p, col in zip(support, columns):
+            held.setdefault(p, set()).update(col)
+    pairs = {p: {e: (p, e) for e in es} for p, es in held.items()}
+    new = tuple.__new__
+    vectors = []
+    for support in supports:
+        cells = list(map(pairs.__getitem__, support))
+        vectors.extend([new(MubVector, (d, m, s, tuple(map(operator.getitem, cells, row)), None))
+                        for row in rows])
+    # s incidence vectors times s rows per basis
     return MubSet(dim=d, bases=tuple(MubBasis(tuple(vectors[t:t + d]))
                                      for t in range(0, len(vectors), d)))
 

@@ -10,8 +10,9 @@ For a dimension d the planner compares, over the divisor tree of d:
   * the single standard basis (always available);
   * tensor splits d = a * b, keeping min of the factor counts.
 
-Every node of the tree divides d, so d is factored once; each node's
-factorization, its prime-power test and its divisors come from d's primes.
+Every node of the tree divides d, so d's divisors are listed once: a node
+is a prime power when exactly one prime of d divides it, and its splits
+are the divisors of d that divide it.
 
 Two optima are tracked: best_count uses every bound including
 cited-existence ones, best_constructible_count only routes this package
@@ -170,19 +171,6 @@ def _reduction_count(factors: list[tuple[int, int]]) -> int:
     return min(p ** e for p, e in factors) + 1
 
 
-def _factors_over(n: int, primes: list[int]) -> list[tuple[int, int]]:
-    """Factorization of n, given every prime that divides it."""
-    out = []
-    for p in primes:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    return out
-
-
 def _divisors_of(factors: list[tuple[int, int]]) -> list[int]:
     """All divisors, ascending, of the number with this factorization."""
     divs = [1]
@@ -217,14 +205,14 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
     imports = imports or ImportsTable()
     factors = factorize(d)
     primes = [p for p, _ in factors]
+    divisors = _divisors_of(factors)[1:]
 
     @functools.cache
     def solve(n: int) -> tuple[PlanNode, PlanNode]:
-        fac = _factors_over(n, primes)
         candidates: list[PlanNode] = [
             PlanNode(n, "trivial", 1, True, "standard basis")
         ]
-        if len(fac) == 1:
+        if sum(n % p == 0 for p in primes) == 1:
             candidates.append(PlanNode(n, "prime-power", n + 1, False, "cited-existence"))
         s = math.isqrt(n)
         if s * s == n and s >= 2:
@@ -246,9 +234,11 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
         # factors' best trees, best_con that of their constructible trees,
         # each node built only when it strictly beats the optimum it would
         # replace.
-        for a in _divisors_of(fac)[1:]:
+        for a in divisors:
             if a * a > n:
                 break
+            if n % a:
+                continue
             left_best, left_con = solve(a)
             right_best, right_con = solve(n // a)
             count = min(left_best.count, right_best.count)

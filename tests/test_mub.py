@@ -247,10 +247,16 @@ def test_bad_rows_and_supports_raise_as_the_checked_constructor_does():
         embed((0, 1), 2, past_end)
     assert str(err.value) == constructor_error(3, 2, ((0, 0), (3, 1))) \
         == "position 3 out of range for dim 3"
-    for rows, vec in [(((0, 1),), mask), (((0, 1, 2), (0, 1)), mask),
-                      (((),), IncidenceVector(4, 0))]:
-        with pytest.raises(ValueError, match="WeightMismatch|must be positive"):
-            mub._embedded(rows, 3, [vec])
+    # a short row, a short second row after a full one, and an empty row on
+    # an empty support, each row embedded in turn
+    for rows, vec, message in [
+            (((0, 1),), mask, "WeightMismatch: row length 2 vs support weight 3"),
+            (((0, 1, 2), (0, 1)), mask, "WeightMismatch: row length 2 vs support weight 3"),
+            (((),), IncidenceVector(4, 0), "dim, root_order and norm_sq must be positive")]:
+        with pytest.raises(ValueError) as err:
+            for row in rows:
+                embed(row, 3, vec)
+        assert str(err.value) == message
 
 
 def test_standard_basis_is_exact_and_verified():

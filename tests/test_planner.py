@@ -352,6 +352,8 @@ def test_plans_match_the_eager_search():
     # with the imported 26^2 square, the split 676 x 676 of 676^2 (also a
     # node of 2 * 676^2's tree) pairs two best trees that are constructible
     dims += [456976, 913952]
+    # highly composite dims, whose trees have many nodes and splits
+    dims += [720720, 735134400]
     for d in dims:
         for table in tables:
             assert plan(d, table).to_dict() == eager_plan(d, table), d
