@@ -1,15 +1,16 @@
 """Mutation gate for the verifiers' shortcuts and the size bounds.
 
 Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
-is checked as one MUB basis), every bound that must act before costly
-work, the Latin refusal of non-integer cells and the planner's reading
-of each node off the divisors of d must be pinned by a test that fails
-when it is broken.  Each entry
-of MUTANTS names a file under src/, a text that occurs in it exactly
-once, its replacement and the tests that must catch the change.  The run
-copies src/, tests/ and pyproject.toml to a temporary directory, runs
-every named test on the unmutated copy (all must pass), then applies one
-mutant at a time and runs its tests (at least one must fail).
+is checked as one MUB basis), each step of the ring test down the
+cyclotomic tower, every bound that must act before costly work, the
+Latin refusal of non-integer cells and the planner's reading of each
+node off the divisors of d must be pinned by a test that fails when it
+is broken.  Each entry of MUTANTS names a file under src/, a text that
+occurs in it exactly once, its replacement and the tests that must catch
+the change.  The run copies src/, tests/ and pyproject.toml to a
+temporary directory, runs every named test on the unmutated copy (all
+must pass), then applies one mutant at a time and runs its tests (at
+least one must fail).
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, an
 old text no longer matches exactly once (a refactor must update the list)
@@ -34,7 +35,9 @@ SERIAL = "src/mubkit/serial.py"
 CLI = "src/mubkit/cli.py"
 LATIN = "src/mubkit/latin.py"
 PLANNER = "src/mubkit/planner.py"
+CYCLO = "src/mubkit/cyclotomic.py"
 T = "tests/test_mub.py::"
+C = "tests/test_cyclotomic.py::"
 TIMEOUT = 300  # seconds allowed for each pytest run
 
 # (name, file, old text, new text, test node ids)
@@ -126,6 +129,19 @@ MUTANTS = [
      "            raise NotLatinError(\"cells must be integers\")\n",
      "",
      ["tests/test_latin.py::test_float_celled_squares_never_reach_a_net_or_a_file"]),
+    # cyclotomic._zero, the ring test down the tower Q(w_q) inside Q(w_m)
+    ("last slice of a prime not dividing q skipped", CYCLO,
+     "for r in range(1, p))",
+     "for r in range(1, p - 1))",
+     [C + "test_primitive_root_sums_vanish", C + "test_equality_across_orders"]),
+    ("slices of a repeated prime taken as contiguous blocks", CYCLO,
+     "return all(_zero(q, c[r::p]) for r in range(p))",
+     "return all(_zero(q, c[r * q:(r + 1) * q]) for r in range(p))",
+     [C + "test_fourth_root_squares_to_minus_one"]),
+    ("slices compared without their turn", CYCLO,
+     "map(operator.sub, s[k:] + s[:k], head)",
+     "map(operator.sub, s, head)",
+     [C + "test_known_vanishing_sums_of_nonprime_order", C + "test_equality_across_orders"]),
     # the planner's reading of each node off the divisors of d
     ("a node that two primes of d divide taken for a prime power", PLANNER,
      "if sum(n % p == 0 for p in primes) == 1:",

@@ -261,7 +261,7 @@ def best_mols(s: int, imported: MolsSet | None = None) -> MolsSet:
 def mols_to_dict(m: MolsSet) -> dict:
     return {
         "order": m.order,
-        "squares": [[list(row) for row in sq.grid] for sq in m.squares],
+        "squares": [[list(row) for row in sq._rows] for sq in m.squares],
     }
 
 

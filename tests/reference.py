@@ -7,18 +7,23 @@ points one by one, the exponent differences of two vectors with the
 failing pairs they give (one ring test per vector pair), the failing row
 pairs of a Hadamard matrix tested one pair at a time, the float deviation
 of a Hadamard matrix, and the float oracle written as one loop per pair.
-Beside them sit small tools the tests use to read library objects: the
-complex sum of the roots of unity a multiset of exponents names, one
-entry of a Hadamard matrix, and a MUB set as the dict its canonical JSON
-parses to."""
+The ring tests these exact references run are the library's two tests
+done the long way: one integer remainder by long division modulo Phi_m,
+the m-th cyclotomic polynomial, itself built by exact division of
+x^m - 1 by Phi_d for each proper divisor d of m.  Beside them sit small
+tools the tests use to read library objects: the complex sum of the
+roots of unity a multiset of exponents names, one entry of a Hadamard
+matrix, and a MUB set as the dict its canonical JSON parses to."""
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
+from collections import Counter
 
-from mubkit.cyclotomic import TOL, unbiased, vanishes
+from mubkit.cyclotomic import TOL
 from mubkit.galois import field_tables
 from mubkit.hadamard import GenHadamard
 from mubkit.latin import LatinSquare, MolsSet
@@ -54,6 +59,68 @@ def float_document(doc: dict) -> dict:
                          "amps_float": [[p, a.real, a.imag] for p, a in amps]})
         out.append(vecs)
     return {**doc, "bases": out}
+
+
+def divisors(m: int) -> list[int]:
+    """The divisors of m >= 1, ascending."""
+    small, large = [], []
+    i = 1
+    while i * i <= m:
+        if m % i == 0:
+            small.append(i)
+            if i != m // i:
+                large.append(m // i)
+        i += 1
+    return small + large[::-1]
+
+
+def poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Long division of integer coefficient lists (x^i at index i) by a
+    monic den of no higher degree; exact over the integers.  The remainder
+    keeps its zeros."""
+    rem = list(num)
+    k = len(den) - 1
+    terms = [(j, b) for j, b in enumerate(den) if b]
+    quot = [0] * (len(rem) - k)
+    for i in range(len(rem) - k - 1, -1, -1):
+        c = rem[i + k]
+        if c:
+            quot[i] = c
+            for j, b in terms:
+                rem[i + j] -= c * b
+    return quot, rem[:k]
+
+
+@functools.lru_cache(maxsize=None)
+def phi(m: int) -> tuple[int, ...]:
+    """Coefficients of Phi_m, x^i at index i: x^m - 1 divided exactly by
+    Phi_d for each proper divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in divisors(m)[:-1]:
+        num, rem = poly_divmod(num, phi(d))
+        assert not any(rem), f"x^{m}-1 not divisible by Phi_{d}"
+    return tuple(num)
+
+
+def vanishes(m: int, exponents) -> bool:
+    """Whether the sum of w_m^e over exponents is 0: its polynomial leaves
+    no remainder modulo Phi_m."""
+    coeffs = [0] * m
+    for e in exponents:
+        coeffs[e % m] += 1
+    return not any(poly_divmod(coeffs, phi(m))[1])
+
+
+def unbiased(m: int, exponents, d: int, n: int) -> bool:
+    """Whether d*|S|^2 = n, S the sum of w_m^e over exponents: d times the
+    polynomial of S*conj(S), minus n, leaves no remainder modulo Phi_m."""
+    counts = Counter(e % m for e in exponents)
+    coeffs = [0] * m
+    for e, a in counts.items():
+        for f, b in counts.items():
+            coeffs[(e - f) % m] += d * a * b
+    coeffs[0] -= n
+    return not any(poly_divmod(coeffs, phi(m))[1])
 
 
 def complete_mols_by_cells(q: int) -> MolsSet:

@@ -1,6 +1,6 @@
 """The two exact ring tests, vanishes and unbiased, against the complex sum
-of the roots of unity they stand for, and the identities the verifiers
-rely on."""
+of the roots of unity they stand for and against the reference's long
+division modulo Phi_m, and the identities the verifiers rely on."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit.cyclotomic import MAX_ROOT_ORDER, TOL, _phi, divisors, unbiased, vanishes
+from mubkit.cyclotomic import MAX_ROOT_ORDER, TOL, unbiased, vanishes
 
-from reference import approx
+import reference
+from reference import approx, divisors, phi
 
 orders = st.integers(min_value=1, max_value=64)
 
@@ -41,7 +42,7 @@ def poly_mul(a, b):
     return out
 
 
-# -- Phi_m
+# -- Phi_m, built by the reference division
 
 def test_divisors_are_sorted_and_complete():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
@@ -50,13 +51,13 @@ def test_divisors_are_sorted_and_complete():
 
 
 def test_cyclotomic_polynomials_small_orders():
-    assert _phi(1) == (-1, 1)
-    assert _phi(2) == (1, 1)
-    assert _phi(3) == (1, 1, 1)
-    assert _phi(4) == (1, 0, 1)
-    assert _phi(6) == (1, -1, 1)
-    assert _phi(12) == (1, 0, -1, 0, 1)
-    assert _phi(4096) == (1,) + (0,) * 2047 + (1,)
+    assert phi(1) == (-1, 1)
+    assert phi(2) == (1, 1)
+    assert phi(3) == (1, 1, 1)
+    assert phi(4) == (1, 0, 1)
+    assert phi(6) == (1, -1, 1)
+    assert phi(12) == (1, 0, -1, 0, 1)
+    assert phi(4096) == (1,) + (0,) * 2047 + (1,)
 
 
 def test_cyclo_polys_multiply_to_x_pow_m_minus_1():
@@ -64,7 +65,7 @@ def test_cyclo_polys_multiply_to_x_pow_m_minus_1():
     for m in range(1, 25):
         prod = [1]
         for d in divisors(m):
-            prod = poly_mul(prod, _phi(d))
+            prod = poly_mul(prod, phi(d))
         assert prod == [-1] + [0] * (m - 1) + [1]
 
 
@@ -197,6 +198,62 @@ def test_unit_roots_have_unit_modulus(m):
         assert unbiased(m, [e], 1, 1)
         assert abs(approx(m, [e]) - complex(math.cos(2 * math.pi * e / m),
                                             math.sin(2 * math.pi * e / m))) < TOL
+
+
+# -- the tower against the reference division
+
+TOWER_ORDERS = st.sampled_from([1, 2, 4, 12, 210, 1155, 2310, 3465, 4095, 4096])
+
+
+@st.composite
+def random_multisets(draw):
+    """(m, exponents, None): any multiset, whatever its sum."""
+    m = draw(TOWER_ORDERS)
+    return m, draw(st.lists(st.integers(-2 * m, 2 * m), max_size=40)), None
+
+
+@st.composite
+def rotated_subgroups(draw):
+    """(m, exponents, "vanishes"): a union of subgroups of order t > 1 of
+    the m-th roots, each turned by a root of its own; its sum is 0."""
+    m = draw(TOWER_ORDERS.filter(lambda m: m > 1))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.sampled_from([t for t in divisors(m)[1:] if t <= 64]))
+        start = draw(st.integers(0, m - 1))
+        out.extend(start + j * (m // t) for j in range(t))
+    return m, draw(st.permutations(out)), "vanishes"
+
+
+@st.composite
+def gauss_sums(draw):
+    """(m, exponents, s): a quadratic Gauss sum of s terms, |S|^2 = s.  For
+    odd s | m the terms are w_s^(a*x^2 + b*x), a prime to s; for even s
+    with 2s | m they are w_2s^(a*x^2 + 2*b*x), a prime to 2s; x < s."""
+    m = draw(TOWER_ORDERS)
+    s = draw(st.sampled_from([s for s in range(1, 65)
+                              if (s % 2 and m % s == 0) or (s % 2 == 0 and m % (2 * s) == 0)]))
+    w = s if s % 2 else 2 * s
+    a = draw(st.sampled_from([a for a in range(w) if math.gcd(a, w) == 1]))
+    b = draw(st.integers(0, s - 1)) * (1 if s % 2 else 2)
+    return m, [m // w * (a * x * x + b * x) for x in range(s)], s
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(random_multisets(), rotated_subgroups(), gauss_sums()), st.integers(1, 5),
+       st.integers(0, 40))
+def test_the_tower_agrees_with_the_division(case, d, n):
+    # vanishing and unbiased sums at orders with repeated primes and with
+    # many primes, each tested both ways
+    m, x, kind = case
+    if kind == "vanishes":
+        assert vanishes(m, x)
+    elif kind is not None:
+        assert unbiased(m, x, d, d * kind)
+    assert vanishes(m, x) == reference.vanishes(m, x)
+    norm = round(d * abs(approx(m, x)) ** 2)
+    for target in {n, norm, norm + 1}:
+        assert unbiased(m, x, d, target) == reference.unbiased(m, x, d, target)
 
 
 # -- inputs

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubkit import mub
-from mubkit.cyclotomic import divisors
 from mubkit.hadamard import (
     GenHadamard,
     MAX_TABLE_SIZE,
@@ -19,7 +18,7 @@ from mubkit.hadamard import (
     verify_hadamard,
 )
 
-from reference import entry, float_deviation, hadamard_failing_pairs
+from reference import divisors, entry, float_deviation, hadamard_failing_pairs
 
 TOL = 1e-9
 

@@ -402,14 +402,17 @@ def test_float_and_bool_cells_keep_the_cell_walks_verdict():
 
 def test_float_celled_squares_never_reach_a_net_or_a_file(tmp_path):
     # a float grid equal to a Latin square once made a MolsSet whose net
-    # lookup raised TypeError and whose export import_mols refused
+    # lookup raised TypeError and whose export import_mols refused; bool
+    # cells are byte values, so their square is accepted, and its export
+    # once wrote JSON true and false cells, which import_mols refused
     floats = ((0.0, 1.0, 2.0), (1.0, 2.0, 0.0), (2.0, 0.0, 1.0))
     with pytest.raises(NotLatinError, match="^cells must be integers$"):
         MolsSet(3, (LatinSquare(floats),))
-    m = MolsSet(3, (square_of([[int(x) for x in row] for row in floats]),))
-    assert net_from_mols(m).k == 3
-    export_mols(m, tmp_path / "m.json")
-    assert import_mols(tmp_path / "m.json") == m
+    bools = MolsSet(2, (LatinSquare(((False, True), (True, False))),))
+    for m in (MolsSet(3, (square_of([[int(x) for x in row] for row in floats]),)), bools):
+        assert net_from_mols(m).k == 3
+        export_mols(m, tmp_path / "m.json")
+        assert import_mols(tmp_path / "m.json") == m
 
 
 def test_squares_over_the_order_limit_are_refused_before_they_are_checked():

@@ -827,8 +827,9 @@ def test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full(limit
 
 def test_exact_checks_refuse_a_root_order_over_the_limit():
     # root orders 4093 and 4091 lift to 16,744,463: without the bound the
-    # first zero test builds Phi_m of that order, far beyond what a test
-    # can wait for; the float oracle still answers
+    # first zero test builds a list of that many counts and slices it down
+    # the tower, far beyond what a test can wait for; the float oracle
+    # still answers
     assert mub.MAX_ROOT_ORDER == cyclotomic.MAX_ROOT_ORDER
     x = MubSet(dim=2, bases=(MubBasis(tuple(
         MubVector(dim=2, root_order=m, norm_sq=2, amps=((0, 0), (1, 1))) for m in (4093, 4091))),))
@@ -861,6 +862,27 @@ def test_more_row_blocks_than_the_memo_holds_keep_exact_verdicts():
     x = MubSet(dim=d, bases=(MubBasis(vecs),))
     exact = verify_mubs(x, mode="exact")
     assert not exact.ok
+    assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
+
+
+def random_dense_set(rng: random.Random, d: int, k: int, m: int) -> MubSet:
+    """k bases of d full-support vectors with random exponents of order m."""
+    return MubSet(dim=d, bases=tuple(MubBasis(tuple(
+        MubVector(dim=d, root_order=m, norm_sq=d,
+                  amps=tuple((p, rng.randrange(m)) for p in range(d)))
+        for _ in range(d))) for _ in range(k)))
+
+
+@pytest.mark.parametrize("m", [4095, 4096])
+def test_random_dense_documents_verify_exactly_within_the_budget(m):
+    # no structure for a shortcut or the memo to use, so every vector pair
+    # takes its own ring test, at an order of many primes (4095) or of
+    # one prime repeated (4096)
+    x = random_dense_set(random.Random(m), 31, 2, m)
+    start = time.perf_counter()
+    exact = verify_mubs(x, mode="exact")
+    assert time.perf_counter() - start < 5
+    assert len(exact.violations) == 2 * math.comb(31, 2) + 31 * 31
     assert exact.failing_pairs() == verify_mubs(x, mode="float").failing_pairs()
 
 

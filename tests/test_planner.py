@@ -10,7 +10,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mubkit.cyclotomic import divisors
 from mubkit.galois import prime_power
 from mubkit.latin import complete_mols_prime_power, mols_to_dict
 from mubkit.mub import MubBasis, MubSet, MubVector, export_mubs, verify_mubs
@@ -26,7 +25,7 @@ from mubkit.planner import (
 from mubkit.serial import ParseError
 
 from conftest import DATA_DIR, built_mubs
-from reference import float_document, mubs_to_dict
+from reference import divisors, float_document, mubs_to_dict
 
 
 def qubit_triple() -> MubSet:
