@@ -180,7 +180,7 @@ def develop(mu: int, bases: list[tuple[int, ...]]) -> Net:
         for r, v in block:
             supports[r][v].append(b)
     return Net(N + HOLES, tuple(
-        tuple(IncidenceVector.from_support(d, sup) for sup in row)
+        tuple(IncidenceVector(d, sum(1 << b for b in sup)) for sup in row)
         for row in supports))
 
 

@@ -265,17 +265,6 @@ def mols_to_dict(m: MolsSet) -> dict:
     }
 
 
-def _is_int_rows(grid: object) -> bool:
-    """A list of lists whose cells all pass serial.is_int.  A valid decoded
-    JSON grid holds plain ints only, so one pass over the cell types accepts
-    it; the per-cell test decides any grid holding another type."""
-    if not isinstance(grid, list) or not all(map(isinstance, grid, repeat(list))):
-        return False
-    if set(map(type, chain.from_iterable(grid))) <= {int}:
-        return True
-    return all(serial.is_int(x) for row in grid for x in row)
-
-
 def mols_from_dict(data: object) -> MolsSet:
     serial.expect(isinstance(data, dict), "MOLS document must be a JSON object")
     serial.expect(set(data) == {"order", "squares"},
@@ -288,7 +277,7 @@ def mols_from_dict(data: object) -> MolsSet:
     serial.expect(isinstance(raw, list), '"squares" must be a list')
     squares = []
     for idx, grid in enumerate(raw):
-        serial.expect(_is_int_rows(grid), f"square {idx} must be a list of integer rows")
+        serial.expect(serial.is_int_rows(grid), f"square {idx} must be a list of integer rows")
         serial.expect(len(grid) == order and set(map(len, grid)) == {order},
                       f"square {idx} must be {order}x{order}")
         try:

@@ -886,11 +886,7 @@ def mubs_from_dict(data: object) -> MubSet:
                           f'{where}: "norm_sq" must be an integer from 1 to 2**32')
             if "amps" in obj:
                 serial.expect(
-                    isinstance(obj["amps"], list) and all(
-                        isinstance(t, list) and len(t) == 2
-                        and serial.is_int(t[0]) and serial.is_int(t[1])
-                        for t in obj["amps"]
-                    ),
+                    serial.is_int_rows(obj["amps"]) and set(map(len, obj["amps"])) <= {2},
                     f'{where}: "amps" must be a list of [position, exponent] pairs',
                 )
                 given = {"root_order": m, "amps": tuple(map(tuple, obj["amps"]))}

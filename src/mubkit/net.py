@@ -5,11 +5,15 @@ and weight s, such that supports within a block are pairwise disjoint and
 supports from different blocks share exactly one point.  Bits are packed
 into a Python int per vector, so dot products are exact popcounts.
 
-verify_net checks the partition first: when every weight is s and each
-block's supports cover all d points, each block is a partition, and a
-vector meets every vector of another block exactly once iff its s points
-lie in s distinct vectors of that block.  Only a net failing that check
-is walked pair by pair, so its report names every failing pair.
+verify_net reads the net back as MOLS first (_read_mols).  When every
+weight is s and each block's supports cover all d points, each block is a
+partition; blocks 0 and 1 then meet pairwise once exactly when the point
+in row vector i and column vector j is one point per cell (i, j), a later
+block meets each row and column vector once exactly when its symbols,
+read in cell order, form a Latin square, and two later blocks meet
+pairwise once exactly when their squares are orthogonal.  So a net whose
+read-back succeeds has no pair to report, and only one that fails it is
+walked pair by pair, so its report names every failing pair.
 
 The classical correspondence: w MOLS of order s give a net with k = w + 2
 blocks (rows of the grid, columns of the grid, then one block per square,
@@ -20,10 +24,8 @@ blocks can be read back by using blocks 0 and 1 as coordinates.
 from __future__ import annotations
 
 import functools
-import operator
 import os
 from collections import namedtuple
-from collections.abc import Iterable
 from itertools import chain
 
 from . import serial
@@ -46,15 +48,6 @@ class IncidenceVector(namedtuple("IncidenceVector", "length bits")):
         return tuple.__new__(cls, (length, bits))
 
     _make = classmethod(checked_make)
-
-    @staticmethod
-    def from_support(length: int, positions: Iterable[int]) -> "IncidenceVector":
-        bits = 0
-        for p in positions:
-            if not 0 <= p < length:
-                raise ValueError(f"position {p} out of range for length {length}")
-            bits |= 1 << p
-        return IncidenceVector(length, bits)
 
     @staticmethod
     def from_bits01(text: str) -> "IncidenceVector":
@@ -132,28 +125,43 @@ class NetReport(namedtuple("NetReport", "s k violations")):
         return not self.violations
 
 
-def _meets_once(net: Net) -> bool:
-    """True when every weight is s, every block's supports cover all d
-    points, and every vector's support meets s distinct vectors of each
-    later block: then each block, s supports of s points covering s^2, is a
-    partition, so supports within a block are disjoint, and a support whose
-    s points lie in s distinct parts of a partition meets each part exactly
-    once.  False means some check of verify_net fails, or may."""
+def _owners(block: tuple[IncidenceVector, ...], d: int) -> list[int | None]:
+    """For each of the d points, the index of the block's vector holding
+    it, or None."""
+    owner: list[int | None] = [None] * d
+    for j, vec in enumerate(block):
+        for p in vec.support:
+            owner[p] = j
+    return owner
+
+
+def _read_mols(net: Net) -> MolsSet | None:
+    """The k - 2 MOLS that net spells, or None when it is no net: when a
+    weight is not s, a block leaves a point uncovered, two points share a
+    (row, column) cell, or a later block's symbols in cell order are not
+    MOLS.  The (row, column) cell of each point comes from blocks 0 and 1,
+    and the symbol of a later block at that cell is the index of its
+    vector holding the point."""
     s, d = net.s, net.d
-    owners = []  # per block, point -> index of the vector holding it
-    for block in net.blocks:
-        if any(vec.weight != s for vec in block):
-            return False
-        owner = [None] * d
-        for j, vec in enumerate(block):
-            for p in vec.support:
-                owner[p] = j
-        if None in owner:
-            return False
-        owners.append(owner)
-    return all(len(set(map(owner.__getitem__, vec.support))) == s
-               for b, block in enumerate(net.blocks) for owner in owners[b + 1:]
-               for vec in block)
+    if any(vec.weight != s for block in net.blocks for vec in block):
+        return None
+    owners = [_owners(block, d) for block in net.blocks]
+    if any(None in owner for owner in owners):
+        return None
+    if net.k < 2:
+        return MolsSet(s)
+    point: list[int | None] = [None] * d  # cell i*s + j -> its one point
+    for p, (i, j) in enumerate(zip(owners[0], owners[1])):
+        point[i * s + j] = p
+    if None in point:
+        return None
+    try:
+        return MolsSet(s, tuple(
+            LatinSquare(tuple(tuple(map(owner.__getitem__, point[r:r + s]))
+                              for r in range(0, d, s)))
+            for owner in owners[2:]))
+    except ValueError:  # NotLatinError, NotOrthogonalError, TooLarge
+        return None
 
 
 def _pairwise_violations(net: Net) -> list[NetViolation]:
@@ -178,15 +186,15 @@ def _pairwise_violations(net: Net) -> list[NetViolation]:
 def verify_net(net: Net) -> NetReport:
     """Check every weight, every within-block pair, every cross-block pair.
 
-    A net that passes _meets_once has no pair to report; only one that
-    fails it is walked pair by pair, so its report lists every failing
-    pair."""
+    A net that _read_mols reads back as MOLS has no pair to report; only
+    one that it refuses is walked pair by pair, so its report lists every
+    failing pair."""
     out: list[NetViolation] = []
     for b, block in enumerate(net.blocks):
         for i, vec in enumerate(block):
             if vec.weight != net.s:
                 out.append(NetViolation("weight", b, i, detail=f"weight {vec.weight}, want {net.s}"))
-    if not _meets_once(net):
+    if _read_mols(net) is None:
         out.extend(_pairwise_violations(net))
     out.sort(key=NetViolation.sort_key)
     return NetReport(net.s, net.k, tuple(out))
@@ -196,20 +204,17 @@ def net_from_mols(m: MolsSet) -> Net:
     """Net with w + 2 blocks: rows, columns, then one block per square.
 
     Cell (i, j) of the grid is point i*s + j.  Within each block vectors are
-    listed in ascending row / column / symbol order.  One sweep over a
+    listed in ascending row / column / symbol order.  Row i is s bits
+    from point i*s on, column j the bits j, s + j, ...; one sweep over a
     square's cells sets each cell's bit in the vector of its symbol.
     """
     s = m.order
     d = s * s
     if d > MAX_POINTS:
         raise ValueError(f"TooLarge: {s}^2 points exceeds {MAX_POINTS}")
-    blocks: list[tuple[IncidenceVector, ...]] = []
-    blocks.append(tuple(
-        IncidenceVector.from_support(d, (i * s + j for j in range(s))) for i in range(s)
-    ))
-    blocks.append(tuple(
-        IncidenceVector.from_support(d, (i * s + j for i in range(s))) for j in range(s)
-    ))
+    col = sum(1 << i * s for i in range(s))
+    blocks = [tuple(IncidenceVector(d, ((1 << s) - 1) << i * s) for i in range(s)),
+              tuple(IncidenceVector(d, col << j) for j in range(s))]
     for sq in m.squares:
         bits = [0] * s  # a LatinSquare of order s holds the symbols 0..s-1
         for p, v in enumerate(chain.from_iterable(sq.grid)):
@@ -219,7 +224,7 @@ def net_from_mols(m: MolsSet) -> Net:
 
 
 def mols_from_net(net: Net) -> MolsSet:
-    """Read k - 2 MOLS back out of a verified net.
+    """Read k - 2 MOLS back out of a net (see _read_mols).
 
     Blocks 0 and 1 coordinatize: row i, column j meet in the single common
     point of their supports.  Each remaining block becomes a square whose
@@ -227,24 +232,12 @@ def mols_from_net(net: Net) -> MolsSet:
     """
     if net.k < 2:
         raise ValueError(f"TooFewBlocks: need at least 2 blocks, got {net.k}")
-    if not verify_net(net).ok:
+    if net.k > 2 and net.s > MAX_ORDER:  # no square of this order is built
+        raise ValueError(f"TooLarge: order {net.s} exceeds {MAX_ORDER}")
+    m = _read_mols(net)
+    if m is None:
         raise ValueError("Inconsistent: net fails verification")
-    s = net.s
-    point = [[0] * s for _ in range(s)]
-    for i, u in enumerate(net.blocks[0]):
-        for j, v in enumerate(net.blocks[1]):
-            common = u.bits & v.bits
-            assert common.bit_count() == 1
-            point[i][j] = common.bit_length() - 1
-    squares = []
-    for block in net.blocks[2:]:
-        symbol_at = {}
-        for v, vec in enumerate(block):
-            for p in vec.support:
-                symbol_at[p] = v
-        grid = tuple(tuple(symbol_at[point[i][j]] for j in range(s)) for i in range(s))
-        squares.append(LatinSquare(grid))
-    return MolsSet(s, tuple(squares))
+    return m
 
 
 # -- serialization: {"s": int, "k": int, "blocks": [["0/1 string"]]}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain, repeat
 
 
 class ParseError(ValueError):
@@ -62,3 +63,14 @@ def expect(cond: bool, message: str) -> None:
 def is_int(value: object) -> bool:
     # JSON booleans are ints in Python; schemas here never want them.
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_int_rows(rows: object) -> bool:
+    """A list of lists whose items all pass is_int.  A valid decoded JSON
+    document holds plain ints there, so one pass over the item types
+    accepts it; the per-item test decides any list holding another type."""
+    if not isinstance(rows, list) or not all(map(isinstance, rows, repeat(list))):
+        return False
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return True
+    return all(is_int(x) for row in rows for x in row)

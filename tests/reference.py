@@ -188,14 +188,17 @@ def net_from_mols_by_scan(m: MolsSet) -> Net:
     by scanning the whole grid for that symbol."""
     s = m.order
     d = s * s
+
+    def vector(points) -> IncidenceVector:
+        return IncidenceVector(d, sum(1 << p for p in points))
+
     blocks = [
-        tuple(IncidenceVector.from_support(d, (i * s + j for j in range(s))) for i in range(s)),
-        tuple(IncidenceVector.from_support(d, (i * s + j for i in range(s))) for j in range(s)),
+        tuple(vector(i * s + j for j in range(s)) for i in range(s)),
+        tuple(vector(i * s + j for i in range(s)) for j in range(s)),
     ]
     for sq in m.squares:
         blocks.append(tuple(
-            IncidenceVector.from_support(
-                d, (i * s + j for i in range(s) for j in range(s) if sq.grid[i][j] == v))
+            vector(i * s + j for i in range(s) for j in range(s) if sq.grid[i][j] == v)
             for v in range(s)))
     return Net(s, tuple(blocks))
 

@@ -130,7 +130,7 @@ def test_vector_names_the_first_bad_entry(dim, amps, message):
 
 def test_embed_places_row_entries_at_support_positions():
     # weight-3 mask over 9 points, row (1, w, w^2) against the cube root
-    mask = IncidenceVector.from_support(9, [0, 2, 8])
+    mask = IncidenceVector.from_bits01("101000001")
     v = embed((0, 1, 2), 3, mask)
     assert v == MubVector(dim=9, root_order=3, norm_sq=3,
                           amps=((0, 0), (2, 1), (8, 2)))
@@ -141,7 +141,7 @@ def test_embed_places_row_entries_at_support_positions():
 
 
 def test_embed_rejects_weight_mismatch():
-    mask = IncidenceVector.from_support(9, [0, 2, 8])
+    mask = IncidenceVector.from_bits01("101000001")
     with pytest.raises(ValueError, match="WeightMismatch"):
         embed((0, 1), 3, mask)
 
@@ -230,7 +230,7 @@ def test_built_vectors_are_the_checked_embeddings(s, mols26_path):
 
 
 def test_bad_rows_and_supports_raise_as_the_checked_constructor_does():
-    mask = IncidenceVector.from_support(9, [0, 2, 8])
+    mask = IncidenceVector.from_bits01("101000001")
 
     def constructor_error(dim, m, amps):
         with pytest.raises(ValueError) as err:

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubkit import net as net_module
-from mubkit.latin import MolsSet, best_mols, complete_mols_prime_power, cyclic_square, import_mols
+from mubkit.latin import (
+    MAX_ORDER,
+    LatinSquare,
+    MolsSet,
+    best_mols,
+    complete_mols_prime_power,
+    cyclic_square,
+    import_mols,
+)
 from mubkit.net import (
     IncidenceVector,
     Net,
@@ -34,7 +42,7 @@ def vec(bits: str) -> IncidenceVector:
 # -- incidence vectors
 
 def test_incidence_vector_basics():
-    v = IncidenceVector.from_support(4, [0, 2])
+    v = IncidenceVector(4, 0b0101)  # points 0 and 2
     assert v.weight == 2
     assert v.support == (0, 2)
     assert v.to_bits01() == "1010"
@@ -42,8 +50,10 @@ def test_incidence_vector_basics():
 
 
 def test_incidence_vector_validation():
-    with pytest.raises(ValueError):
-        IncidenceVector.from_support(4, [4])
+    with pytest.raises(ValueError, match="out of range"):
+        IncidenceVector(4, 1 << 4)  # point 4 of a length-4 vector
+    with pytest.raises(ValueError, match="out of range"):
+        IncidenceVector(4, -1)
     with pytest.raises(ValueError):
         IncidenceVector.from_bits01("10x0")
 
@@ -328,3 +338,62 @@ def test_support_lists_the_set_bits_in_order(case):
         assert IncidenceVector(length, b).support == tuple(
             p for p in range(length) if b >> p & 1)
     assert IncidenceVector(0, 0).support == ()
+
+
+def relabelled(net: Net, points: list[int], rows: list[int], cols: list[int]) -> Net:
+    """net with point p moved to points[p], row vector i replaced by row
+    vector rows[i] and column vector j by column vector cols[j]."""
+    def moved(bits: int) -> int:
+        return sum(1 << points[p] for p in range(net.d) if bits >> p & 1)
+
+    blocks = [[moved(vec.bits) for vec in block] for block in net.blocks]
+    if net.k >= 2:
+        blocks[0] = [blocks[0][i] for i in rows]
+        blocks[1] = [blocks[1][j] for j in cols]
+    return from_bits(net.s, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIME_POWERS), st.booleans(), st.data())
+def test_nets_on_relabelled_points_read_back_their_squares(q, permute_vectors, data):
+    # no net built from MOLS has its points outside row-major order
+    m = complete_mols_prime_power(q)
+    full = net_from_mols(m)
+    k = data.draw(st.integers(0, full.k))
+    points = data.draw(st.permutations(range(q * q)))
+    rows = data.draw(st.permutations(range(q))) if permute_vectors else range(q)
+    cols = data.draw(st.permutations(range(q))) if permute_vectors else range(q)
+    net = relabelled(Net(q, full.blocks[:k]), points, rows, cols)
+    walks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(net_module, "_pairwise_violations", lambda net: walks.append(net) or [])
+        assert verify_net(net).ok and walks == []
+    if k >= 2:
+        assert mols_from_net(net) == MolsSet(q, tuple(
+            LatinSquare(tuple(tuple(sq.grid[i][j] for j in cols) for i in rows))
+            for sq in m.squares[:k - 2]))
+
+
+@pytest.mark.parametrize("q", [4, 9, 16])
+def test_mols_from_net_builds_one_owner_table_per_block(q, monkeypatch):
+    owners, walks = [], []
+    table = net_module._owners
+    monkeypatch.setattr(net_module, "_owners", lambda block, d: owners.append(d) or table(block, d))
+    monkeypatch.setattr(net_module, "_pairwise_violations", lambda net: walks.append(net) or [])
+    m = complete_mols_prime_power(q)
+    assert mols_from_net(net_from_mols(m)) == m
+    assert owners == [q * q] * (q + 1) and walks == []
+
+
+def test_nets_of_squares_over_the_order_limit_are_not_read_back():
+    s = MAX_ORDER + 1
+    d = s * s
+    # rows, columns and the level sets of the addition table mod s
+    rows = [((1 << s) - 1) << i * s for i in range(s)]
+    cols = [sum(1 << i * s + j for i in range(s)) for j in range(s)]
+    sums = [sum(1 << i * s + (v - i) % s for i in range(s)) for v in range(s)]
+    net = from_bits(s, [rows, cols, sums])
+    assert net.d == d
+    with pytest.raises(ValueError, match=f"TooLarge: order {s} exceeds {MAX_ORDER}"):
+        mols_from_net(net)
+    assert mols_from_net(Net(s, net.blocks[:2])) == MolsSet(s)
