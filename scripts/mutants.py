@@ -3,9 +3,10 @@
 Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
 is checked as one MUB basis), each step of the ring test down the
 cyclotomic tower, every bound that must act before costly work, the
-Latin refusal of non-integer cells and the planner's reading of each
-node off the divisors of d must be pinned by a test that fails when it
-is broken.  Each entry of MUTANTS names a file under src/, a text that
+Latin refusal of non-integer cells, the planner's reading of each node
+off the divisors of d, and each C-level pass that builds, groups or
+loads a set without a Python step per vector must be pinned by a test
+that fails when it is broken.  Each entry of MUTANTS names a file under src/, a text that
 occurs in it exactly once, its replacement and the tests that must catch
 the change.  The run copies src/, tests/ and pyproject.toml to a
 temporary directory, runs every named test on the unmutated copy (all
@@ -91,6 +92,42 @@ MUTANTS = [
      "        cache[id(group)] = out\n",
      "        pass\n",
      [T + "test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths"]),
+    # the C-level passes that build, group and load a set without a Python
+    # step per vector (build_mubs, _exact_tables, _exact_basis)
+    ("pair table built past the set's amplitudes", MUB,
+     "    if len(es) <= net.k * s:\n",
+     "    if True:\n",
+     [T + "test_matrices_with_more_exponents_than_k_s_build_without_a_pair_table"]),
+    ("a support run seen again starts a group of its own", MUB,
+     "            index.setdefault(key, []).extend(run)\n",
+     "            index[key] = list(run)\n",
+     [T + "test_support_runs_that_meet_again_join_their_first_group"]),
+    ("basis check accepts a repeated position", MUB,
+     "    if not all(map(operator.lt, keyed, keyed[1:])):\n",
+     "    if not all(map(operator.le, keyed, keyed[1:])):\n",
+     [T + "test_checked_bases_refuse_what_the_walk_refuses"]),
+    ("basis check accepts an exponent of m", MUB,
+     "max(exps) < m)",
+     "max(exps) <= m)",
+     [T + "test_checked_bases_refuse_what_the_walk_refuses"]),
+    ("loader pair table built past a basis's amplitudes", MUB,
+     "            if table is None and d * m <= len(pairs):\n",
+     "            if table is None:\n",
+     [T + "test_the_complete_s_32_set_round_trips_sharing_its_pairs"]),
+    ("mubs_from_dict leaves the collector paused", MUB,
+     "    finally:\n"
+     "        if enabled:\n"
+     "            gc.enable()\n",
+     "    finally:\n"
+     "        pass\n",
+     [T + "test_loaders_leave_the_collector_as_the_caller_set_it"]),
+    ("read_json leaves the collector paused", SERIAL,
+     "    finally:\n"
+     "        if enabled:\n"
+     "            gc.enable()\n",
+     "    finally:\n"
+     "        pass\n",
+     [T + "test_loaders_leave_the_collector_as_the_caller_set_it"]),
     # net._read_mols, which lets verify_net skip the pairwise walk
     ("two points in one (row, column) cell accepted", NET,
      "    if None in point:\n"
@@ -103,6 +140,10 @@ MUTANTS = [
      "    except ValueError:  # NotLatinError, NotOrthogonalError, TooLarge\n"
      "        return MolsSet(s)\n",
      ["tests/test_net.py::test_reports_on_swapped_points_match_the_pairwise_reference"]),
+    ("support drops the top set bit", NET,
+     "        text = bin(self.bits)[:1:-1]\n",
+     "        text = bin(self.bits)[:2:-1]\n",
+     ["tests/test_net.py::test_support_lists_the_set_bits_in_order"]),
     ("an uncovered point accepted", NET,
      "    if any(None in owner for owner in owners):\n"
      "        return None\n",
@@ -202,6 +243,11 @@ MUTANTS = [
      "    if order > MAX_ORDER:\n"
      "        raise ValueError(f\"TooLarge: order {order} exceeds {MAX_ORDER}\")\n",
      ["tests/test_cli.py::test_mols_files_over_the_order_limit_are_refused_before_any_square"]),
+    ("net order bound dropped", NET,
+     "    if s > MAX_ORDER:  # before any block is read, as net_from_mols bounds its grid\n"
+     "        raise ValueError(f\"TooLarge: order {s} exceeds {MAX_ORDER}\")\n",
+     "",
+     ["tests/test_cli.py::test_net_files_over_the_order_limit_are_refused_before_any_block"]),
     ("bound_build moved after best_mols", CLI,
      "    mub.bound_build(latin.best_mols_width(s, imported) + 2, s)\n"
      "    n = net.net_from_mols(latin.best_mols(s, imported=imported))\n",

@@ -7,9 +7,9 @@ of a (k,s)-net yields one basis of C^(s^2) holding s*s vectors (incidence
 vector index outer, Hadamard row index inner), and the k blocks give k
 mutually unbiased bases.  build_mubs verifies the net and the matrix,
 whose constructors already fix every support and row, so it builds its
-vectors unchecked, each position's (position, exponent) pairs once,
-shared by every vector that holds them; embed places one row through the
-checked constructor.
+vectors unchecked, each (position, exponent) pair once in a table no
+larger than the set, shared by every vector that holds it; embed places
+one row through the checked constructor.
 
 Two vectors from different bases share exactly one support point, so their
 unscaled inner product S is a single root of unity and |S|^2 / (nu * nv) =
@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -188,15 +189,29 @@ class MubSet(namedtuple("MubSet", "dim bases")):
         return len(self.bases)
 
     # cached: both walk every vector, and verification, rendering and
-    # export ask for them repeatedly
+    # export ask for them repeatedly; each walk is one C-level map pass
     @functools.cached_property
     def is_exact(self) -> bool:
-        return all(v.is_exact for basis in self.bases for v in basis.vectors)
+        return None not in map(_AMPS, _vectors(self))
 
     @functools.cached_property
     def root_order(self) -> int:
-        return math.lcm(*{v.root_order for basis in self.bases for v in basis.vectors
-                          if v.is_exact})
+        vecs = _vectors(self)
+        orders = map(_ROOT_ORDER, vecs)
+        if not self.is_exact:  # float-only vectors take no part in the lcm
+            orders = itertools.compress(orders, map(operator.is_not, map(_AMPS, vecs),
+                                                    itertools.repeat(None)))
+        return math.lcm(*set(orders))
+
+
+_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
+_NORM_SQ, _ROOT_ORDER = operator.attrgetter("norm_sq"), operator.attrgetter("root_order")
+_AMPS, _VECTORS = operator.attrgetter("amps"), operator.attrgetter("vectors")
+
+
+def _vectors(x: MubSet) -> list[MubVector]:
+    """Every vector of x, basis by basis."""
+    return list(itertools.chain.from_iterable(map(_VECTORS, x.bases)))
 
 
 def _bound_size(vectors: int, amplitudes: int) -> None:
@@ -247,22 +262,31 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
         raise ValueError("UnverifiedInput: hadamard matrix fails verification")
     # Every MubVector invariant holds already: each support is s increasing
     # positions below d (IncidenceVector, verify_net) and each row s
-    # exponents in 0..m-1 (GenHadamard).  held[p]: the exponents placed at
-    # p, column l of the rows landing at the l-th position of each support.
+    # exponents in 0..m-1 (GenHadamard).  es lists the matrix's distinct
+    # exponents, and table[p][r] is the one pair (p, es[r]) that every
+    # vector placing es[r] at p shares, r read off a row of ranks.  The
+    # table holds d * len(es) pairs, so it is built only when that is at
+    # most the set's k*s^3 amplitudes, len(es) <= k*s, which a matrix of
+    # root order m <= k*s always meets (dft(s) among them); a matrix with
+    # more distinct exponents gives each vector its own pairs, as a loaded
+    # set holds them.
     m, s, d, rows = had.root_order, net.s, net.d, had.exponents
     supports = [vec.support for block in net.blocks for vec in block]
-    columns = [frozenset(col) for col in zip(*rows)]
-    held: dict[int, set[int]] = {}
-    for support in supports:
-        for p, col in zip(support, columns):
-            held.setdefault(p, set()).update(col)
-    pairs = {p: {e: (p, e) for e in es} for p, es in held.items()}
+    es = sorted(set(itertools.chain.from_iterable(rows)))
     new = tuple.__new__
     vectors = []
-    for support in supports:
-        cells = list(map(pairs.__getitem__, support))
-        vectors.extend([new(MubVector, (d, m, s, tuple(map(operator.getitem, cells, row)), None))
-                        for row in rows])
+    if len(es) <= net.k * s:
+        rank = dict(zip(es, itertools.count()))
+        ranks = [list(map(rank.__getitem__, row)) for row in rows]
+        table = [[(p, e) for e in es] for p in range(d)]
+        for support in supports:
+            cells = list(map(table.__getitem__, support))
+            vectors.extend([new(MubVector, (d, m, s, tuple(map(operator.getitem, cells, row)),
+                                            None)) for row in ranks])
+    else:
+        for support in supports:
+            vectors.extend([new(MubVector, (d, m, s, tuple(zip(support, row)), None))
+                            for row in rows])
     # s incidence vectors times s rows per basis
     return MubSet(dim=d, bases=tuple(MubBasis(tuple(vectors[t:t + d]))
                                      for t in range(0, len(vectors), d)))
@@ -299,10 +323,6 @@ class MubReport(namedtuple("MubReport", "mode dim k violations")):
         return frozenset(v.pair() for v in self.violations)
 
 
-_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
-_NORM_SQ, _ROOT_ORDER = operator.attrgetter("norm_sq"), operator.attrgetter("root_order")
-
-
 def _exact_tables(x: MubSet):
     """Per basis: its groups, for each (support, norm_sq) in order of first
     appearance (mask, norm, positions, us, rows): the support as a bitmask
@@ -321,11 +341,14 @@ def _exact_tables(x: MubSet):
                 [(m // vec.root_order).__mul__ for vec in vecs], exps))
         rows = list(map(pack, exps))
         # keyed by the support's positions: a mask 1 << p hashes to
-        # 2**(p % 61) on 64-bit builds, so masks would crowd the dict
+        # 2**(p % 61) on 64-bit builds, so masks would crowd the dict.
+        # One dict step per run of equal keys, as a built basis lists each
+        # support's vectors together; a key seen again later joins its group.
+        keys = list(zip(map(tuple, map(map, itertools.repeat(_FIRST), amps_list)),
+                        map(_NORM_SQ, vecs)))
         index: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        for j, key in enumerate(zip(map(tuple, map(map, itertools.repeat(_FIRST), amps_list)),
-                                    map(_NORM_SQ, vecs))):
-            index.setdefault(key, []).append(j)
+        for key, run in itertools.groupby(range(len(keys)), keys.__getitem__):
+            index.setdefault(key, []).extend(run)
         groups = [(sum(map((1).__lshift__, positions)), norm, positions, us,
                    tuple(map(rows.__getitem__, us)))
                   for (positions, norm), us in index.items()]
@@ -819,14 +842,13 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
 # {"norm_sq": n, "amps_float": [[pos, re, im], ...]} otherwise.
 
 def _vector_json(vec: MubVector, m: int, pos_tok: list[str], exp_tok: list[str]) -> str:
+    """The document text of a float vector, or of an exact one lifted from
+    a root order below m (see mubs_to_json)."""
     if vec.amps is None:
         return serial.encode({"norm_sq": vec.norm_sq, "amps_float": [
             [pos, a.real, a.imag] for pos, a in vec.amps_float]})
-    if vec.root_order == m:
-        body = ",".join([pos_tok[p] + exp_tok[e] for p, e in vec.amps])
-    else:
-        f = m // vec.root_order  # e < root_order, so e*f < m
-        body = ",".join([pos_tok[p] + exp_tok[e * f] for p, e in vec.amps])
+    f = m // vec.root_order  # e < root_order, so e*f < m
+    body = ",".join([pos_tok[p] + exp_tok[e * f] for p, e in vec.amps])
     return '{"amps":[' + body + '],"norm_sq":%d}' % vec.norm_sq
 
 
@@ -837,8 +859,10 @@ def mubs_to_json(x: MubSet) -> str:
 
     Exact vectors are written from two token lists built once per set,
     "[p," for each position p < d and "e]" for each exponent e < m, so an
-    amplitude costs two lookups and one concatenation; float vectors go
-    through the JSON encoder.  A set whose root order exceeds
+    amplitude costs two lookups and one concatenation.  A vector of root
+    order m is written inline in its basis's comprehension; one lifted
+    from a lower order, and a float vector, which goes through the JSON
+    encoder, take _vector_json.  A set whose root order exceeds
     MAX_ROOT_ORDER could not be read back, and is refused (TooLarge).
     """
     m = x.root_order
@@ -847,13 +871,82 @@ def mubs_to_json(x: MubSet) -> str:
     # a set with no bases holds no vector, and its dim bounds nothing
     pos_tok = ["[%d," % p for p in range(x.dim if x.bases else 0)]
     exp_tok = ["%d]" % e for e in range(m)]
-    bases = ",".join("[" + ",".join(_vector_json(vec, m, pos_tok, exp_tok)
-                                    for vec in basis.vectors) + "]"
-                     for basis in x.bases)
+    bases = ",".join("[" + ",".join([
+        '{"amps":[%s],"norm_sq":%d}' % (
+            ",".join([pos_tok[p] + exp_tok[e] for p, e in vec.amps]), vec.norm_sq)
+        if vec.root_order == m and vec.amps is not None
+        else _vector_json(vec, m, pos_tok, exp_tok)
+        for vec in basis.vectors]) + "]" for basis in x.bases)
     return '{"bases":[%s],"dim":%d,"root_order":%d}\n' % (bases, x.dim, m)
 
 
+_EXACT_KEYS = frozenset(("norm_sq", "amps"))
+_NORM_SQ_KEY, _AMPS_KEY = operator.itemgetter("norm_sq"), operator.itemgetter("amps")
+
+
+def _exact_basis(basis: list, d: int, m: int, room: int):
+    """(norms, lengths, pairs, positions, exponents) of basis, one basis of
+    a loaded document of dimension d and root order m, when every vector is
+    exact and MubVector(d, m, ...) accepts it as it stands, and the basis
+    holds at most room amplitudes: objects with the keys "norm_sq" and
+    "amps" alone, each norm_sq an int from 1 to MAX_MAGNITUDE, and
+    [position, exponent] pairs of ints with exponents below m and, within
+    each vector, increasing positions below d.  None when any check fails.
+
+    Every check is one C-level pass over the whole basis, so a valid basis
+    costs no Python step per vector or amplitude.  Position p of vector j
+    is read as p + j*d, which increases through the basis exactly when
+    each vector's positions increase within 0..d-1.  A basis this refuses
+    takes the walk of mubs_from_dict, which names the first fault."""
+    if not (set(map(type, basis)) <= {dict} and all(
+            map(operator.eq, map(dict.keys, basis), itertools.repeat(_EXACT_KEYS)))):
+        return None
+    norms, amps = list(map(_NORM_SQ_KEY, basis)), list(map(_AMPS_KEY, basis))
+    if not (set(map(type, norms)) <= {int} and min(norms, default=1) >= 1
+            and max(norms, default=1) <= MAX_MAGNITUDE and set(map(type, amps)) <= {list}):
+        return None
+    lengths = list(map(len, amps))
+    if sum(lengths) > room:
+        return None
+    pairs = list(itertools.chain.from_iterable(amps))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    items = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, items)) <= {int}:
+        return None
+    pos, exps = items[::2], items[1::2]
+    if pos and not (min(pos) >= 0 and max(pos) < d and min(exps) >= 0 and max(exps) < m):
+        return None
+    keyed = list(map(operator.add, pos, itertools.chain.from_iterable(
+        map(itertools.repeat, range(0, d * len(amps), d), lengths))))
+    if not all(map(operator.lt, keyed, keyed[1:])):
+        return None
+    return norms, lengths, pairs, pos, exps
+
+
 def mubs_from_dict(data: object) -> MubSet:
+    """The MubSet of a decoded mub document, or a ParseError naming the
+    first fault, past MAX_VECTORS or MAX_AMPLITUDES too.
+
+    The cyclic garbage collector is paused while the set is built, as in
+    serial.read_json: the vectors and their amplitude tuples are acyclic,
+    and a collection would walk the document too.  A basis that
+    _exact_basis accepts is built unchecked, and every other basis is
+    walked vector by vector and check by check.  Once a checked basis
+    holds at least d*m amplitudes, its vectors and every later checked
+    basis's share one (position, exponent) tuple per pair from a table of
+    d*m, as build_mubs does, so the table never holds more tuples than the
+    set holds amplitudes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _mubs_from_dict(data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _mubs_from_dict(data: object) -> MubSet:
     serial.expect(isinstance(data, dict), "mub document must be a JSON object")
     serial.expect(set(data) == {"dim", "root_order", "bases"},
                   'mub document needs exactly the keys "dim", "root_order" and "bases"')
@@ -864,11 +957,24 @@ def mubs_from_dict(data: object) -> MubSet:
     serial.expect(isinstance(raw, list), '"bases" must be a list')
     bases = []
     vectors = amplitudes = 0
+    new, table = tuple.__new__, None
     for bi, basis in enumerate(raw):
         serial.expect(isinstance(basis, list), f"basis {bi} must be a list")
         vectors += len(basis)
         serial.expect(vectors <= MAX_VECTORS,
                       f"the document holds more than {MAX_VECTORS} vectors")
+        checked = _exact_basis(basis, d, m, MAX_AMPLITUDES - amplitudes)
+        if checked is not None:
+            norms, lengths, pairs, pos, exps = checked
+            amplitudes += len(pairs)
+            if table is None and d * m <= len(pairs):
+                table = [[(p, e) for e in range(m)] for p in range(d)]
+            cells = (map(tuple, pairs) if table is None
+                     else map(operator.getitem, map(table.__getitem__, pos), exps))
+            bases.append(MubBasis(tuple([
+                new(MubVector, (d, m, n, tuple(itertools.islice(cells, k)), None))
+                for n, k in zip(norms, lengths)])))
+            continue
         vecs = []
         for vi, obj in enumerate(basis):
             where = f"basis {bi} vector {vi}"

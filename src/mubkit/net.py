@@ -68,13 +68,14 @@ class IncidenceVector(namedtuple("IncidenceVector", "length bits")):
     @functools.cached_property
     def support(self) -> tuple[int, ...]:
         # cached: verify_net and build_mubs both walk each support.
-        # One step per set bit, lowest first, not one per position.
+        # One str.find per set bit, lowest first, on the reversed binary
+        # numeral, whose character p is bit p (see from_bits01).
+        text = bin(self.bits)[:1:-1]
         out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
+        p = text.find("1")
+        while p >= 0:
+            out.append(p)
+            p = text.find("1", p + 1)
         return tuple(out)
 
 
@@ -256,6 +257,8 @@ def net_from_dict(data: object) -> Net:
                   'net document needs exactly the keys "s", "k" and "blocks"')
     s, k, raw = data["s"], data["k"], data["blocks"]
     serial.expect(serial.is_int(s) and s >= 1, '"s" must be a positive integer')
+    if s > MAX_ORDER:  # before any block is read, as net_from_mols bounds its grid
+        raise ValueError(f"TooLarge: order {s} exceeds {MAX_ORDER}")
     serial.expect(serial.is_int(k) and k >= 0, '"k" must be a non-negative integer')
     serial.expect(isinstance(raw, list) and len(raw) == k, '"blocks" must list exactly k blocks')
     d = s * s

@@ -203,6 +203,18 @@ def test_net_from_mols_rejects_a_grid_over_the_limit(capsys, tmp_path):
         net.net_from_mols(MolsSet(257, ()))
 
 
+def test_net_files_over_the_order_limit_are_refused_before_any_block(capsys, tmp_path):
+    # no block of the wrong length is named: the bound acts first
+    path = tmp_path / "big.json"
+    for doc in [{"s": 257, "k": 0, "blocks": []}, {"s": 257, "k": 1, "blocks": [["01"]]}]:
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "to-mols"):
+            rc, out, err = run(capsys, "net", command, str(path))
+            assert (rc, out, err) == (2, "", "error: TooLarge: order 257 exceeds 256\n")
+    path.write_text(json.dumps({"s": 256, "k": 0, "blocks": []}))
+    assert run(capsys, "net", "verify", str(path)) == (0, "ok: (0,256)-net, 0 violations\n", "")
+
+
 def test_mols_files_over_the_order_limit_are_refused_before_any_square(capsys, tmp_path):
     # a square of the wrong shape would be a parse error: the bound acts first
     path = tmp_path / "big.json"

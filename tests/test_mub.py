@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import os
 import pickle
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,10 +225,27 @@ def test_built_vectors_are_the_checked_embeddings(s, mols26_path):
     assert all(MubVector._make(v) == v for v in got)
     assert pickle.loads(pickle.dumps(x)) == x
     assert hashlib.sha256(mubs_to_json(x).encode()).hexdigest() == BUILT_JSON_SHA256[s]
-    # each (position, exponent) pair is one object, shared by every vector
-    # holding it
-    pairs = [a for v in got for a in v.amps]
-    assert len({id(a) for a in pairs}) == len(set(pairs))
+    # each placed (position, exponent) pair is one object, shared by every
+    # vector holding it
+    pairs = {id(a): a for v in got for a in v.amps}
+    assert sorted(pairs.values()) == sorted({a for vec in supports for row in had.exponents
+                                             for a in zip(vec.support, row)})
+
+
+def test_matrices_with_more_exponents_than_k_s_build_without_a_pair_table():
+    # rows (0, 1) and (0, 3) at m = 4 are orthogonal, 1 + w^-2 = 0, and hold
+    # three distinct exponents: a table over all of them would hold 4 * 3
+    # pairs, more than the 8 amplitudes of one basis of C^4, but fewer than
+    # the 24 of three bases
+    had = GenHadamard(4, ((0, 1), (0, 3)))
+    full = net_from_mols(MolsSet(2, (cyclic_square(2),)))
+    for net, shared in [(Net(2, full.blocks[:1]), False), (full, True)]:
+        x = build_mubs(net, had)
+        vecs = [v for basis in x.bases for v in basis.vectors]
+        assert vecs == [embed(row, 4, vec) for block in net.blocks for vec in block
+                        for row in had.exponents]
+        pairs = [pair for v in vecs for pair in v.amps]
+        assert len({id(pair) for pair in pairs}) == (len(set(pairs)) if shared else len(pairs))
 
 
 def test_bad_rows_and_supports_raise_as_the_checked_constructor_does():
@@ -1327,6 +1346,136 @@ def test_parse_rejects_out_of_range_amplitudes():
         ]]})
 
 
+def loaded(doc):
+    """mubs_from_dict(doc), or the message of its ParseError."""
+    try:
+        return mubs_from_dict(doc)
+    except ParseError as exc:
+        return str(exc)
+
+
+def walked(doc):
+    """loaded(doc) with the basis check of mubs_from_dict refusing every
+    basis, so each vector takes the walk."""
+    check = mub._exact_basis
+    mub._exact_basis = lambda *_: None
+    try:
+        return loaded(doc)
+    finally:
+        mub._exact_basis = check
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("amps", 1, 0), 1, ": positions must be strictly increasing"),
+    (("amps", 1, 0), 0, ": positions must be strictly increasing"),
+    (("amps", 1, 1), 2, ": exponent 2 out of range for root order 2"),
+    (("amps", 0, 1), -1, ": exponent -1 out of range for root order 2"),
+    (("amps", 1, 0), 4, ": position 4 out of range for dim 4"),
+    (("amps", 0, 0), -1, ": position -1 out of range for dim 4"),
+    (("amps", 1, 1), True, ': "amps" must be a list of [position, exponent] pairs'),
+    (("amps", 1, 0), 3.0, ': "amps" must be a list of [position, exponent] pairs'),
+    (("amps", 1), [3, 0, 0], ': "amps" must be a list of [position, exponent] pairs'),
+    (("norm_sq",), 0, ': "norm_sq" must be an integer from 1 to 2**32'),
+    (("norm_sq",), MAX_MAGNITUDE + 1, ': "norm_sq" must be an integer from 1 to 2**32'),
+    (("x",), 0, ' needs "norm_sq" and exactly one of "amps", "amps_float"'),
+])
+def test_checked_bases_refuse_what_the_walk_refuses(where, value, message):
+    # built_mubs(2): d = 4, m = 2, and vector 2 of basis 1 holds [[1, 0], [3, 0]]
+    doc = mubs_to_dict(built_mubs(2))
+    holder = doc["bases"][1][2]
+    for key in where[:-1]:
+        holder = holder[key]
+    holder[where[-1]] = value
+    assert loaded(doc) == walked(doc) == "basis 1 vector 2" + message
+
+
+def test_the_complete_s_32_set_round_trips_sharing_its_pairs(tmp_path):
+    # the s = 32 set: each basis holds 32,768 amplitudes, as many as the
+    # pairs of a table over 1024 positions and 32 exponents
+    x = built_mubs(32)
+    path = tmp_path / "s32.json"
+    export_mubs(x, path)
+    y = mubs_from_dict(serial.read_json(path))
+    assert y == x
+    pairs = {id(pair): pair for basis in y.bases for v in basis.vectors for pair in v.amps}
+    assert len(pairs) == len(set(pairs.values()))
+    assert mubs_to_json(y) == path.read_text()
+    # a basis of fewer amplitudes than d*m pairs keeps a tuple per amplitude
+    z = mubs_from_dict(mubs_to_dict(mixed_root_orders()))
+    pairs = [pair for basis in z.bases for v in basis.vectors for pair in v.amps]
+    assert len({id(pair) for pair in pairs}) == len(pairs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loaders_leave_the_collector_as_the_caller_set_it(enabled, tmp_path, monkeypatch):
+    good = tmp_path / "good.json"
+    export_mubs(built_mubs(2), good)
+    monkeypatch.setattr(serial, "MAX_DOCUMENT_BYTES", good.stat().st_size)
+    faults = {"missing.json": (None, "cannot read"),
+              "large.json": (good.read_bytes() + b" ", "holds more than"),
+              "latin1.json": (b'"\xe9"', "invalid JSON"), "broken.json": (b"[0, 1", "invalid JSON")}
+    seen = []
+    monkeypatch.setattr(serial, "json", types.SimpleNamespace(
+        loads=lambda text: seen.append(gc.isenabled()) or json.loads(text)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        doc = serial.read_json(good)
+        assert seen == [False] and gc.isenabled() is enabled  # parsed with the collector paused
+        assert mubs_from_dict(doc) == built_mubs(2) and gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            mubs_from_dict({**doc, "dim": 0})
+        assert gc.isenabled() is enabled
+        for name, (data, message) in faults.items():
+            if data is not None:
+                (tmp_path / name).write_bytes(data)
+            with pytest.raises(ParseError, match=message):
+                serial.read_json(tmp_path / name)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# -- support groups of the exact tables
+
+def first_appearance_groups(x: MubSet) -> list:
+    """Per basis, (positions, norm_sq, indices) for each (support,
+    norm_sq) in order of first appearance: the grouping of _exact_tables."""
+    out = []
+    for basis in x.bases:
+        index: dict = {}
+        for j, v in enumerate(basis.vectors):
+            index.setdefault((tuple(p for p, _ in v.amps), v.norm_sq), []).append(j)
+        out.append([(positions, norm, us) for (positions, norm), us in index.items()])
+    return out
+
+
+def table_groups(x: MubSet) -> list:
+    m, tables = mub._exact_tables(x)
+    pack = mub._row_codec(m).pack
+    for basis, groups in zip(x.bases, tables):
+        for mask, _, positions, us, rows in groups:
+            assert mask == sum(1 << p for p in positions)
+            assert rows == tuple(pack(e * (m // basis.vectors[j].root_order)
+                                      for _, e in basis.vectors[j].amps) for j in us)
+    return [[(positions, norm, list(us)) for _, norm, positions, us, _ in groups]
+            for groups in tables]
+
+
+def test_support_runs_that_meet_again_join_their_first_group():
+    # supports A A B A A' B on C^6, A' being A's support with another norm
+    a, b = (0, 1, 2), (3, 4, 5)
+
+    def v(support, norm, e):
+        return MubVector(dim=6, root_order=3, norm_sq=norm, amps=tuple((p, e) for p in support))
+
+    x = MubSet(dim=6, bases=(MubBasis((v(a, 3, 0), v(a, 3, 1), v(b, 3, 0), v(a, 3, 2),
+                                       v(a, 2, 0), v(b, 3, 1))),))
+    groups = table_groups(x)
+    assert groups == first_appearance_groups(x) == [
+        [(a, 3, [0, 1, 3]), (b, 3, [2, 5]), (a, 2, [4])]]
+
+
 # -- randomized cross-checks
 
 def lifted(x: MubSet, m: int) -> MubSet:
@@ -1503,3 +1652,18 @@ def test_tensor_of_verified_sets_verifies(qa, qb):
     t = tensor_mubs(built_mubs(qa), built_mubs(qb))
     assert t.k == min(qa, qb) + 1
     assert verify_mubs(t, mode="float").ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents([mubs_to_dict(built_mubs(2)), mubs_to_dict(built_mubs(3)),
+                          mubs_to_dict(standard_basis(3)), mubs_to_dict(mixed_root_orders()),
+                          mubs_to_dict(as_float_set(built_mubs(2)))], MUB_KEYS))
+def test_checked_bases_load_as_the_walk_loads_them(doc):
+    fast, slow = loaded(doc), walked(doc)
+    assert type(fast) is type(slow) and fast == slow
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_sets())
+def test_support_groups_follow_first_appearance(x):
+    assert table_groups(x) == first_appearance_groups(x)
