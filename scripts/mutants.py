@@ -93,11 +93,13 @@ MUTANTS = [
      "        pass\n",
      [T + "test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths"]),
     # the C-level passes that build, group and load a set without a Python
-    # step per vector (build_mubs, _exact_tables, _exact_basis)
-    ("pair table built past the set's amplitudes", MUB,
-     "    if len(es) <= net.k * s:\n",
-     "    if True:\n",
-     [T + "test_matrices_with_more_exponents_than_k_s_build_without_a_pair_table"]),
+    # step per vector (_pair_table, _exact_tables, _exact_basis)
+    ("pair table built past the amplitudes it serves", MUB,
+     "    if d * m > amplitudes:\n"
+     "        return None\n",
+     "",
+     [T + "test_matrices_of_root_order_above_k_s_build_without_a_pair_table",
+      T + "test_the_complete_s_32_set_round_trips_sharing_its_pairs"]),
     ("a support run seen again starts a group of its own", MUB,
      "            index.setdefault(key, []).extend(run)\n",
      "            index[key] = list(run)\n",
@@ -110,23 +112,13 @@ MUTANTS = [
      "max(exps) < m)",
      "max(exps) <= m)",
      [T + "test_checked_bases_refuse_what_the_walk_refuses"]),
-    ("loader pair table built past a basis's amplitudes", MUB,
-     "            if table is None and d * m <= len(pairs):\n",
-     "            if table is None:\n",
-     [T + "test_the_complete_s_32_set_round_trips_sharing_its_pairs"]),
-    ("mubs_from_dict leaves the collector paused", MUB,
-     "    finally:\n"
-     "        if enabled:\n"
-     "            gc.enable()\n",
-     "    finally:\n"
-     "        pass\n",
-     [T + "test_loaders_leave_the_collector_as_the_caller_set_it"]),
-    ("read_json leaves the collector paused", SERIAL,
-     "    finally:\n"
-     "        if enabled:\n"
-     "            gc.enable()\n",
-     "    finally:\n"
-     "        pass\n",
+    # serial.gc_paused, which read_json and mubs_from_dict run under
+    ("the loaders leave the collector paused", SERIAL,
+     "        finally:\n"
+     "            if enabled:\n"
+     "                gc.enable()\n",
+     "        finally:\n"
+     "            pass\n",
      [T + "test_loaders_leave_the_collector_as_the_caller_set_it"]),
     # net._read_mols, which lets verify_net skip the pairwise walk
     ("two points in one (row, column) cell accepted", NET,
@@ -205,19 +197,28 @@ MUTANTS = [
      "           f\"{path} holds more than {MAX_DOCUMENT_BYTES} bytes\")\n"
      "    try:\n"
      "        return json.loads(data.decode(\"utf-8\"))\n"
-     "    except ValueError as exc:  # not UTF-8, or not JSON\n"
+     "    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep\n"
      "        raise ParseError(f\"{path}: invalid JSON: {exc}\") from None\n",
      "    try:\n"
      "        doc = json.loads(data.decode(\"utf-8\"))\n"
-     "    except ValueError as exc:  # not UTF-8, or not JSON\n"
+     "    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep\n"
      "        raise ParseError(f\"{path}: invalid JSON: {exc}\") from None\n"
      "    expect(len(data) <= MAX_DOCUMENT_BYTES,\n"
      "           f\"{path} holds more than {MAX_DOCUMENT_BYTES} bytes\")\n"
      "    return doc\n",
      ["tests/test_cli.py::test_json_reads_bound_the_file_size"]),
+    ("read_json lets a parser RecursionError through", SERIAL,
+     "    except (ValueError, RecursionError) as exc:",
+     "    except ValueError as exc:",
+     ["tests/test_cli.py::test_malformed_json_exits_2"]),
+    ("order bound one above MAX_ORDER", LATIN,
+     "    if s > MAX_ORDER:\n"
+     "        raise ValueError(f\"TooLarge: order {s} exceeds {MAX_ORDER}\")\n",
+     "    if s > MAX_ORDER + 1:\n"
+     "        raise ValueError(f\"TooLarge: order {s} exceeds {MAX_ORDER}\")\n",
+     ["tests/test_latin.py::test_grids_over_the_order_limit_are_refused"]),
     ("MOLS order bound moved after the squares are built", LATIN,
-     "    if order > MAX_ORDER:  # before any square is read\n"
-     "        raise ValueError(f\"TooLarge: order {order} exceeds {MAX_ORDER}\")\n"
+     "    bound_order(order)  # before any square is read\n"
      "    raw = data[\"squares\"]\n"
      "    serial.expect(isinstance(raw, list), '\"squares\" must be a list')\n"
      "    squares = []\n"
@@ -240,12 +241,10 @@ MUTANTS = [
      "            squares.append(square_of(grid))\n"
      "        except NotLatinError as exc:\n"
      "            raise NotLatinError(str(exc), square=idx, row=exc.row, col=exc.col) from None\n"
-     "    if order > MAX_ORDER:\n"
-     "        raise ValueError(f\"TooLarge: order {order} exceeds {MAX_ORDER}\")\n",
+     "    bound_order(order)\n",
      ["tests/test_cli.py::test_mols_files_over_the_order_limit_are_refused_before_any_square"]),
     ("net order bound dropped", NET,
-     "    if s > MAX_ORDER:  # before any block is read, as net_from_mols bounds its grid\n"
-     "        raise ValueError(f\"TooLarge: order {s} exceeds {MAX_ORDER}\")\n",
+     "    bound_order(s)  # before any block is read, as net_from_mols bounds its grid\n",
      "",
      ["tests/test_cli.py::test_net_files_over_the_order_limit_are_refused_before_any_block"]),
     ("bound_build moved after best_mols", CLI,

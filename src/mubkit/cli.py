@@ -92,11 +92,15 @@ def _print_mols(m: latin.MolsSet, note: str) -> None:
 def _emit(args, encode, show) -> None:
     """Write the document text encode() returns to -o FILE and print it
     under --json, encoding it at most once; without --json show() prints
-    the human text instead."""
+    the human text instead.  A file that cannot be written is a ValueError
+    (exit 2), raised before anything is printed."""
     text = encode() if args.output or args.json else ""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     if args.json:
         print(text, end="")
     else:

@@ -16,7 +16,7 @@ import operator
 from collections.abc import Iterator
 
 from .arith import prime_power
-from .latin import MAX_ORDER
+from .latin import bound_order
 
 
 def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -56,11 +56,11 @@ def field_tables(q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """(add, mul) for GF(q): add[a][b] and mul[a][b] are the ranks of a + b
     and a*b, for ranks a and b.  Rank 0 is zero and rank 1 is one.
 
-    An order above MAX_ORDER is refused (TooLarge), and so is one that is
-    not a prime power (NotPrimePower), before any table is built.
+    An order above latin.MAX_ORDER is refused (TooLarge, latin.bound_order),
+    and so is one that is not a prime power (NotPrimePower), before any
+    table is built.
     """
-    if q > MAX_ORDER:
-        raise ValueError(f"TooLarge: order {q} exceeds {MAX_ORDER}")
+    bound_order(q)
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"NotPrimePower: {q}")

@@ -34,6 +34,13 @@ from .record import checked_make
 MAX_ORDER = 256
 
 
+def bound_order(s: int) -> None:
+    """TooLarge for an order above MAX_ORDER, the one refusal of every
+    square, field table, MOLS file and net read as squares."""
+    if s > MAX_ORDER:
+        raise ValueError(f"TooLarge: order {s} exceeds {MAX_ORDER}")
+
+
 class NotLatinError(ValueError):
     """A grid is not a Latin square; coordinates point at the repeat."""
 
@@ -118,8 +125,7 @@ class LatinSquare(namedtuple("LatinSquare", "grid")):
         s = len(grid)
         if s == 0:
             raise NotLatinError("empty grid")
-        if s > MAX_ORDER:
-            raise ValueError(f"TooLarge: order {s} exceeds {MAX_ORDER}")
+        bound_order(s)
         rows = _byte_rows(grid, s)
         if rows is None or not _is_latin(rows):
             _latin_witness(grid, s)
@@ -183,8 +189,7 @@ def cyclic_square(s: int) -> LatinSquare:
     """The addition table grid[i][j] = (i + j) mod s; Latin for every s >= 1."""
     if s < 1:
         raise ValueError(f"order must be >= 1, got {s}")
-    if s > MAX_ORDER:
-        raise ValueError(f"TooLarge: order {s} exceeds {MAX_ORDER}")
+    bound_order(s)
     return LatinSquare(tuple(tuple((i + j) % s for j in range(s)) for i in range(s)))
 
 
@@ -271,8 +276,7 @@ def mols_from_dict(data: object) -> MolsSet:
                   'MOLS document needs exactly the keys "order" and "squares"')
     order = data["order"]
     serial.expect(serial.is_int(order) and order >= 1, '"order" must be a positive integer')
-    if order > MAX_ORDER:  # before any square is read
-        raise ValueError(f"TooLarge: order {order} exceeds {MAX_ORDER}")
+    bound_order(order)  # before any square is read
     raw = data["squares"]
     serial.expect(isinstance(raw, list), '"squares" must be a list')
     squares = []

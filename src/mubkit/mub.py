@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import gc
 import itertools
 import math
 import operator
@@ -88,7 +87,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import serial
-from .cyclotomic import MAX_ROOT_ORDER, TOL, unbiased, vanishes
+from .cyclotomic import MAX_ROOT_ORDER, TOL, _check_order, unbiased, vanishes
 from .record import checked_make
 
 # Verification needs neither net nor hadamard: build_mubs, the one function
@@ -196,12 +195,8 @@ class MubSet(namedtuple("MubSet", "dim bases")):
 
     @functools.cached_property
     def root_order(self) -> int:
-        vecs = _vectors(self)
-        orders = map(_ROOT_ORDER, vecs)
-        if not self.is_exact:  # float-only vectors take no part in the lcm
-            orders = itertools.compress(orders, map(operator.is_not, map(_AMPS, vecs),
-                                                    itertools.repeat(None)))
-        return math.lcm(*set(orders))
+        # float-only vectors take no part in the lcm
+        return math.lcm(*{vec.root_order for vec in _vectors(self) if vec.amps is not None})
 
 
 _FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
@@ -241,6 +236,16 @@ def embed(row: Sequence[int], root_order: int, support_vec: IncidenceVector) -> 
     return MubVector(support_vec.length, root_order, len(row), tuple(zip(support, row)))
 
 
+def _pair_table(d: int, m: int, amplitudes: int) -> list[list[tuple[int, int]]] | None:
+    """table[p][e] is the one (p, e) tuple that every vector placing
+    exponent e < m at position p < d shares; None when its d*m tuples
+    would outnumber the amplitudes it serves, so a table never holds more
+    tuples than a set holds amplitudes."""
+    if d * m > amplitudes:
+        return None
+    return [[(p, e) for e in range(m)] for p in range(d)]
+
+
 def build_mubs(net: Net, had: GenHadamard) -> MubSet:
     """k mutually unbiased bases of C^(s^2) from a (k,s)-net and an s x s
     generalized Hadamard matrix.
@@ -262,27 +267,20 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
         raise ValueError("UnverifiedInput: hadamard matrix fails verification")
     # Every MubVector invariant holds already: each support is s increasing
     # positions below d (IncidenceVector, verify_net) and each row s
-    # exponents in 0..m-1 (GenHadamard).  es lists the matrix's distinct
-    # exponents, and table[p][r] is the one pair (p, es[r]) that every
-    # vector placing es[r] at p shares, r read off a row of ranks.  The
-    # table holds d * len(es) pairs, so it is built only when that is at
-    # most the set's k*s^3 amplitudes, len(es) <= k*s, which a matrix of
-    # root order m <= k*s always meets (dft(s) among them); a matrix with
-    # more distinct exponents gives each vector its own pairs, as a loaded
-    # set holds them.
+    # exponents in 0..m-1 (GenHadamard).  The set holds k*s^3 = k*s*d
+    # amplitudes, so the pair table is shared when m <= k*s, as for
+    # dft(s); otherwise each vector holds its own pairs, as a loaded set of
+    # that shape does.
     m, s, d, rows = had.root_order, net.s, net.d, had.exponents
     supports = [vec.support for block in net.blocks for vec in block]
-    es = sorted(set(itertools.chain.from_iterable(rows)))
+    table = _pair_table(d, m, net.k * s * d)
     new = tuple.__new__
     vectors = []
-    if len(es) <= net.k * s:
-        rank = dict(zip(es, itertools.count()))
-        ranks = [list(map(rank.__getitem__, row)) for row in rows]
-        table = [[(p, e) for e in es] for p in range(d)]
+    if table is not None:
         for support in supports:
             cells = list(map(table.__getitem__, support))
             vectors.extend([new(MubVector, (d, m, s, tuple(map(operator.getitem, cells, row)),
-                                            None)) for row in ranks])
+                                            None)) for row in rows])
     else:
         for support in supports:
             vectors.extend([new(MubVector, (d, m, s, tuple(zip(support, row)), None))
@@ -768,10 +766,10 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
         raise ValueError(f'mode must be "exact" or "float", got {mode!r}')
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if mode == "exact" and not x.is_exact:
-        raise ValueError("ExactUnavailable: set has float-only amplitudes")
-    if mode == "exact" and x.root_order > MAX_ROOT_ORDER:
-        raise ValueError(f"TooLarge: root order {x.root_order} exceeds the limit {MAX_ROOT_ORDER}")
+    if mode == "exact":
+        if not x.is_exact:
+            raise ValueError("ExactUnavailable: set has float-only amplitudes")
+        _check_order(x.root_order)
     tasks = [(b, c) for b in range(x.k) for c in range(b, x.k)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if mode == "exact":
@@ -866,8 +864,7 @@ def mubs_to_json(x: MubSet) -> str:
     MAX_ROOT_ORDER could not be read back, and is refused (TooLarge).
     """
     m = x.root_order
-    if m > MAX_ROOT_ORDER:
-        raise ValueError(f"TooLarge: root order {m} exceeds the limit {MAX_ROOT_ORDER}")
+    _check_order(m)
     # a set with no bases holds no vector, and its dim bounds nothing
     pos_tok = ["[%d," % p for p in range(x.dim if x.bases else 0)]
     exp_tok = ["%d]" % e for e in range(m)]
@@ -924,29 +921,19 @@ def _exact_basis(basis: list, d: int, m: int, room: int):
     return norms, lengths, pairs, pos, exps
 
 
+@serial.gc_paused
 def mubs_from_dict(data: object) -> MubSet:
     """The MubSet of a decoded mub document, or a ParseError naming the
     first fault, past MAX_VECTORS or MAX_AMPLITUDES too.
 
-    The cyclic garbage collector is paused while the set is built, as in
-    serial.read_json: the vectors and their amplitude tuples are acyclic,
-    and a collection would walk the document too.  A basis that
-    _exact_basis accepts is built unchecked, and every other basis is
-    walked vector by vector and check by check.  Once a checked basis
-    holds at least d*m amplitudes, its vectors and every later checked
-    basis's share one (position, exponent) tuple per pair from a table of
-    d*m, as build_mubs does, so the table never holds more tuples than the
-    set holds amplitudes."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _mubs_from_dict(data)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _mubs_from_dict(data: object) -> MubSet:
+    The cyclic garbage collector is paused while the set is built
+    (serial.gc_paused, as for serial.read_json): the vectors and their
+    amplitude tuples are acyclic, and a collection would walk the document
+    too.  A basis that _exact_basis accepts is built unchecked, and every
+    other basis is walked vector by vector and check by check.  Once a
+    checked basis holds at least d*m amplitudes, its vectors and every
+    later checked basis's share one (position, exponent) tuple per pair
+    from _pair_table, as build_mubs does."""
     serial.expect(isinstance(data, dict), "mub document must be a JSON object")
     serial.expect(set(data) == {"dim", "root_order", "bases"},
                   'mub document needs exactly the keys "dim", "root_order" and "bases"')
@@ -967,8 +954,8 @@ def _mubs_from_dict(data: object) -> MubSet:
         if checked is not None:
             norms, lengths, pairs, pos, exps = checked
             amplitudes += len(pairs)
-            if table is None and d * m <= len(pairs):
-                table = [[(p, e) for e in range(m)] for p in range(d)]
+            if table is None:
+                table = _pair_table(d, m, len(pairs))
             cells = (map(tuple, pairs) if table is None
                      else map(operator.getitem, map(table.__getitem__, pos), exps))
             bases.append(MubBasis(tuple([

@@ -29,7 +29,7 @@ from collections import namedtuple
 from itertools import chain
 
 from . import serial
-from .latin import MAX_ORDER, LatinSquare, MolsSet
+from .latin import MAX_ORDER, LatinSquare, MolsSet, bound_order
 from .record import checked_make
 
 # net_from_mols writes (w + 2) * s vectors of s^2 bits each, and a MOLS
@@ -233,8 +233,8 @@ def mols_from_net(net: Net) -> MolsSet:
     """
     if net.k < 2:
         raise ValueError(f"TooFewBlocks: need at least 2 blocks, got {net.k}")
-    if net.k > 2 and net.s > MAX_ORDER:  # no square of this order is built
-        raise ValueError(f"TooLarge: order {net.s} exceeds {MAX_ORDER}")
+    if net.k > 2:  # no square above the order bound is built
+        bound_order(net.s)
     m = _read_mols(net)
     if m is None:
         raise ValueError("Inconsistent: net fails verification")
@@ -257,8 +257,7 @@ def net_from_dict(data: object) -> Net:
                   'net document needs exactly the keys "s", "k" and "blocks"')
     s, k, raw = data["s"], data["k"], data["blocks"]
     serial.expect(serial.is_int(s) and s >= 1, '"s" must be a positive integer')
-    if s > MAX_ORDER:  # before any block is read, as net_from_mols bounds its grid
-        raise ValueError(f"TooLarge: order {s} exceeds {MAX_ORDER}")
+    bound_order(s)  # before any block is read, as net_from_mols bounds its grid
     serial.expect(serial.is_int(k) and k >= 0, '"k" must be a non-negative integer')
     serial.expect(isinstance(raw, list) and len(raw) == k, '"blocks" must list exactly k blocks')
     d = s * s

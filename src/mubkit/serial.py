@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import os
@@ -17,25 +18,29 @@ class ParseError(ValueError):
 MAX_DOCUMENT_BYTES = 1 << 26
 
 
+def gc_paused(func):
+    """func with the cyclic garbage collector paused while it runs, and the
+    caller's setting restored on every exit, an exception included.  The
+    loaders run under it: a parse allocates about one container per list
+    and object of a document, none of them in a cycle, and each full
+    collection it triggered would walk the whole live heap."""
+    @functools.wraps(func)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@gc_paused
 def read_json(path: str | os.PathLike) -> object:
-    """The decoded JSON document in the file at path.
-
-    The cyclic garbage collector is paused while the file is read and
-    parsed: a parse allocates about one container per list and object of
-    the document, none of them in a cycle, and each full collection it
-    triggered would walk the whole live heap (the s = 32 set parses in
-    about a fifth of the time).  The caller's setting is restored on every
-    exit, a ParseError included."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_json(path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _read_json(path: str | os.PathLike) -> object:
+    """The decoded JSON document in the file at path, read and parsed with
+    the cyclic garbage collector paused (see gc_paused; the s = 32 set
+    parses in about a fifth of the time)."""
     try:
         with open(path, "rb") as fh:
             # read(n) allocates n bytes at once, so a file is read at the
@@ -51,7 +56,7 @@ def _read_json(path: str | os.PathLike) -> object:
            f"{path} holds more than {MAX_DOCUMENT_BYTES} bytes")
     try:
         return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -707,13 +707,37 @@ def test_missing_files_exit_2(capsys):
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):
+    # every command that reads a file; the last input is nested deeper than
+    # the parser recurses, so json.loads raises RecursionError, not ValueError
     path = tmp_path / "x.json"
-    for data in [b"{not json", b"\xff\xfe{"]:
+    commands = [["mub", "verify"], ["mub", "tensor", str(path)], ["mols", "verify"],
+                ["mols", "product", str(path)], ["net", "from-mols"], ["net", "to-mols"],
+                ["net", "verify"]]
+    for data in [b"{not json", b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000]:
         path.write_bytes(data)
-        rc, _, err = run(capsys, "mub", "verify", str(path))
-        assert rc == 2
-        assert "invalid JSON" in err
-        assert str(path) in err
+        for argv in [*(command + [str(path)] for command in commands),
+                     ["plan", "12", "--imports", str(tmp_path)]]:
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, ""), argv
+            assert "invalid JSON" in err
+            assert str(path) in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("argv", [
+    ["mols", "gen", "--order", "3"], ["mols", "product", "MOLS", "MOLS"],
+    ["net", "from-mols", "MOLS"], ["net", "to-mols", "NET"], ["mub", "build", "--square", "2"],
+    ["mub", "tensor", "MUB", "MUB"]], ids=lambda argv: "_".join(argv[:2]))
+def test_an_unwritable_output_exits_2_and_prints_nothing(capsys, tmp_path, argv, flags):
+    inputs = {"MOLS": tmp_path / "m.json", "NET": tmp_path / "n.json", "MUB": tmp_path / "x.json"}
+    run(capsys, "mols", "gen", "--order", "3", "-o", str(inputs["MOLS"]))
+    run(capsys, "net", "from-mols", str(inputs["MOLS"]), "-o", str(inputs["NET"]))
+    run(capsys, "mub", "build", "--square", "2", "-o", str(inputs["MUB"]))
+    argv = [str(inputs.get(a, a)) for a in argv]
+    for dest in (tmp_path / "missing" / "out.json", tmp_path):  # no such folder; a folder
+        rc, out, err = run(capsys, *argv, *flags, "-o", str(dest))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: cannot write {dest}: ")
 
 
 def test_module_entry_point_runs():

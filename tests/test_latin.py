@@ -28,7 +28,7 @@ from mubkit.latin import (
 )
 from mubkit import latin
 from mubkit.galois import field_tables, prime_power
-from mubkit.net import net_from_mols
+from mubkit.net import IncidenceVector, Net, mols_from_net, net_from_dict, net_from_mols
 from mubkit.serial import ParseError
 
 from reference import (complete_mols_by_cells, factorize_by_trial, first_repeated_pair,
@@ -123,10 +123,16 @@ def test_macneish_product_multiplies_orders():
 def test_grids_over_the_order_limit_are_refused():
     assert MAX_ORDER == 256
     assert cyclic_square(MAX_ORDER).order == MAX_ORDER
-    with pytest.raises(ValueError, match="TooLarge: order 257 exceeds 256"):
-        cyclic_square(257)
-    with pytest.raises(ValueError, match="TooLarge: order 257 exceeds 256"):
-        complete_mols_prime_power(257)
+    # every caller of latin.bound_order refuses with the same text
+    grid = tuple(tuple((i + j) % 257 for j in range(257)) for i in range(257))
+    blank = IncidenceVector(257 * 257, 0)
+    for refuse in [lambda: LatinSquare(grid), lambda: cyclic_square(257),
+                   lambda: mols_from_dict({"order": 257, "squares": []}),
+                   lambda: field_tables(257), lambda: complete_mols_prime_power(257),
+                   lambda: net_from_dict({"s": 257, "k": 0, "blocks": []}),
+                   lambda: mols_from_net(Net(257, ((blank,) * 257,) * 3))]:
+        with pytest.raises(ValueError, match="^TooLarge: order 257 exceeds 256$"):
+            refuse()
     m2, m3 = MolsSet(2, (cyclic_square(2),)), MolsSet(129, (cyclic_square(129),))
     assert macneish_product(m2, MolsSet(128, (cyclic_square(128),))).order == 256
     with pytest.raises(ValueError, match=r"TooLarge: order 2\*129 = 258 exceeds 256"):

@@ -232,11 +232,11 @@ def test_built_vectors_are_the_checked_embeddings(s, mols26_path):
                                              for a in zip(vec.support, row)})
 
 
-def test_matrices_with_more_exponents_than_k_s_build_without_a_pair_table():
-    # rows (0, 1) and (0, 3) at m = 4 are orthogonal, 1 + w^-2 = 0, and hold
-    # three distinct exponents: a table over all of them would hold 4 * 3
-    # pairs, more than the 8 amplitudes of one basis of C^4, but fewer than
-    # the 24 of three bases
+def test_matrices_of_root_order_above_k_s_build_without_a_pair_table():
+    # rows (0, 1) and (0, 3) at m = 4 are orthogonal, 1 + w^-2 = 0: a table
+    # of every pair holds 4 * 4 tuples, more than the k*s*d = 8 amplitudes
+    # of one basis of C^4 (m > k*s = 2), but fewer than the 24 of three
+    # bases (m <= k*s = 6)
     had = GenHadamard(4, ((0, 1), (0, 3)))
     full = net_from_mols(MolsSet(2, (cyclic_square(2),)))
     for net, shared in [(Net(2, full.blocks[:1]), False), (full, True)]:
@@ -853,8 +853,12 @@ def test_exact_checks_refuse_a_root_order_over_the_limit():
     x = MubSet(dim=2, bases=(MubBasis(tuple(
         MubVector(dim=2, root_order=m, norm_sq=2, amps=((0, 0), (1, 1))) for m in (4093, 4091))),))
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="TooLarge: root order 16744463"):
-        verify_mubs(x, mode="exact")
+    # the verifier, the writer and the ring test refuse with one text
+    for refuse in [lambda: verify_mubs(x, mode="exact"), lambda: mubs_to_json(x),
+                   lambda: vanishes(4093 * 4091, [0, 1])]:
+        with pytest.raises(ValueError, match=(
+                f"^TooLarge: root order 16744463 exceeds the limit {MAX_ROOT_ORDER}$")):
+            refuse()
     with pytest.raises(ValueError, match="TooLarge: root order 16744463"):
         verify_hadamard(GenHadamard(4093 * 4091, ((0, 0), (0, 1))))
     assert time.perf_counter() - start < 1
