@@ -92,6 +92,16 @@ MUTANTS = [
      "        cache[id(group)] = out\n",
      "        pass\n",
      [T + "test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths"]),
+    # the position index of the within-basis walk (mub._pair_violations_exact)
+    ("a one-vector group paired with itself", MUB,
+     "            low = g if len(gu[3]) > 1 else g + 1",
+     "            low = g",
+     [T + "test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once"]),
+    ("neighbours read from a group's first position only", MUB,
+     "{h for pos in gu[2] for h in holders[pos] if h >= low}",
+     "{h for pos in gu[2][:1] for h in holders[pos] if h >= low}",
+     [T + "test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full",
+      T + "test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once"]),
     # the C-level passes that build, group and load a set without a Python
     # step per vector (_pair_table, _exact_tables, _exact_basis)
     ("pair table built past the amplitudes it serves", MUB,

@@ -5,9 +5,10 @@ between MOLS and nets, build / verify / tensor sets of mutually unbiased
 bases, and compare counting strategies for a dimension.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed,
-2 usage or parse error.  Output is deterministic; --json swaps the human
-summary on stdout for the module JSON schema of the result.  mub build
-and mub tensor write and print a set only after it passed every check.
+2 usage or parse error, or a stdout closed early.  Output is
+deterministic; --json swaps the human summary on stdout for the module
+JSON schema of the result.  mub build and mub tensor write and print a
+set only after it passed every check.
 """
 
 from __future__ import annotations
@@ -422,7 +423,14 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "jobs", 1) < 1:
         return _fail("--jobs must be >= 1")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the flush at exit writes what is left to devnull, so it cannot
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(f"cannot write stdout: {exc}")
     except ValueError as exc:  # serial.ParseError among them
         return _fail(str(exc))
 

@@ -27,8 +27,8 @@ throughout.  It decides a pair of groups at once wherever a ring identity
 allows it: two supports that meet in one point give S a single root of
 unity, so d*S*conj(S) = d, and the whole product of the two groups is
 unbiased exactly when nu*nv = d; disjoint supports give S = 0.  Within a
-basis it visits only the groups that share a position, found through a
-position -> group index.  Every other overlapping pair of groups, a group
+basis it visits only the groups that share a position, read from lists
+of the groups per position.  Every other overlapping pair of groups, a group
 with itself included, is decided by one function on the positions the two
 share: it sorts each side's rows there, the packed rows or the bytes of
 their fields on those positions, into phase classes, rows equal up to one
@@ -101,7 +101,8 @@ MAX_MAGNITUDE = 1 << 32
 # many vectors and amplitudes in all, so every set built here loads back.
 # The complete s = 32 set (33 * 1024 vectors, 1,081,344 amplitudes) fits;
 # verifying it peaks at about 240 MB, and the sparsest document at the
-# vector bound, one basis of 40,000 one-point vectors, at about 150 MB.
+# vector bound, one basis of 40,000 one-point vectors, at 148 MB (mub
+# verify, whole process).
 MAX_VECTORS = 40_000
 MAX_AMPLITUDES = 1_250_000
 # Keys the exact pass remembers per verify_mubs call.
@@ -622,24 +623,18 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, b
                 for i in us:
                     yield "norm", f"|u|^2 = {len(positions)}/{norm}", (i,), (i,), None
 
-        # holders[pos] has bit g set when group g holds pos; only the groups
-        # sharing a position are visited
-        holders: dict[int, int] = {}
+        # holders[pos] lists the groups that hold pos, in increasing order;
+        # only the groups sharing a position are visited
+        holders: dict[int, list[int]] = {}
         for g, group in enumerate(groups_b):
             for pos in group[2]:
-                holders[pos] = holders.get(pos, 0) | 1 << g
-        near = []
+                holders.setdefault(pos, []).append(g)
         for g, gu in enumerate(groups_b):
-            bits = functools.reduce(operator.or_, map(holders.__getitem__, gu[2]), 0) >> g
-            if len(gu[3]) == 1:
-                bits &= ~1  # one vector makes no pair with itself
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                near.append((gu, groups_b[g + low.bit_length() - 1]))
-        for gu, gv in near:
-            yield "orthogonality", "S(u, v) != 0", gu[3], gv[3], _group_pair_failures(
-                m, d, memo, cache, None, gu, gv, gu[0] & gv[0])
+            low = g if len(gu[3]) > 1 else g + 1  # one vector makes no pair with itself
+            for h in sorted({h for pos in gu[2] for h in holders[pos] if h >= low}):
+                gv = groups_b[h]
+                yield "orthogonality", "S(u, v) != 0", gu[3], gv[3], _group_pair_failures(
+                    m, d, memo, cache, None, gu, gv, gu[0] & gv[0])
         return
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in

@@ -748,6 +748,21 @@ def test_module_entry_point_runs():
     assert proc.stdout == PLAN_4
 
 
+@pytest.mark.parametrize("argv", [["mols", "gen", "--order", "64"],
+                                  ["mub", "build", "--square", "16"]])
+def test_a_closed_stdout_exits_2_without_a_traceback(argv):
+    # the reader takes one line and closes the pipe, as head -n 1 does,
+    # while far more than a pipe buffer of output is still to come
+    proc = subprocess.Popen([sys.executable, "-m", "mubkit", *argv], env=CHILD_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_checks_do_not_hide_in_asserts(capsys, tmp_path):
     # python -O strips assert statements; every check must survive that
     bad = tmp_path / "bad.json"

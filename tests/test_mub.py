@@ -820,6 +820,33 @@ def test_two_groups_on_one_support_keep_the_triangle_apart_from_the_rectangle():
     assert exact == {(0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 0, 2), (0, 1, 0, 3)}
 
 
+def test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once(monkeypatch):
+    # groups on {0, 1} (one vector), {1, 2} (two), {3, 4} (two), {4, 5}
+    # (one) and {6, 7} (two): the first two and the middle two meet in one
+    # point, each group's later points among them, and the last is
+    # disjoint.  Each sharing pair g < h is decided once, and a group
+    # with itself only when it holds two vectors.
+    def vec(support, e):
+        return MubVector(dim=8, root_order=2, norm_sq=2, amps=((support[0], 0), (support[1], e)))
+
+    x = MubSet(dim=8, bases=(MubBasis((
+        vec((0, 1), 0), vec((1, 2), 0), vec((1, 2), 1), vec((3, 4), 0), vec((3, 4), 1),
+        vec((4, 5), 0), vec((6, 7), 0), vec((6, 7), 1))),))
+    calls = []
+    group_pair_failures = mub._group_pair_failures
+
+    def counting(m, d, memo, cache, tag, gu, gv, common):
+        calls.append((tuple(gu[3]), tuple(gv[3])))
+        return group_pair_failures(m, d, memo, cache, tag, gu, gv, common)
+
+    monkeypatch.setattr(mub, "_group_pair_failures", counting)
+    exact = verify_mubs(x, mode="exact").failing_pairs()
+    assert calls == [((0,), (1, 2)), ((1, 2), (1, 2)), ((3, 4), (3, 4)), ((3, 4), (5,)),
+                     ((6, 7), (6, 7))]
+    assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
+    assert exact == {(0, 0, 0, 1), (0, 0, 0, 2), (0, 3, 0, 5), (0, 4, 0, 5)}
+
+
 @pytest.mark.parametrize("limit", [0, 2, mub._MEMO_LIMIT])
 def test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full(limit, monkeypatch):
     # basis 0 holds groups on {0, 1, 2} and {1, 2, 3}, basis 1 on
