@@ -4,9 +4,10 @@ Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
 is checked as one MUB basis), each step of the ring test down the
 cyclotomic tower, every bound that must act before costly work, the
 Latin refusal of non-integer cells, the planner's reading of each node
-off the divisors of d, and each C-level pass that builds, groups or
-loads a set without a Python step per vector must be pinned by a test
-that fails when it is broken.  Each entry of MUTANTS names a file under src/, a text that
+off the divisors of d, each C-level pass that builds, groups or loads a
+set without a Python step per vector, and the writers' walk over the
+tables a set keeps must be pinned by a test that fails when it is
+broken.  Each entry of MUTANTS names a file under src/, a text that
 occurs in it exactly once, its replacement and the tests that must catch
 the change.  The run copies src/, tests/ and pyproject.toml to a
 temporary directory, runs every named test on the unmutated copy (all
@@ -122,6 +123,28 @@ MUTANTS = [
      "max(exps) < m)",
      "max(exps) <= m)",
      [T + "test_checked_bases_refuse_what_the_walk_refuses"]),
+    # the writers' table walk (mub._vector_texts), which both the JSON
+    # document and the human listing go through
+    ("tables not cached on the set", MUB,
+     "    @functools.cached_property\n"
+     "    def _tables(self):\n",
+     "    @property\n"
+     "    def _tables(self):\n",
+     ["tests/test_cli.py::test_the_emitted_set_builds_its_tables_once",
+      T + "test_a_set_builds_its_exact_tables_once"]),
+    ("render width from the first basis only", MUB,
+     "    groups = itertools.chain.from_iterable(tables)\n",
+     "    groups = iter(tables[0])\n",
+     ["tests/test_cli.py::test_renderings_match_the_cell_by_cell_reference[mixed-root-orders]"]),
+    ("row token cache keyed by the row's first exponent", MUB,
+     "                toks = tokens.get(row)\n"
+     "                if toks is None:\n"
+     "                    toks = tokens[row] = tuple(map(token, unpack(row)))\n",
+     "                toks = tokens.get(row[:1])\n"
+     "                if toks is None:\n"
+     "                    toks = tokens[row[:1]] = tuple(map(token, unpack(row)))\n",
+     [T + "test_built_vectors_are_the_checked_embeddings",
+      "tests/test_cli.py::test_build_renderings_are_pinned_and_written_basis_by_basis"]),
     # serial.gc_paused, which read_json and mubs_from_dict run under
     ("the loaders leave the collector paused", SERIAL,
      "        finally:\n"

@@ -43,9 +43,7 @@ def _load_imports(args) -> planner.ImportsTable | None:
 
 # -- rendering ---------------------------------------------------------------
 
-def _entry_token(exp: int | None, m: int) -> str:
-    if exp is None:
-        return "0"
+def _entry_token(exp: int, m: int) -> str:
     if exp == 0:
         return "1"
     if 2 * exp == m:
@@ -55,31 +53,37 @@ def _entry_token(exp: int | None, m: int) -> str:
     return f"w^{exp}"
 
 
-def render_mubs(x: mub.MubSet) -> str:
-    """Human listing of an exact set, one line per vector."""
-    m = x.root_order
-    head = f"d = {x.dim}, k = {x.k} bases, root order {m}"
+def render_mubs(x: mub.MubSet):
+    """Human listing of an exact set, one line per vector, as text chunks:
+    the head line, then one chunk per basis, so a caller can write it
+    basis by basis and never hold the whole text.
+
+    Every cell is padded to one width, the longest token of an exponent
+    the set's rows hold, and at least 1 for the blank "0".  The lines are
+    written from the set's exact tables by mub._vector_texts: one template
+    per support group, its blanks and norm fixed and a %s at each support
+    position, filled with one tuple of padded tokens per distinct row."""
+    from . import mub
+
+    m, d = x.root_order, x.dim
+    head = f"d = {d}, k = {x.k} bases, root order {m}"
     if m > 2:
         head += f" (w = exp(2*pi*i/{m}))"
-    lines = [head]
-    tokens: list[list[str]] = []
-    for basis in x.bases:
-        for vec in basis.vectors:
-            amp = vec.amp_map()
-            f = m // vec.root_order
-            tokens.append([
-                _entry_token(amp[p] * f % m if p in amp else None, m)
-                for p in range(x.dim)
-            ])
-    width = max(len(t) for row in tokens for t in row)
-    row_iter = iter(tokens)
-    for b, basis in enumerate(x.bases, start=1):
-        lines.append(f"basis {b}:")
-        for vec in basis.vectors:
-            body = " ".join(t.rjust(width) for t in next(row_iter))
-            scale = f"1/sqrt({vec.norm_sq}) * " if vec.norm_sq != 1 else ""
-            lines.append(f"  {scale}[{body}]")
-    return "\n".join(lines)
+    yield head + "\n"
+    tokens = [_entry_token(e, m) for e in range(m)]
+    width = max(map(len, map(tokens.__getitem__, mub._held_exponents(x))), default=1)
+    padded = [token.rjust(width) for token in tokens]
+    blank = "0".rjust(width)
+
+    def template(positions, norm):
+        cells = [blank] * d
+        for p in positions:
+            cells[p] = "%s"
+        scale = f"1/sqrt({norm}) * " if norm != 1 else ""
+        return f"  {scale}[{' '.join(cells)}]"
+
+    for b, texts in enumerate(mub._vector_texts(x, template, padded.__getitem__), start=1):
+        yield f"basis {b}:\n" + "\n".join(texts) + "\n"
 
 
 def _print_mols(m: latin.MolsSet, note: str) -> None:
@@ -261,8 +265,8 @@ def _check_and_emit(x: mub.MubSet, args, render: bool) -> int:
     dest = sys.stderr if args.json else sys.stdout
     text, status = _verify(x, args, dest)
     if status == 0:
-        _emit(args, lambda: mub.mubs_to_json(x), lambda: print(
-            render_mubs(x) if render else f"d = {x.dim}, k = {x.k} bases (tensor)"))
+        _emit(args, lambda: mub.mubs_to_json(x), lambda: sys.stdout.writelines(
+            render_mubs(x) if render else [f"d = {x.dim}, k = {x.k} bases (tensor)\n"]))
     print(text, file=dest)
     return status
 

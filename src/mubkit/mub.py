@@ -68,6 +68,14 @@ within TOL/2 of nu*nv/d, found by min and max, the list passes at once,
 and otherwise each pair is checked on its own, so the violations and their
 details do not depend on the shortcut.
 
+An exact set keeps its tables once built (MubSet._tables, outside ==,
+hash and repr), and they are the one source of both writers: the JSON
+document (mubs_to_json) and the CLI's human listing walk them group by
+group (_vector_texts), one text template per support group with its
+positions and norm written once, and one tuple of exponent tokens per
+distinct row, so each vector is one C-level format and a command that
+verifies a set and then writes it reads the set's amplitudes once.
+
 Amplitudes are stored either as integer exponents against a root order
 (exact route) or as complex numbers (float-only documents, which are read
 and verified but never built or tensored here).
@@ -153,10 +161,6 @@ class MubVector(namedtuple("MubVector", "dim root_order norm_sq amps amps_float"
     def is_exact(self) -> bool:
         return self.amps is not None
 
-    def amp_map(self) -> dict[int, int]:
-        assert self.amps is not None
-        return dict(self.amps)
-
     def float_map(self) -> dict[int, complex]:
         if self.amps is not None:
             m = self.root_order
@@ -199,10 +203,18 @@ class MubSet(namedtuple("MubSet", "dim bases")):
         # float-only vectors take no part in the lcm
         return math.lcm(*{vec.root_order for vec in _vectors(self) if vec.amps is not None})
 
+    # the exact tables of an exact set, built once for verify_mubs and both
+    # writers (see _exact_tables); like the two above, left out of ==, hash
+    # and repr, which read the tuple alone
+    @functools.cached_property
+    def _tables(self):
+        return _exact_tables(self)
+
 
 _FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
 _NORM_SQ, _ROOT_ORDER = operator.attrgetter("norm_sq"), operator.attrgetter("root_order")
 _AMPS, _VECTORS = operator.attrgetter("amps"), operator.attrgetter("vectors")
+_ROWS = operator.itemgetter(4)
 
 
 def _vectors(x: MubSet) -> list[MubVector]:
@@ -386,7 +398,7 @@ def _check_norms_float(x: MubSet, b: int, maps) -> list[MubViolation]:
     return out
 
 
-_RowCodec = namedtuple("_RowCodec", "size pack phase_key m_ones reduce sorted_diffs")
+_RowCodec = namedtuple("_RowCodec", "size pack unpack phase_key m_ones reduce sorted_diffs")
 
 
 @functools.lru_cache(maxsize=None)
@@ -398,7 +410,9 @@ def _row_codec(m: int) -> _RowCodec:
     every m up to MAX_ROOT_ORDER.  This is the module's one choice between
     the two widths.
 
-    pack(exps) is the row of an iterable of exponents.  phase_key(row) is
+    pack(exps) is the row of an iterable of exponents, and unpack(row)
+    the row's exponents read back, bytes or an array("H"); unpack reads a
+    join of rows too, as the exponents of all of them.  phase_key(row) is
     the row of the row's exponents, each minus the first, mod m: equal for
     two rows exactly when they differ by one constant exponent mod m; for
     8-bit fields that is the row translated through one of m 256-byte
@@ -414,7 +428,7 @@ def _row_codec(m: int) -> _RowCodec:
     if 2 * m - 1 < 256:
         mod_m = bytes(v % m for v in range(256))
         shift = [bytes((v - c) % m for v in range(256)) for c in range(m)]
-        return _RowCodec(1, bytes, lambda row: row.translate(shift[row[0]]),
+        return _RowCodec(1, bytes, bytes, lambda row: row.translate(shift[row[0]]),
                          lambda n: int.from_bytes(bytes([m]) * n, order),
                          lambda key, n: key.to_bytes(n, order).translate(mod_m),
                          lambda key, n: bytes(sorted(key.to_bytes(n, order).translate(mod_m))))
@@ -434,8 +448,8 @@ def _row_codec(m: int) -> _RowCodec:
 
     def sorted_diffs(key, n):
         return tuple(sorted(map(m.__rmod__, array("H", key.to_bytes(n, order)))))
-    return _RowCodec(size, lambda exps: array("H", exps).tobytes(), phase_key, m_ones, reduce,
-                     sorted_diffs)
+    return _RowCodec(size, lambda exps: array("H", exps).tobytes(), functools.partial(array, "H"),
+                     phase_key, m_ones, reduce, sorted_diffs)
 
 
 def _memo_test(memo: dict, m: int, d: int, tag, diffs) -> bool:
@@ -768,7 +782,7 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     tasks = [(b, c) for b in range(x.k) for c in range(b, x.k)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if mode == "exact":
-        m, tables = _exact_tables(x)
+        m, tables = x._tables
         memo: dict = {}
         cache: dict = {}
         chunks = [_block_violations(b, c, _pair_violations_exact(x, m, tables, memo, cache, b, c))
@@ -834,15 +848,52 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
 # {"norm_sq": n, "amps": [[pos, exp], ...]} for exact amplitudes or
 # {"norm_sq": n, "amps_float": [[pos, re, im], ...]} otherwise.
 
-def _vector_json(vec: MubVector, m: int, pos_tok: list[str], exp_tok: list[str]) -> str:
-    """The document text of a float vector, or of an exact one lifted from
-    a root order below m (see mubs_to_json)."""
+def _vector_texts(x: MubSet, template, token):
+    """Per basis of the exact set x, the texts of its vectors in order,
+    written from its exact tables (see _exact_tables), built once per set.
+
+    Each group gets one text, template(positions, norm), with one %s per
+    position of the group's support, so its vectors' positions and norm
+    are written once.  Each distinct row, its bytes read back through
+    _row_codec, gets one tuple of tokens, token(e) for each exponent e,
+    kept for the whole call.  A vector's text is then one C-level format,
+    the group's text % its row's tokens, stored at the vector's index, so
+    groups that interleave within a basis keep the basis's order."""
+    m, tables = x._tables
+    unpack = _row_codec(m).unpack
+    tokens: dict[bytes, tuple[str, ...]] = {}
+    for basis, groups in zip(x.bases, tables):
+        texts = [""] * len(basis.vectors)
+        for _, norm, positions, us, rows in groups:
+            form = template(positions, norm)
+            for j, row in zip(us, rows):
+                toks = tokens.get(row)
+                if toks is None:
+                    toks = tokens[row] = tuple(map(token, unpack(row)))
+                texts[j] = form % toks
+        yield texts
+
+
+def _held_exponents(x: MubSet) -> set[int]:
+    """The exponents, lifted to the root order, that the rows of the exact
+    set x hold: one C-level set over the join of all its rows."""
+    m, tables = x._tables
+    groups = itertools.chain.from_iterable(tables)
+    return set(_row_codec(m).unpack(b"".join(itertools.chain.from_iterable(map(_ROWS, groups)))))
+
+
+def _json_template(positions: tuple[int, ...], norm: int) -> str:
+    return '{"amps":[%s],"norm_sq":%d}' % (",".join(["[%d,%%s]" % p for p in positions]), norm)
+
+
+def _vector_json(vec: MubVector, m: int) -> str:
+    """The document text of one vector of a set that holds float vectors,
+    an exact one lifted to the set root order m (see mubs_to_json)."""
     if vec.amps is None:
         return serial.encode({"norm_sq": vec.norm_sq, "amps_float": [
             [pos, a.real, a.imag] for pos, a in vec.amps_float]})
     f = m // vec.root_order  # e < root_order, so e*f < m
-    body = ",".join([pos_tok[p] + exp_tok[e * f] for p, e in vec.amps])
-    return '{"amps":[' + body + '],"norm_sq":%d}' % vec.norm_sq
+    return serial.encode({"norm_sq": vec.norm_sq, "amps": [[pos, e * f] for pos, e in vec.amps]})
 
 
 def mubs_to_json(x: MubSet) -> str:
@@ -850,26 +901,21 @@ def mubs_to_json(x: MubSet) -> str:
     newline, as serial.dumps writes it), with every exact vector lifted to
     the set root order.
 
-    Exact vectors are written from two token lists built once per set,
-    "[p," for each position p < d and "e]" for each exponent e < m, so an
-    amplitude costs two lookups and one concatenation.  A vector of root
-    order m is written inline in its basis's comprehension; one lifted
-    from a lower order, and a float vector, which goes through the JSON
-    encoder, take _vector_json.  A set whose root order exceeds
+    An exact set is written from its exact tables through _vector_texts,
+    one template per support group and one tuple of exponent tokens per
+    distinct row, so a verified set's amplitudes are not read again.  A
+    set that holds a float vector goes vector by vector through
+    _vector_json and the JSON encoder.  A set whose root order exceeds
     MAX_ROOT_ORDER could not be read back, and is refused (TooLarge).
     """
     m = x.root_order
     _check_order(m)
-    # a set with no bases holds no vector, and its dim bounds nothing
-    pos_tok = ["[%d," % p for p in range(x.dim if x.bases else 0)]
-    exp_tok = ["%d]" % e for e in range(m)]
-    bases = ",".join("[" + ",".join([
-        '{"amps":[%s],"norm_sq":%d}' % (
-            ",".join([pos_tok[p] + exp_tok[e] for p, e in vec.amps]), vec.norm_sq)
-        if vec.root_order == m and vec.amps is not None
-        else _vector_json(vec, m, pos_tok, exp_tok)
-        for vec in basis.vectors]) + "]" for basis in x.bases)
-    return '{"bases":[%s],"dim":%d,"root_order":%d}\n' % (bases, x.dim, m)
+    if x.is_exact:
+        bases = map(",".join, _vector_texts(x, _json_template, str))
+    else:
+        bases = (",".join([_vector_json(vec, m) for vec in basis.vectors]) for basis in x.bases)
+    return '{"bases":[%s],"dim":%d,"root_order":%d}\n' % (
+        ",".join(map("[%s]".__mod__, bases)), x.dim, m)
 
 
 _EXACT_KEYS = frozenset(("norm_sq", "amps"))

@@ -6,7 +6,8 @@ symbol, the violations of a net found by counting every pair's common
 points one by one, the exponent differences of two vectors with the
 failing pairs they give (one ring test per vector pair), the failing row
 pairs of a Hadamard matrix tested one pair at a time, the float deviation
-of a Hadamard matrix, and the float oracle written as one loop per pair.
+of a Hadamard matrix, the float oracle written as one loop per pair, and
+the human listing of an exact set built one cell at a time.
 The ring tests these exact references run are the library's two tests
 done the long way: one integer remainder by long division modulo Phi_m,
 the m-th cyclotomic polynomial, itself built by exact division of
@@ -44,6 +45,34 @@ def entry(h: GenHadamard, r: int, c: int) -> complex:
 def mubs_to_dict(x: MubSet) -> dict:
     """The parsed canonical document of x."""
     return json.loads(mubs_to_json(x))
+
+
+def render_mubs(x: MubSet) -> str:
+    """The human listing of the exact set x as mub build prints it: one
+    token per cell, "0" off the support, every exponent lifted to the set
+    root order, each token padded to the longest one in the whole set."""
+    m = x.root_order
+
+    def token(e):
+        if e is None:
+            return "0"
+        return "1" if e == 0 else "-1" if 2 * e == m else "w" if e == 1 else f"w^{e}"
+
+    rows = []
+    for basis in x.bases:
+        for vec in basis.vectors:
+            amp = {p: e * (m // vec.root_order) for p, e in vec.amps}
+            rows.append([token(amp.get(p)) for p in range(x.dim)])
+    width = max((len(t) for row in rows for t in row), default=1)
+    head = f"d = {x.dim}, k = {x.k} bases, root order {m}"
+    lines = [head + (f" (w = exp(2*pi*i/{m}))" if m > 2 else "")]
+    cells = iter(rows)
+    for b, basis in enumerate(x.bases, start=1):
+        lines.append(f"basis {b}:")
+        for vec in basis.vectors:
+            scale = f"1/sqrt({vec.norm_sq}) * " if vec.norm_sq != 1 else ""
+            lines.append(f"  {scale}[{' '.join(t.rjust(width) for t in next(cells))}]")
+    return "\n".join(lines) + "\n"
 
 
 def float_document(doc: dict) -> dict:
@@ -236,7 +265,7 @@ def inner_product(u: MubVector, v: MubVector) -> tuple[int, list[int]]:
         raise ValueError("ExactUnavailable: exact inner product needs exponent amplitudes")
     m = math.lcm(u.root_order, v.root_order)
     fu, fv = m // u.root_order, m // v.root_order
-    vmap = v.amp_map()
+    vmap = dict(v.amps)
     return m, [(eu * fu - vmap[pos] * fv) % m for pos, eu in u.amps if pos in vmap]
 
 

@@ -4,6 +4,7 @@ pinned human renderings that downstream scripts are allowed to rely on."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,14 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mubkit import hadamard, latin, mub, net, serial
-from mubkit.cli import build_parser, main
+from mubkit.cli import build_parser, main, render_mubs
 from mubkit.latin import (MolsSet, complete_mols_prime_power, cyclic_square, mols_from_dict,
                           mols_to_dict)
 from mubkit.mub import mubs_from_dict, standard_basis, verify_mubs
 
 from conftest import DATA_DIR, built_mubs
 from mutations import mutated_documents
-from reference import float_document, mubs_to_dict
+from reference import float_document, mubs_to_dict, render_mubs as reference_rendering
+from test_mub import mixed_root_orders, quadratic_phase, shuffled, small_sets, support_runs
 from test_planner import qubit_triple
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -65,6 +67,92 @@ def test_build_square_2_output_is_pinned(capsys):
     assert rc == 0
     assert out == BUILD_SQUARE_2
     assert err == ""
+
+
+# sha256 of the stdout of mub build --square S, with --imports tests/data
+# for S = 26, as printed when the listing was built one token per cell
+BUILD_RENDERING_SHA256 = {
+    16: "78c5b81ba56f0658ff995761c6ceb892b36f39eff4b9d501ea4cc4a8c8b85de5",
+    26: "e865c66386ce8994ab6b6a180b127139bf5ba65e39e5e29f4307e98e4bad56ce",
+    32: "55c68882c5e922ba5dc359ce7b7e4d4f71b9ea373ec7f4f2ca7ce220cf123741",
+}
+
+
+class DigestOut:
+    """A stdout that keeps the sha256 of the text written to it, its length
+    and the length of the longest single write, not the text."""
+
+    def __init__(self):
+        self.sha, self.total, self.longest = hashlib.sha256(), 0, 0
+
+    def write(self, text):
+        self.sha.update(text.encode("utf-8"))
+        self.total += len(text)
+        self.longest = max(self.longest, len(text))
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("s", sorted(BUILD_RENDERING_SHA256))
+def test_build_renderings_are_pinned_and_written_basis_by_basis(s, monkeypatch):
+    monkeypatch.delenv("MUBKIT_IMPORTS", raising=False)
+    out = DigestOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["mub", "build", "--square", str(s),
+                 *(["--imports", DATA_DIR] if s == 26 else [])]) == 0
+    assert out.sha.hexdigest() == BUILD_RENDERING_SHA256[s]
+    # one write per basis at most: the 6 to 33 bases never sit in one text
+    assert out.longest * 5 < out.total
+
+
+RENDER_CASES = {
+    "built-2": lambda: built_mubs(2),
+    "built-5": lambda: built_mubs(5),
+    "net-set-shuffled": lambda: shuffled(built_mubs(4), 3),
+    "support-runs": support_runs,  # interleaved groups, two norms in a basis
+    "mixed-root-orders": mixed_root_orders,  # the widest token in the last basis
+    "lifted-tensor": lambda: mub.tensor_mubs(quadratic_phase(3), built_mubs(2)),
+    "16-bit-rows": lambda: quadratic_phase(131, twists=2),
+    "standard-basis": lambda: standard_basis(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_renderings_match_the_cell_by_cell_reference(case):
+    x = RENDER_CASES[case]()
+    assert "".join(render_mubs(x)) == reference_rendering(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_sets())
+def test_renderings_of_sets_without_structure_match_the_reference(x):
+    assert "".join(render_mubs(x)) == reference_rendering(x)
+
+
+def test_the_emitted_set_builds_its_tables_once(capsys, tmp_path, monkeypatch):
+    # verification, the JSON document and the rendering all read the
+    # tables the set keeps: each set a command checks builds them once
+    a, b, out = (tmp_path / name for name in ("a.json", "b.json", "out.json"))
+    assert run(capsys, "mub", "build", "--square", "2", "-o", str(a))[0] == 0
+    assert run(capsys, "mub", "build", "--square", "3", "-o", str(b))[0] == 0
+    dims = []
+    build = mub._exact_tables
+    monkeypatch.setattr(mub, "_exact_tables", lambda x: dims.append(x.dim) or build(x))
+    # the DFT of a build is checked as one basis of C^s; a tensor checks
+    # both factors as it loads them
+    for argv, want in [(("build", "--square", "4", "--json"), [4, 16]),
+                       (("build", "--square", "4", "-o", str(out)), [4, 16]),
+                       (("tensor", str(a), str(b), "--json"), [4, 9, 36]),
+                       (("tensor", str(a), str(b), "-o", str(out)), [4, 9, 36])]:
+        dims.clear()
+        assert run(capsys, "mub", *argv)[0] == 0
+        assert sorted(dims) == want, argv
 
 
 def test_build_square_2_json_round_trips(capsys, tmp_path):

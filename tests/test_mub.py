@@ -433,7 +433,9 @@ def test_built_sets_settle_every_cross_pair_by_the_support_identity(q, monkeypat
 def test_built_sets_decide_their_one_row_block_once(q, monkeypatch):
     # every support group of every basis holds the q rows of the DFT, so
     # the first group decides the C(q, 2) row pairs and all k*q groups
-    # reuse the verdicts; cross-basis pairs need no test at all
+    # reuse the verdicts; cross-basis pairs need no test at all.  The set
+    # is built before the count starts: building it verifies the DFT too.
+    x = built_mubs(q)
     calls = []
     memo_test = mub._memo_test
 
@@ -442,15 +444,17 @@ def test_built_sets_decide_their_one_row_block_once(q, monkeypatch):
         return memo_test(*args)
 
     monkeypatch.setattr(mub, "_memo_test", counting)
-    assert verify_mubs(built_mubs(q), mode="exact").ok
+    assert verify_mubs(x, mode="exact").ok
     assert len(calls) == q * (q - 1) // 2
 
 
-def quadratic_phase(p: int) -> MubSet:
+def quadratic_phase(p: int, twists: int | None = None) -> MubSet:
     """The p + 1 bases of C^p for an odd prime p: the computational basis,
-    then for each a the vectors w^(a x^2 + b x), b = 0..p-1."""
+    then for each a the vectors w^(a x^2 + b x), b = 0..p-1; with twists,
+    only the bases of a < twists follow the computational basis."""
     twisted = [MubBasis(tuple(MubVector(dim=p, root_order=p, norm_sq=p, amps=tuple(
-        (x, (a * x * x + b * x) % p) for x in range(p))) for b in range(p))) for a in range(p)]
+        (x, (a * x * x + b * x) % p) for x in range(p))) for b in range(p)))
+        for a in range(p if twists is None else twists)]
     return MubSet(dim=p, bases=standard_basis(p).bases + tuple(twisted))
 
 
@@ -755,13 +759,17 @@ def test_partitioned_bases_report_the_same_with_two_jobs():
         assert verify_mubs(x, mode="float", jobs=2) == verify_mubs(x, mode="float", jobs=1)
 
 
+def shuffled(x: MubSet, seed: int) -> MubSet:
+    """Copy of x with each basis's vectors in a seeded random order."""
+    rng = random.Random(seed)
+    return MubSet(dim=x.dim, bases=tuple(
+        MubBasis(tuple(rng.sample(basis.vectors, x.dim))) for basis in x.bases))
+
+
 def test_shuffled_net_supports_settle_every_cross_pair_at_once(monkeypatch):
     # the supports of built_mubs(3), each basis's vectors shuffled: every
     # pair of bases tiles the points, so no unbiasedness test runs
-    rng = random.Random(5)
-    x = built_mubs(3)
-    x = MubSet(dim=x.dim, bases=tuple(
-        MubBasis(tuple(rng.sample(basis.vectors, x.dim))) for basis in x.bases))
+    x = shuffled(built_mubs(3), 5)
     monkeypatch.setattr(mub, "unbiased", None)  # any call fails
     assert verify_mubs(x, mode="exact").ok
 
@@ -1256,6 +1264,13 @@ def test_json_writer_matches_the_reference_encoding(mols26_path, tmp_path):
     sets.append(MubSet(dim=3, bases=()))
     sets.append(built_mubs(16))  # positions of up to three digits
     sets.append(standard_basis(1500))  # one amplitude per vector, four-digit positions
+    # groups that interleave within a basis, and unequal norms in one
+    sets.append(shuffled(built_mubs(4), 3))
+    sets.append(support_runs())
+    # both factors lifted, from root orders 3 and 2 to 6
+    sets.append(tensor_mubs(quadratic_phase(3), built_mubs(2)))
+    # root order 131: rows in 16-bit fields
+    sets.append(quadratic_phase(131, twists=2))
     for n, x in enumerate(sets):
         want = serial.dumps(old_to_dict(x))
         assert mubs_to_json(x) == want
@@ -1493,15 +1508,21 @@ def table_groups(x: MubSet) -> list:
             for groups in tables]
 
 
-def test_support_runs_that_meet_again_join_their_first_group():
-    # supports A A B A A' B on C^6, A' being A's support with another norm
+def support_runs() -> MubSet:
+    """Supports A A B A A' B on C^6, A' being A's support with another
+    norm: groups that interleave, and two norms in one basis."""
     a, b = (0, 1, 2), (3, 4, 5)
 
     def v(support, norm, e):
         return MubVector(dim=6, root_order=3, norm_sq=norm, amps=tuple((p, e) for p in support))
 
-    x = MubSet(dim=6, bases=(MubBasis((v(a, 3, 0), v(a, 3, 1), v(b, 3, 0), v(a, 3, 2),
-                                       v(a, 2, 0), v(b, 3, 1))),))
+    return MubSet(dim=6, bases=(MubBasis((v(a, 3, 0), v(a, 3, 1), v(b, 3, 0), v(a, 3, 2),
+                                          v(a, 2, 0), v(b, 3, 1))),))
+
+
+def test_support_runs_that_meet_again_join_their_first_group():
+    a, b = (0, 1, 2), (3, 4, 5)
+    x = support_runs()
     groups = table_groups(x)
     assert groups == first_appearance_groups(x) == [
         [(a, 3, [0, 1, 3]), (b, 3, [2, 5]), (a, 2, [4])]]
@@ -1698,3 +1719,27 @@ def test_checked_bases_load_as_the_walk_loads_them(doc):
 @given(small_sets())
 def test_support_groups_follow_first_appearance(x):
     assert table_groups(x) == first_appearance_groups(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_sets())
+def test_json_writer_matches_the_reference_on_sets_without_structure(x):
+    # supports met again after other runs, unequal norms and empty supports
+    assert mubs_to_json(x) == serial.dumps(old_to_dict(x))
+
+
+def test_a_set_builds_its_exact_tables_once(monkeypatch):
+    # two equal sets, built before the count starts (a build verifies its
+    # DFT as one basis)
+    x, fresh = (build_mubs(net_from_mols(complete_mols_prime_power(3)), dft(3)) for _ in "ab")
+    calls = []
+    build = mub._exact_tables
+    monkeypatch.setattr(mub, "_exact_tables", lambda x: calls.append(x) or build(x))
+    assert verify_mubs(x).ok
+    assert mubs_to_json(x) == mubs_to_json(fresh)
+    assert len(calls) == 2 and calls[0] is x and calls[1] is fresh
+    # the cache lives in the instance dict, apart from the tuple that ==,
+    # hash and repr read
+    assert "_tables" in vars(x) and "_tables" in vars(fresh)
+    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+    assert x == built_mubs(3) and repr(x) == repr(MubSet(x.dim, x.bases))
