@@ -3,7 +3,8 @@
 Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
 is checked as one MUB basis), each step of the ring test down the
 cyclotomic tower, every bound that must act before costly work, the
-Latin refusal of non-integer cells, the planner's reading of each node
+Latin refusal of non-integer cells, the copies a Latin square and a MOLS
+set keep of their input, the planner's reading of each node
 off the divisors of d, each C-level pass that builds, groups or loads a
 set without a Python step per vector, and the writers' walk over the
 tables a set keeps must be pinned by a test that fails when it is
@@ -160,9 +161,9 @@ MUTANTS = [
      "",
      ["tests/test_net.py::test_cross_block_violation_is_reported"]),
     ("squares that are not MOLS read as an empty set", NET,
-     "    except ValueError:  # NotLatinError, NotOrthogonalError, TooLarge\n"
+     "    except ValueError:  # NotLatinError, NotOrthogonalError, a symbol over 255\n"
      "        return None\n",
-     "    except ValueError:  # NotLatinError, NotOrthogonalError, TooLarge\n"
+     "    except ValueError:  # NotLatinError, NotOrthogonalError, a symbol over 255\n"
      "        return MolsSet(s)\n",
      ["tests/test_net.py::test_reports_on_swapped_points_match_the_pairwise_reference"]),
     ("support drops the top set bit", NET,
@@ -201,6 +202,15 @@ MUTANTS = [
      "            raise NotLatinError(\"cells must be integers\")\n",
      "",
      ["tests/test_latin.py::test_float_celled_squares_never_reach_a_net_or_a_file"]),
+    # a square is its checked byte rows and a set its tuple of squares
+    ("a square keeps the caller's grid", LATIN,
+     "        return tuple.__new__(cls, (rows,))\n",
+     "        return tuple.__new__(cls, (grid,))\n",
+     ["tests/test_latin.py::test_squares_and_sets_hold_copies_of_their_input"]),
+    ("a MOLS set keeps the caller's sequence", LATIN,
+     "        squares = tuple(squares)\n",
+     "",
+     ["tests/test_latin.py::test_squares_and_sets_hold_copies_of_their_input"]),
     # cyclotomic._zero, the ring test down the tower Q(w_q) inside Q(w_m)
     ("last slice of a prime not dividing q skipped", CYCLO,
      "for r in range(1, p))",
@@ -260,7 +270,7 @@ MUTANTS = [
      "        serial.expect(len(grid) == order and set(map(len, grid)) == {order},\n"
      "                      f\"square {idx} must be {order}x{order}\")\n"
      "        try:\n"
-     "            squares.append(square_of(grid))\n"
+     "            squares.append(LatinSquare(grid))\n"
      "        except NotLatinError as exc:\n"
      "            raise NotLatinError(str(exc), square=idx, row=exc.row, col=exc.col) from None\n",
      "    raw = data[\"squares\"]\n"
@@ -271,7 +281,7 @@ MUTANTS = [
      "        serial.expect(len(grid) == order and set(map(len, grid)) == {order},\n"
      "                      f\"square {idx} must be {order}x{order}\")\n"
      "        try:\n"
-     "            squares.append(square_of(grid))\n"
+     "            squares.append(LatinSquare(grid))\n"
      "        except NotLatinError as exc:\n"
      "            raise NotLatinError(str(exc), square=idx, row=exc.row, col=exc.col) from None\n"
      "    bound_order(order)\n",

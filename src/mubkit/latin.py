@@ -8,7 +8,10 @@ that cap is enforced at construction together with pairwise orthogonality,
 so holding a MolsSet is proof of the property.
 
 No square above MAX_ORDER = 256 is built or read (TooLarge), so every
-symbol fits in one byte and the checks run on byte rows in C builtins: a
+symbol fits in one byte: a square is its rows as bytes, the one form that
+the checks, the net and the writers read, and a grid given as lists or
+tuples is copied into byte rows on construction, so editing it later
+changes no square.  The checks run on byte rows in C builtins: a
 grid is Latin when deleting its symbols from its cells leaves nothing and
 every row and every column has s distinct bytes, and squares A and B are
 orthogonal when the rows bytes.maketrans(A_i, B_i), which map each symbol
@@ -22,7 +25,8 @@ refused, so every square has byte rows.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, repeat
+from collections.abc import Iterable, Sequence
+from itertools import repeat
 import os
 
 from . import serial
@@ -118,10 +122,13 @@ def _latin_witness(grid, s: int) -> None:
 
 
 class LatinSquare(namedtuple("LatinSquare", "grid")):
-    # no __slots__: each square keeps its byte rows in its __dict__ for
-    # MolsSet's pair checks
+    """A Latin square of order s, held as its s checked rows of bytes:
+    grid[i][j] is the int symbol in cell (i, j).  The grid given is copied
+    into byte rows, so the square never shares the caller's lists."""
 
-    def __new__(cls, grid: tuple[tuple[int, ...], ...]) -> "LatinSquare":
+    __slots__ = ()
+
+    def __new__(cls, grid: Sequence[Sequence[int]]) -> "LatinSquare":
         s = len(grid)
         if s == 0:
             raise NotLatinError("empty grid")
@@ -132,9 +139,7 @@ class LatinSquare(namedtuple("LatinSquare", "grid")):
             # on integer cells the byte checks and the walk agree, so only
             # cells equal to 0..s-1 that are not integers get here
             raise NotLatinError("cells must be integers")
-        sq = tuple.__new__(cls, (grid,))
-        sq._rows = rows
-        return sq
+        return tuple.__new__(cls, (rows,))
 
     _make = classmethod(checked_make)
 
@@ -143,27 +148,25 @@ class LatinSquare(namedtuple("LatinSquare", "grid")):
         return len(self.grid)
 
 
-def square_of(rows: list[list[int]]) -> LatinSquare:
-    return LatinSquare(tuple(tuple(r) for r in rows))
-
-
 def _orthogonality_witness(a: LatinSquare, b: LatinSquare) -> tuple[int, int]:
     """The first repeated ordered pair in row-major cell order of squares
     a and b that are not orthogonal."""
     seen: set[tuple[int, int]] = set()
-    for pair in zip(chain.from_iterable(a.grid), chain.from_iterable(b.grid)):
+    for pair in zip(b"".join(a.grid), b"".join(b.grid)):
         if pair in seen:
             return pair
         seen.add(pair)
 
 
 class MolsSet(namedtuple("MolsSet", "order squares")):
-    """Pairwise orthogonal Latin squares of a common order."""
+    """Pairwise orthogonal Latin squares of a common order, held as a
+    tuple whatever sequence or iterable they come in."""
 
     __slots__ = ()
 
-    def __new__(cls, order: int, squares: tuple[LatinSquare, ...] = ()) -> "MolsSet":
+    def __new__(cls, order: int, squares: Iterable[LatinSquare] = ()) -> "MolsSet":
         s = order
+        squares = tuple(squares)
         if s < 1:
             raise ValueError(f"order must be >= 1, got {s}")
         for idx, sq in enumerate(squares):
@@ -174,7 +177,7 @@ class MolsSet(namedtuple("MolsSet", "order squares")):
             raise ValueError(f"{len(squares)} MOLS of order {s} is impossible (max {cap})")
         for i in range(len(squares)):
             for j in range(i + 1, len(squares)):
-                if not _orthogonal(squares[i]._rows, squares[j]._rows):
+                if not _orthogonal(squares[i].grid, squares[j].grid):
                     raise NotOrthogonalError(i, j, _orthogonality_witness(squares[i], squares[j]))
         return tuple.__new__(cls, (order, squares))
 
@@ -190,7 +193,8 @@ def cyclic_square(s: int) -> LatinSquare:
     if s < 1:
         raise ValueError(f"order must be >= 1, got {s}")
     bound_order(s)
-    return LatinSquare(tuple(tuple((i + j) % s for j in range(s)) for i in range(s)))
+    sym = _SYMBOLS[:s]
+    return LatinSquare(tuple(sym[i:] + sym[:i] for i in range(s)))
 
 
 def complete_mols_prime_power(q: int) -> MolsSet:
@@ -204,8 +208,8 @@ def complete_mols_prime_power(q: int) -> MolsSet:
     from .galois import field_tables
 
     add, mul = field_tables(q)
-    return MolsSet(q, tuple(LatinSquare(tuple(map(add.__getitem__, mul[a])))
-                            for a in range(1, q)))
+    return MolsSet(q, (LatinSquare(tuple(map(add.__getitem__, mul[a])))
+                       for a in range(1, q)))
 
 
 def macneish_product(a: MolsSet, b: MolsSet) -> MolsSet:
@@ -225,12 +229,12 @@ def macneish_product(a: MolsSet, b: MolsSet) -> MolsSet:
     for t in range(w):
         ga, gb = a.squares[t].grid, b.squares[t].grid
         grid = tuple(
-            tuple(ga[i1][j1] * s2 + gb[i2][j2] for j1 in range(s1) for j2 in range(s2))
+            bytes(ga[i1][j1] * s2 + gb[i2][j2] for j1 in range(s1) for j2 in range(s2))
             for i1 in range(s1)
             for i2 in range(s2)
         )
         squares.append(LatinSquare(grid))
-    return MolsSet(s, tuple(squares))
+    return MolsSet(s, squares)
 
 
 def best_mols_width(s: int, imported: MolsSet | None = None) -> int:
@@ -266,7 +270,7 @@ def best_mols(s: int, imported: MolsSet | None = None) -> MolsSet:
 def mols_to_dict(m: MolsSet) -> dict:
     return {
         "order": m.order,
-        "squares": [[list(row) for row in sq._rows] for sq in m.squares],
+        "squares": [[list(row) for row in sq.grid] for sq in m.squares],
     }
 
 
@@ -285,10 +289,10 @@ def mols_from_dict(data: object) -> MolsSet:
         serial.expect(len(grid) == order and set(map(len, grid)) == {order},
                       f"square {idx} must be {order}x{order}")
         try:
-            squares.append(square_of(grid))
+            squares.append(LatinSquare(grid))
         except NotLatinError as exc:
             raise NotLatinError(str(exc), square=idx, row=exc.row, col=exc.col) from None
-    return MolsSet(order, tuple(squares))  # re-raises NotOrthogonalError with indices
+    return MolsSet(order, squares)  # re-raises NotOrthogonalError with indices
 
 
 def import_mols(path: str | os.PathLike) -> MolsSet:

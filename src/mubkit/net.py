@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import os
 from collections import namedtuple
-from itertools import chain
 
 from . import serial
 from .latin import MAX_ORDER, LatinSquare, MolsSet, bound_order
@@ -157,11 +156,11 @@ def _read_mols(net: Net) -> MolsSet | None:
     if None in point:
         return None
     try:
-        return MolsSet(s, tuple(
-            LatinSquare(tuple(tuple(map(owner.__getitem__, point[r:r + s]))
+        return MolsSet(s, (
+            LatinSquare(tuple(bytes(map(owner.__getitem__, point[r:r + s]))
                               for r in range(0, d, s)))
             for owner in owners[2:]))
-    except ValueError:  # NotLatinError, NotOrthogonalError, TooLarge
+    except ValueError:  # NotLatinError, NotOrthogonalError, a symbol over 255
         return None
 
 
@@ -218,7 +217,7 @@ def net_from_mols(m: MolsSet) -> Net:
               tuple(IncidenceVector(d, col << j) for j in range(s))]
     for sq in m.squares:
         bits = [0] * s  # a LatinSquare of order s holds the symbols 0..s-1
-        for p, v in enumerate(chain.from_iterable(sq.grid)):
+        for p, v in enumerate(b"".join(sq.grid)):
             bits[v] |= 1 << p
         blocks.append(tuple(IncidenceVector(d, b) for b in bits))
     return Net(s, tuple(blocks))

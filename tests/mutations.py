@@ -34,7 +34,9 @@ def _is_number(value) -> bool:
 
 @st.composite
 def mutated_documents(draw, seeds, keys):
-    """One of the valid documents seeds with one to three random edits:
+    """A fresh valid document from one of the zero-argument builders seeds,
+    called while drawing (so a writer that fails fails the test that draws
+    it, not the import of its module), with one to three random edits:
     values replaced, keys and entries deleted, inserted, duplicated or
     swapped, numbers shifted (to huge values too), and values wrapped one
     level deeper.  Half of the edits land on a number.  Inserted objects
@@ -42,7 +44,7 @@ def mutated_documents(draw, seeds, keys):
     values = st.recursive(JSON_LEAVES, lambda kids: st.one_of(
         st.lists(kids, max_size=3),
         st.dictionaries(st.sampled_from(keys), kids, max_size=3)), max_leaves=6)
-    doc = copy.deepcopy(draw(st.sampled_from(seeds)))
+    doc = draw(st.sampled_from(seeds))()
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_locations(doc))
         numbers = [p for p in paths if p and _is_number(_at(doc, p))]

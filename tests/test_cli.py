@@ -870,10 +870,11 @@ def test_checks_do_not_hide_in_asserts(capsys, tmp_path):
 
 # -- loader fuzzing
 
-MOLS_SEEDS = [mols_to_dict(complete_mols_prime_power(4)),
-              mols_to_dict(MolsSet(3, (cyclic_square(3),)))]
-NET_SEEDS = [net.net_to_dict(net.net_from_mols(complete_mols_prime_power(3))),
-             net.net_to_dict(net.net_from_mols(MolsSet(2, (cyclic_square(2),))))]
+# zero-argument builders of valid documents, called while drawing
+MOLS_SEEDS = [lambda: mols_to_dict(complete_mols_prime_power(4)),
+              lambda: mols_to_dict(MolsSet(3, (cyclic_square(3),)))]
+NET_SEEDS = [lambda: net.net_to_dict(net.net_from_mols(complete_mols_prime_power(3))),
+             lambda: net.net_to_dict(net.net_from_mols(MolsSet(2, (cyclic_square(2),))))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -897,16 +898,17 @@ def test_mutated_mols_and_net_documents_exit_0_1_or_2(mols_doc, net_doc):
             assert rc in (0, 1, 2), argv
 
 
-CITED_SEEDS = [{"mols_cited_bounds": {"4": 3, "10": 2, "16": 15}},
-               {"mols_cited_bounds": {}}]
-MUB_SEEDS = [mubs_to_dict(built_mubs(2)), mubs_to_dict(built_mubs(4)),
-             mubs_to_dict(standard_basis(16))]
+CITED_SEEDS = [lambda: {"mols_cited_bounds": {"4": 3, "10": 2, "16": 15}},
+               lambda: {"mols_cited_bounds": {}}]
+MUB_SEEDS = [lambda: mubs_to_dict(built_mubs(2)), lambda: mubs_to_dict(built_mubs(4)),
+             lambda: mubs_to_dict(standard_basis(16))]
 IMPORT_KEYS = ["order", "squares", "mols_cited_bounds", "4", "16", "dim", "root_order",
                "bases", "norm_sq", "amps", "amps_float", "x"]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(st.one_of(st.sampled_from(MOLS_SEEDS + CITED_SEEDS + MUB_SEEDS),
+@given(st.lists(st.one_of(st.sampled_from(MOLS_SEEDS + CITED_SEEDS + MUB_SEEDS)
+                          .map(lambda build: build()),
                           mutated_documents(MOLS_SEEDS, IMPORT_KEYS),
                           mutated_documents(CITED_SEEDS, IMPORT_KEYS),
                           mutated_documents(MUB_SEEDS, IMPORT_KEYS)),

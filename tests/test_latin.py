@@ -24,7 +24,6 @@ from mubkit.latin import (
     macneish_product,
     mols_from_dict,
     mols_to_dict,
-    square_of,
 )
 from mubkit import latin
 from mubkit.galois import field_tables, prime_power
@@ -41,7 +40,7 @@ def test_cyclic_square_is_latin_every_order():
     for s in range(1, 13):
         sq = cyclic_square(s)  # the constructor validates Latin-ness
         assert sq.order == s
-        assert sq.grid[0] == tuple(range(s))
+        assert sq.grid == tuple(bytes((i + j) % s for j in range(s)) for i in range(s))
 
 
 def test_latin_square_rejects_repeats():
@@ -53,14 +52,35 @@ def test_latin_square_rejects_repeats():
         LatinSquare(((0, 2), (2, 0)))  # symbol out of range
 
 
-def test_square_of_round_trips_lists():
-    sq = square_of([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    assert sq.grid == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+def test_latin_square_stores_list_grids_as_byte_rows():
+    sq = LatinSquare([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert sq.grid == (b"\x00\x01\x02", b"\x01\x02\x00", b"\x02\x00\x01")
+    assert sq.grid[1][2] == 0 and [len(row) for row in sq.grid] == [3, 3, 3]
+
+
+def test_squares_and_sets_hold_copies_of_their_input():
+    # a square is its byte rows and a set its tuple of squares, so input
+    # given as lists compares, hashes and stays as input given as tuples
+    grid = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    sq = LatinSquare(grid)
+    assert sq == LatinSquare(tuple(map(tuple, grid))) == cyclic_square(3)
+    assert hash(sq) == hash(cyclic_square(3))
+    assert not hasattr(sq, "__dict__")
+    net = net_from_mols(MolsSet(3, (sq,)))
+    grid[0][0] = 2
+    assert sq == cyclic_square(3)
+    assert net_from_mols(MolsSet(3, (sq,))) == net
+    squares = [sq]
+    m = MolsSet(3, squares)
+    assert m == MolsSet(3, (sq,)) and hash(m) == hash(MolsSet(3, (sq,)))
+    assert type(m.squares) is tuple
+    squares.append(sq)
+    assert m.width == 1 and m.squares == (sq,)
 
 
 def test_orthogonality_witness():
     a = cyclic_square(3)
-    b = square_of([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    b = LatinSquare([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     assert MolsSet(3, (a, b)).width == 2
     with pytest.raises(NotOrthogonalError):
         MolsSet(3, (a, a))  # a square never pairs with itself
@@ -85,7 +105,7 @@ def test_complete_set_requires_prime_power():
 
 def test_complete_set_order_2_is_the_single_square():
     m = complete_mols_prime_power(2)
-    assert m.squares[0].grid == ((0, 1), (1, 0))
+    assert m.squares[0].grid == (b"\x00\x01", b"\x01\x00")
 
 
 def test_complete_sets_are_deterministic():
@@ -321,7 +341,7 @@ def test_latin_verdicts_match_the_cell_walk(grid):
         assert exc.square is None
         got = (str(exc), exc.row, exc.col)
     else:
-        assert sq.grid is grid
+        assert sq.grid == tuple(map(bytes, grid))
         got = None
     want = latin_failure(grid)
     if want is None and type(grid[0][0]) is float:
@@ -382,7 +402,7 @@ def test_mols_verdicts_match_the_cell_walk(case):
     except NotOrthogonalError as exc:
         got = (NotOrthogonalError, str(exc), (exc.i, exc.j, exc.pair))
     else:
-        assert [sq.grid for sq in m.squares] == [tuple(map(tuple, g)) for g in grids]
+        assert [sq.grid for sq in m.squares] == [tuple(map(bytes, g)) for g in grids]
         got = None
     assert got == want
 
@@ -396,7 +416,7 @@ def test_float_and_bool_cells_keep_the_cell_walks_verdict():
         LatinSquare(floats)
     bools = ((False, True), (True, False))
     sq = LatinSquare(bools)
-    assert sq.grid is bools and sq == cyclic_square(2)
+    assert sq.grid == (b"\x00\x01", b"\x01\x00") and sq == cyclic_square(2)
     assert MolsSet(2, (sq,)).width == 1
     with pytest.raises(NotLatinError, match="^row 0 is not a permutation of 0..1$"):
         LatinSquare(((0.5, 1.0), (1.0, 0.0)))
@@ -415,7 +435,7 @@ def test_float_celled_squares_never_reach_a_net_or_a_file(tmp_path):
     with pytest.raises(NotLatinError, match="^cells must be integers$"):
         MolsSet(3, (LatinSquare(floats),))
     bools = MolsSet(2, (LatinSquare(((False, True), (True, False))),))
-    for m in (MolsSet(3, (square_of([[int(x) for x in row] for row in floats]),)), bools):
+    for m in (MolsSet(3, (LatinSquare([[int(x) for x in row] for row in floats]),)), bools):
         assert net_from_mols(m).k == 3
         export_mols(m, tmp_path / "m.json")
         assert import_mols(tmp_path / "m.json") == m

@@ -1640,8 +1640,9 @@ MUB_KEYS = ["dim", "root_order", "bases", "norm_sq", "amps", "amps_float", "x"]
 
 
 @settings(max_examples=400, deadline=None)
-@given(mutated_documents([mubs_to_dict(built_mubs(2)), mubs_to_dict(standard_basis(3)),
-                            mubs_to_dict(as_float_set(built_mubs(2)))], MUB_KEYS))
+@given(mutated_documents([lambda: mubs_to_dict(built_mubs(2)),
+                          lambda: mubs_to_dict(standard_basis(3)),
+                          lambda: mubs_to_dict(as_float_set(built_mubs(2)))], MUB_KEYS))
 def test_mutated_documents_end_in_a_parse_error_or_a_report(doc):
     try:
         x = mubs_from_dict(doc)
@@ -1707,9 +1708,11 @@ def test_tensor_of_verified_sets_verifies(qa, qb):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutated_documents([mubs_to_dict(built_mubs(2)), mubs_to_dict(built_mubs(3)),
-                          mubs_to_dict(standard_basis(3)), mubs_to_dict(mixed_root_orders()),
-                          mubs_to_dict(as_float_set(built_mubs(2)))], MUB_KEYS))
+@given(mutated_documents([lambda: mubs_to_dict(built_mubs(2)),
+                          lambda: mubs_to_dict(built_mubs(3)),
+                          lambda: mubs_to_dict(standard_basis(3)),
+                          lambda: mubs_to_dict(mixed_root_orders()),
+                          lambda: mubs_to_dict(as_float_set(built_mubs(2)))], MUB_KEYS))
 def test_checked_bases_load_as_the_walk_loads_them(doc):
     fast, slow = loaded(doc), walked(doc)
     assert type(fast) is type(slow) and fast == slow

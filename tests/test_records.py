@@ -12,8 +12,12 @@ import sys
 
 import pytest
 
-from mubkit.hadamard import HadamardReport, dft, verify_hadamard
-from mubkit.latin import MolsSet, NotLatinError, NotOrthogonalError, cyclic_square
+from mubkit.arith import constructive_mols_count
+from mubkit.hadamard import GenHadamard, HadamardReport, dft, verify_hadamard
+from mubkit.latin import (
+    LatinSquare, MolsSet, NotLatinError, NotOrthogonalError, complete_mols_prime_power,
+    cyclic_square, macneish_product,
+)
 from mubkit.mub import (
     MubBasis, MubReport, MubSet, MubVector, MubViolation, standard_basis, verify_mubs,
 )
@@ -118,6 +122,35 @@ def test_replace_runs_the_constructor_checks(record, change, error, match):
         type(record)(**{**record._asdict(), **change})
     with pytest.raises(error, match=match):
         record._replace(**change)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: LatinSquare(()), "NotLatinError: empty grid"),
+    (lambda: LatinSquare(((0, 1, 2, 0), (1, 2, 0), (2, 0, 1))),
+     "NotLatinError: row 0 has length 4, want 3"),
+    (lambda: MolsSet(3, (cyclic_square(3), cyclic_square(2))),
+     "ValueError: OrderMismatch: square 1 has order 2, set has 3"),
+    (lambda: cyclic_square(0), "ValueError: order must be >= 1, got 0"),
+    (lambda: macneish_product(MolsSet(2), complete_mols_prime_power(3)),
+     "ValueError: EmptyInput: MacNeish product needs at least one square on each side"),
+    (lambda: GenHadamard(2, ()), "ValueError: matrix must have at least one row"),
+    (lambda: dft(0), "ValueError: size must be >= 1, got 0"),
+    (lambda: standard_basis(0), "ValueError: dimension must be >= 1, got 0"),
+    (lambda: MubSet(1, (MubBasis((MubVector(2, 1, 1, amps=((0, 0),)),)),)),
+     "ValueError: basis 0 holds a vector of dim 2, want 1"),
+    (lambda: constructive_mols_count(1), 0),
+], ids=["empty-square", "ragged-row", "order-mismatch", "cyclic-order-0", "empty-macneish",
+        "hadamard-no-rows", "dft-0", "standard-basis-0", "vector-dim", "mols-count-1"])
+def test_library_edge_inputs_are_refused_by_name(call, want):
+    # each refusal's type and exact text, and the one count that is 0
+    assert _outcome(call) == want
 
 
 def test_replace_and_make_of_other_checked_records():
