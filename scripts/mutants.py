@@ -6,7 +6,8 @@ cyclotomic tower, every bound that must act before costly work, the
 Latin refusal of non-integer cells, the copies a Latin square and a MOLS
 set keep of their input, the planner's reading of each node
 off the divisors of d, each C-level pass that builds, groups or loads a
-set without a Python step per vector, and the writers' walk over the
+set without a Python step per vector, the supports such a set shares,
+the length check of a vector, and the writers' walk over the
 tables a set keeps must be pinned by a test that fails when it is
 broken.  Each entry of MUTANTS names a file under src/, a text that
 occurs in it exactly once, its replacement and the tests that must catch
@@ -105,13 +106,22 @@ MUTANTS = [
      [T + "test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full",
       T + "test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once"]),
     # the C-level passes that build, group and load a set without a Python
-    # step per vector (_pair_table, _exact_tables, _exact_basis)
-    ("pair table built past the amplitudes it serves", MUB,
-     "    if d * m > amplitudes:\n"
-     "        return None\n",
+    # step per vector (build_mubs, _exact_tables, _exact_basis), the
+    # supports a built or loaded set shares, and the length check of the
+    # MubVector constructor they skip
+    ("built vectors copy their support", MUB,
+     "new(MubVector, (d, m, s, vec.support, row, None))",
+     "new(MubVector, (d, m, s, tuple(list(vec.support)), row, None))",
+     [T + "test_built_vectors_share_the_nets_supports_and_the_matrix_rows"]),
+    ("loaded supports not shared", MUB,
+     "map(shared.setdefault, supports, supports)",
+     "supports",
+     [T + "test_the_complete_s_32_set_round_trips_sharing_its_pairs"]),
+    ("vector length check dropped", MUB,
+     "        if len(values) != len(positions):\n"
+     "            raise ValueError(f\"{len(values)} values for {len(positions)} positions\")\n",
      "",
-     [T + "test_matrices_of_root_order_above_k_s_build_without_a_pair_table",
-      T + "test_the_complete_s_32_set_round_trips_sharing_its_pairs"]),
+     [T + "test_vector_refuses_a_length_mismatch_after_the_old_faults"]),
     ("a support run seen again starts a group of its own", MUB,
      "            index.setdefault(key, []).extend(run)\n",
      "            index[key] = list(run)\n",

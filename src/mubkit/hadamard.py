@@ -109,6 +109,7 @@ def verify_hadamard(h: GenHadamard) -> HadamardReport:
     from .mub import MubBasis, MubSet, MubVector, verify_mubs
 
     s, m = h.size, h.root_order
-    rows = MubBasis(tuple(MubVector(s, m, s, tuple(enumerate(row))) for row in h.exponents))
+    positions = tuple(range(s))
+    rows = MubBasis(tuple(MubVector(s, m, s, positions, row) for row in h.exponents))
     report = verify_mubs(MubSet(s, (rows,)))
     return HadamardReport(s, tuple((v.index, v.index2) for v in report.violations))

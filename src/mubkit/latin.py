@@ -9,17 +9,18 @@ so holding a MolsSet is proof of the property.
 
 No square above MAX_ORDER = 256 is built or read (TooLarge), so every
 symbol fits in one byte: a square is its rows as bytes, the one form that
-the checks, the net and the writers read, and a grid given as lists or
-tuples is copied into byte rows on construction, so editing it later
-changes no square.  The checks run on byte rows in C builtins: a
-grid is Latin when deleting its symbols from its cells leaves nothing and
-every row and every column has s distinct bytes, and squares A and B are
-orthogonal when the rows bytes.maketrans(A_i, B_i), which map each symbol
-of A to the symbol of B in the same cell, have columns of s distinct
-bytes.  These hold for any input.  Only a grid or pair that fails them is
-walked cell by cell, to name the first failing row, column or repeated
-pair; a grid the walk accepts but whose cells are not integers is
-refused, so every square has byte rows.
+the checks, the net and the writers read.  Rows given as bytes are kept,
+and a grid of lists, tuples or bytearrays is copied into byte rows on
+construction, so editing it later changes no square.  The checks run on
+byte rows in C builtins: a grid is Latin when deleting its symbols from
+its cells leaves nothing and every row and every column has s distinct
+bytes, and squares A and B are orthogonal when the rows
+bytes.maketrans(A_i, B_i), which map each symbol of A to the symbol of B
+in the same cell, have columns of s distinct bytes.  These hold for any
+input.  Only a grid or pair that fails them is walked cell by cell, to
+name the first failing row, column or repeated pair; a grid the walk
+accepts but whose cells are not integers is refused, so every square has
+byte rows.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ _SYMBOLS = bytes(range(MAX_ORDER))
 
 def _byte_rows(grid, s: int) -> tuple[bytes, ...] | None:
     """The rows of grid as bytes when it holds s rows of s integer cells in
-    0..255, else None."""
+    0..255, else None.  Rows that are all exactly bytes, immutable already,
+    are kept as they are; any other rows are copied."""
     try:  # through tuple, since bytes(n) is n zero bytes
-        rows = tuple(map(bytes, map(tuple, grid)))
+        rows = tuple(grid if set(map(type, grid)) == {bytes} else map(bytes, map(tuple, grid)))
     except (TypeError, ValueError):  # a cell that is not a byte value
         return None
     return rows if set(map(len, rows)) == {s} else None
@@ -123,8 +125,9 @@ def _latin_witness(grid, s: int) -> None:
 
 class LatinSquare(namedtuple("LatinSquare", "grid")):
     """A Latin square of order s, held as its s checked rows of bytes:
-    grid[i][j] is the int symbol in cell (i, j).  The grid given is copied
-    into byte rows, so the square never shares the caller's lists."""
+    grid[i][j] is the int symbol in cell (i, j).  Rows given as bytes are
+    kept, and any other grid is copied into byte rows, so the square never
+    shares the caller's lists."""
 
     __slots__ = ()
 

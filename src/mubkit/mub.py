@@ -2,14 +2,16 @@
 
 A vector here is sparse: s amplitudes placed on the support of a net
 incidence vector, each amplitude a root of unity taken from one row of a
-generalized Hadamard matrix, with overall scale 1/sqrt(norm_sq).  Block b
-of a (k,s)-net yields one basis of C^(s^2) holding s*s vectors (incidence
-vector index outer, Hadamard row index inner), and the k blocks give k
-mutually unbiased bases.  build_mubs verifies the net and the matrix,
-whose constructors already fix every support and row, so it builds its
-vectors unchecked, each (position, exponent) pair once in a table no
-larger than the set, shared by every vector that holds it; embed places
-one row through the checked constructor.
+generalized Hadamard matrix, with overall scale 1/sqrt(norm_sq).  A
+vector holds its support as a tuple of increasing positions and its row
+as a tuple of exponents, one per position.  Block b of a (k,s)-net
+yields one basis of C^(s^2) holding s*s vectors (incidence vector index
+outer, Hadamard row index inner), and the k blocks give k mutually
+unbiased bases.  build_mubs verifies the net and the matrix, whose
+constructors already fix every support and row, so it builds its vectors
+unchecked, each holding the net's cached support tuple and one tuple per
+matrix row, shared by all the vectors on that support or row; embed
+places one row through the checked constructor.
 
 Two vectors from different bases share exactly one support point, so their
 unscaled inner product S is a single root of unity and |S|^2 / (nu * nv) =
@@ -69,16 +71,20 @@ and otherwise each pair is checked on its own, so the violations and their
 details do not depend on the shortcut.
 
 An exact set keeps its tables once built (MubSet._tables, outside ==,
-hash and repr), and they are the one source of both writers: the JSON
-document (mubs_to_json) and the CLI's human listing walk them group by
-group (_vector_texts), one text template per support group with its
-positions and norm written once, and one tuple of exponent tokens per
-distinct row, so each vector is one C-level format and a command that
-verifies a set and then writes it reads the set's amplitudes once.
+hash, repr and pickles), and they are the one source of both writers:
+the JSON document (mubs_to_json) and the CLI's human listing walk them
+group by group (_vector_texts), one text template per support group with
+its positions and norm written once, and one tuple of exponent tokens
+per distinct row, so each vector is one C-level format and a command
+that verifies a set and then writes it reads the set's amplitudes once.
 
-Amplitudes are stored either as integer exponents against a root order
-(exact route) or as complex numbers (float-only documents, which are read
-and verified but never built or tensored here).
+The values on a vector's positions are stored either as integer
+exponents against a root order (exact route) or as complex amplitudes
+(float-only documents, which are read and verified but never built or
+tensored here).  The loader reads a basis it can check in C-level
+passes into two flat tuples, slices each vector's positions and
+exponents from them, and shares one positions tuple per distinct
+support across the document.
 """
 
 from __future__ import annotations
@@ -127,45 +133,53 @@ class VerificationFailedError(ValueError):
         )
 
 
-class MubVector(namedtuple("MubVector", "dim root_order norm_sq amps amps_float")):
-    """Sparse vector: amplitudes on a support, scaled by 1/sqrt(norm_sq).
+class MubVector(namedtuple("MubVector",
+                           "dim root_order norm_sq positions exponents amplitudes")):
+    """Sparse vector: values on a support, scaled by 1/sqrt(norm_sq).
 
-    Exactly one of amps (pairs (position, exponent) against root_order) and
-    amps_float (pairs (position, complex amplitude)) is set.
+    positions holds the support, increasing positions below dim.  Exactly
+    one of exponents (integers against root_order) and amplitudes (complex
+    numbers) is set, with one value per position.  Each is stored through
+    tuple(), so a tuple is kept as it is and any other sequence copied.
     """
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, root_order: int, norm_sq: int,
-                amps: tuple[tuple[int, int], ...] | None = None,
-                amps_float: tuple[tuple[int, complex], ...] | None = None) -> "MubVector":
+    def __new__(cls, dim: int, root_order: int, norm_sq: int, positions: Sequence[int],
+                exponents: Sequence[int] | None = None,
+                amplitudes: Sequence[complex] | None = None) -> "MubVector":
         if dim < 1 or root_order < 1 or norm_sq < 1:
             raise ValueError("dim, root_order and norm_sq must be positive")
-        if (amps is None) == (amps_float is None):
-            raise ValueError("exactly one of amps and amps_float must be given")
-        entries = amps if amps is not None else amps_float
+        if (exponents is None) == (amplitudes is None):
+            raise ValueError("exactly one of exponents and amplitudes must be given")
+        exact = amplitudes is None
+        positions, values = tuple(positions), tuple(exponents if exact else amplitudes)
+        if len(values) != len(positions):
+            raise ValueError(f"{len(values)} values for {len(positions)} positions")
         last = -1
-        for pos, value in entries:
+        for pos, value in zip(positions, values):
             if not 0 <= pos < dim:
                 raise ValueError(f"position {pos} out of range for dim {dim}")
             if pos <= last:
                 raise ValueError("positions must be strictly increasing")
             last = pos
-            if amps is not None and not 0 <= value < root_order:
+            if exact and not 0 <= value < root_order:
                 raise ValueError(f"exponent {value} out of range for root order {root_order}")
-        return tuple.__new__(cls, (dim, root_order, norm_sq, amps, amps_float))
+        fields = (values, None) if exact else (None, values)
+        return tuple.__new__(cls, (dim, root_order, norm_sq, positions) + fields)
 
     _make = classmethod(checked_make)
 
     @property
     def is_exact(self) -> bool:
-        return self.amps is not None
+        return self.exponents is not None
 
     def float_map(self) -> dict[int, complex]:
-        if self.amps is not None:
+        if self.exponents is not None:
             m = self.root_order
-            return {pos: cmath.exp(2j * cmath.pi * e / m) for pos, e in self.amps}
-        return dict(self.amps_float)
+            return {pos: cmath.exp(2j * cmath.pi * e / m)
+                    for pos, e in zip(self.positions, self.exponents)}
+        return dict(zip(self.positions, self.amplitudes))
 
 
 class MubBasis(namedtuple("MubBasis", "vectors")):
@@ -188,6 +202,10 @@ class MubSet(namedtuple("MubSet", "dim bases")):
 
     _make = classmethod(checked_make)
 
+    def __getstate__(self) -> None:
+        # a pickle holds the fields alone, not the caches below
+        return None
+
     @property
     def k(self) -> int:
         return len(self.bases)
@@ -196,24 +214,24 @@ class MubSet(namedtuple("MubSet", "dim bases")):
     # export ask for them repeatedly; each walk is one C-level map pass
     @functools.cached_property
     def is_exact(self) -> bool:
-        return None not in map(_AMPS, _vectors(self))
+        return None not in map(_EXPONENTS, _vectors(self))
 
     @functools.cached_property
     def root_order(self) -> int:
         # float-only vectors take no part in the lcm
-        return math.lcm(*{vec.root_order for vec in _vectors(self) if vec.amps is not None})
+        return math.lcm(*{vec.root_order for vec in _vectors(self) if vec.exponents is not None})
 
     # the exact tables of an exact set, built once for verify_mubs and both
-    # writers (see _exact_tables); like the two above, left out of ==, hash
-    # and repr, which read the tuple alone
+    # writers (see _exact_tables); like the two above, left out of ==, hash,
+    # repr and pickles (__getstate__), which read the tuple alone
     @functools.cached_property
     def _tables(self):
         return _exact_tables(self)
 
 
-_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
 _NORM_SQ, _ROOT_ORDER = operator.attrgetter("norm_sq"), operator.attrgetter("root_order")
-_AMPS, _VECTORS = operator.attrgetter("amps"), operator.attrgetter("vectors")
+_POSITIONS, _EXPONENTS = operator.attrgetter("positions"), operator.attrgetter("exponents")
+_VECTORS = operator.attrgetter("vectors")
 _ROWS = operator.itemgetter(4)
 
 
@@ -246,17 +264,7 @@ def embed(row: Sequence[int], root_order: int, support_vec: IncidenceVector) -> 
     support = support_vec.support
     if len(row) != len(support):
         raise ValueError(f"WeightMismatch: row length {len(row)} vs support weight {len(support)}")
-    return MubVector(support_vec.length, root_order, len(row), tuple(zip(support, row)))
-
-
-def _pair_table(d: int, m: int, amplitudes: int) -> list[list[tuple[int, int]]] | None:
-    """table[p][e] is the one (p, e) tuple that every vector placing
-    exponent e < m at position p < d shares; None when its d*m tuples
-    would outnumber the amplitudes it serves, so a table never holds more
-    tuples than a set holds amplitudes."""
-    if d * m > amplitudes:
-        return None
-    return [[(p, e) for e in range(m)] for p in range(d)]
+    return MubVector(support_vec.length, root_order, len(row), support, row)
 
 
 def build_mubs(net: Net, had: GenHadamard) -> MubSet:
@@ -264,9 +272,11 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
     generalized Hadamard matrix.
 
     A set of more than MAX_VECTORS vectors or MAX_AMPLITUDES amplitudes is
-    refused (TooLarge), and both inputs are verified first.  Basis b holds, for incidence vector i
-    of block b and Hadamard row l, the embedding of row l on vector i
-    (i outer, l inner), scaled by 1/sqrt(s).
+    refused (TooLarge), and both inputs are verified first.  Basis b holds,
+    for incidence vector i of block b and Hadamard row l, the embedding of
+    row l on vector i (i outer, l inner), scaled by 1/sqrt(s): a vector
+    holding the net's cached support tuple of vector i and the tuple of
+    row l, both shared with every other vector on that support or row.
     """
     from .hadamard import verify_hadamard
     from .net import verify_net
@@ -280,34 +290,21 @@ def build_mubs(net: Net, had: GenHadamard) -> MubSet:
         raise ValueError("UnverifiedInput: hadamard matrix fails verification")
     # Every MubVector invariant holds already: each support is s increasing
     # positions below d (IncidenceVector, verify_net) and each row s
-    # exponents in 0..m-1 (GenHadamard).  The set holds k*s^3 = k*s*d
-    # amplitudes, so the pair table is shared when m <= k*s, as for
-    # dft(s); otherwise each vector holds its own pairs, as a loaded set of
-    # that shape does.
-    m, s, d, rows = had.root_order, net.s, net.d, had.exponents
-    supports = [vec.support for block in net.blocks for vec in block]
-    table = _pair_table(d, m, net.k * s * d)
+    # exponents in 0..m-1 (GenHadamard).
+    m, s, d = had.root_order, net.s, net.d
+    rows = list(map(tuple, had.exponents))
     new = tuple.__new__
-    vectors = []
-    if table is not None:
-        for support in supports:
-            cells = list(map(table.__getitem__, support))
-            vectors.extend([new(MubVector, (d, m, s, tuple(map(operator.getitem, cells, row)),
-                                            None)) for row in rows])
-    else:
-        for support in supports:
-            vectors.extend([new(MubVector, (d, m, s, tuple(zip(support, row)), None))
-                            for row in rows])
-    # s incidence vectors times s rows per basis
-    return MubSet(dim=d, bases=tuple(MubBasis(tuple(vectors[t:t + d]))
-                                     for t in range(0, len(vectors), d)))
+    return MubSet(dim=d, bases=tuple(
+        MubBasis(tuple([new(MubVector, (d, m, s, vec.support, row, None))
+                        for vec in block for row in rows]))
+        for block in net.blocks))
 
 
 def standard_basis(d: int) -> MubSet:
     """The single computational basis of C^d."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    vecs = tuple(MubVector(dim=d, root_order=1, norm_sq=1, amps=((p, 0),)) for p in range(d))
+    vecs = tuple(MubVector(d, 1, 1, (p,), (0,)) for p in range(d))
     return MubSet(dim=d, bases=(MubBasis(vecs),))
 
 
@@ -345,8 +342,7 @@ def _exact_tables(x: MubSet):
     tables = []
     for basis in x.bases:
         vecs = basis.vectors
-        amps_list = [vec.amps for vec in vecs]
-        exps = map(map, itertools.repeat(_SECOND), amps_list)
+        exps = map(_EXPONENTS, vecs)
         if not all(map(m.__eq__, map(_ROOT_ORDER, vecs))):
             exps = itertools.starmap(map, zip(
                 [(m // vec.root_order).__mul__ for vec in vecs], exps))
@@ -355,8 +351,7 @@ def _exact_tables(x: MubSet):
         # 2**(p % 61) on 64-bit builds, so masks would crowd the dict.
         # One dict step per run of equal keys, as a built basis lists each
         # support's vectors together; a key seen again later joins its group.
-        keys = list(zip(map(tuple, map(map, itertools.repeat(_FIRST), amps_list)),
-                        map(_NORM_SQ, vecs)))
+        keys = list(zip(map(_POSITIONS, vecs), map(_NORM_SQ, vecs)))
         index: dict[tuple[tuple[int, ...], int], list[int]] = {}
         for key, run in itertools.groupby(range(len(keys)), keys.__getitem__):
             index.setdefault(key, []).extend(run)
@@ -825,8 +820,8 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
     if m > MAX_ROOT_ORDER:
         raise ValueError(
             f"TooLarge: root order {m} of the product exceeds the limit {MAX_ROOT_ORDER}")
-    _bound_size(k * d, sum(sum(len(u.amps) for u in a.bases[t].vectors)
-                           * sum(len(v.amps) for v in b.bases[t].vectors) for t in range(k)))
+    _bound_size(k * d, sum(sum(map(len, map(_POSITIONS, a.bases[t].vectors)))
+                           * sum(map(len, map(_POSITIONS, b.bases[t].vectors))) for t in range(k)))
     bases = []
     for t in range(k):
         vecs = []
@@ -834,10 +829,9 @@ def tensor_mubs(a: MubSet, b: MubSet) -> MubSet:
             fu = m // u.root_order
             for v in b.bases[t].vectors:
                 fv = m // v.root_order
-                amps = tuple((pu * b.dim + pv, (eu * fu + ev * fv) % m)
-                             for pu, eu in u.amps for pv, ev in v.amps)
-                vecs.append(MubVector(dim=d, root_order=m, norm_sq=u.norm_sq * v.norm_sq,
-                                      amps=amps))
+                positions = [pu * b.dim + pv for pu in u.positions for pv in v.positions]
+                exponents = [(eu * fu + ev * fv) % m for eu in u.exponents for ev in v.exponents]
+                vecs.append(MubVector(d, m, u.norm_sq * v.norm_sq, positions, exponents))
         bases.append(MubBasis(tuple(vecs)))
     return MubSet(dim=d, bases=tuple(bases))
 
@@ -889,11 +883,12 @@ def _json_template(positions: tuple[int, ...], norm: int) -> str:
 def _vector_json(vec: MubVector, m: int) -> str:
     """The document text of one vector of a set that holds float vectors,
     an exact one lifted to the set root order m (see mubs_to_json)."""
-    if vec.amps is None:
+    if vec.exponents is None:
         return serial.encode({"norm_sq": vec.norm_sq, "amps_float": [
-            [pos, a.real, a.imag] for pos, a in vec.amps_float]})
+            [pos, a.real, a.imag] for pos, a in zip(vec.positions, vec.amplitudes)]})
     f = m // vec.root_order  # e < root_order, so e*f < m
-    return serial.encode({"norm_sq": vec.norm_sq, "amps": [[pos, e * f] for pos, e in vec.amps]})
+    return serial.encode({"norm_sq": vec.norm_sq, "amps": [
+        [pos, e * f] for pos, e in zip(vec.positions, vec.exponents)]})
 
 
 def mubs_to_json(x: MubSet) -> str:
@@ -923,8 +918,9 @@ _NORM_SQ_KEY, _AMPS_KEY = operator.itemgetter("norm_sq"), operator.itemgetter("a
 
 
 def _exact_basis(basis: list, d: int, m: int, room: int):
-    """(norms, lengths, pairs, positions, exponents) of basis, one basis of
-    a loaded document of dimension d and root order m, when every vector is
+    """(norms, lengths, positions, exponents) of basis, one basis of a
+    loaded document of dimension d and root order m, the positions and
+    exponents of all its vectors in two flat tuples, when every vector is
     exact and MubVector(d, m, ...) accepts it as it stands, and the basis
     holds at most room amplitudes: objects with the keys "norm_sq" and
     "amps" alone, each norm_sq an int from 1 to MAX_MAGNITUDE, and
@@ -949,7 +945,7 @@ def _exact_basis(basis: list, d: int, m: int, room: int):
     pairs = list(itertools.chain.from_iterable(amps))
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         return None
-    items = list(itertools.chain.from_iterable(pairs))
+    items = tuple(itertools.chain.from_iterable(pairs))
     if not set(map(type, items)) <= {int}:
         return None
     pos, exps = items[::2], items[1::2]
@@ -959,7 +955,7 @@ def _exact_basis(basis: list, d: int, m: int, room: int):
         map(itertools.repeat, range(0, d * len(amps), d), lengths))))
     if not all(map(operator.lt, keyed, keyed[1:])):
         return None
-    return norms, lengths, pairs, pos, exps
+    return norms, lengths, pos, exps
 
 
 @serial.gc_paused
@@ -969,12 +965,12 @@ def mubs_from_dict(data: object) -> MubSet:
 
     The cyclic garbage collector is paused while the set is built
     (serial.gc_paused, as for serial.read_json): the vectors and their
-    amplitude tuples are acyclic, and a collection would walk the document
-    too.  A basis that _exact_basis accepts is built unchecked, and every
-    other basis is walked vector by vector and check by check.  Once a
-    checked basis holds at least d*m amplitudes, its vectors and every
-    later checked basis's share one (position, exponent) tuple per pair
-    from _pair_table, as build_mubs does."""
+    tuples are acyclic, and a collection would walk the document
+    too.  A basis that _exact_basis accepts is built unchecked, each
+    vector's positions and exponents sliced from the basis's flat tuples,
+    and every other basis is walked vector by vector and check by check.
+    The checked bases of one document share one positions tuple per
+    distinct support, as a built set shares the net's supports."""
     serial.expect(isinstance(data, dict), "mub document must be a JSON object")
     serial.expect(set(data) == {"dim", "root_order", "bases"},
                   'mub document needs exactly the keys "dim", "root_order" and "bases"')
@@ -985,7 +981,8 @@ def mubs_from_dict(data: object) -> MubSet:
     serial.expect(isinstance(raw, list), '"bases" must be a list')
     bases = []
     vectors = amplitudes = 0
-    new, table = tuple.__new__, None
+    new = tuple.__new__
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     for bi, basis in enumerate(raw):
         serial.expect(isinstance(basis, list), f"basis {bi} must be a list")
         vectors += len(basis)
@@ -993,15 +990,15 @@ def mubs_from_dict(data: object) -> MubSet:
                       f"the document holds more than {MAX_VECTORS} vectors")
         checked = _exact_basis(basis, d, m, MAX_AMPLITUDES - amplitudes)
         if checked is not None:
-            norms, lengths, pairs, pos, exps = checked
-            amplitudes += len(pairs)
-            if table is None:
-                table = _pair_table(d, m, len(pairs))
-            cells = (map(tuple, pairs) if table is None
-                     else map(operator.getitem, map(table.__getitem__, pos), exps))
+            norms, lengths, pos, exps = checked
+            amplitudes += len(pos)
+            cuts = list(map(slice, itertools.accumulate(lengths, initial=0),
+                            itertools.accumulate(lengths)))
+            supports = list(map(pos.__getitem__, cuts))
             bases.append(MubBasis(tuple([
-                new(MubVector, (d, m, n, tuple(itertools.islice(cells, k)), None))
-                for n, k in zip(norms, lengths)])))
+                new(MubVector, (d, m, n, support, exps[cut], None))
+                for n, support, cut in zip(norms, map(shared.setdefault, supports, supports),
+                                           cuts)])))
             continue
         vecs = []
         for vi, obj in enumerate(basis):
@@ -1023,7 +1020,7 @@ def mubs_from_dict(data: object) -> MubSet:
                     serial.is_int_rows(obj["amps"]) and set(map(len, obj["amps"])) <= {2},
                     f'{where}: "amps" must be a list of [position, exponent] pairs',
                 )
-                given = {"root_order": m, "amps": tuple(map(tuple, obj["amps"]))}
+                given = {"root_order": m, "exponents": [e for _, e in entries]}
             else:
                 serial.expect(
                     isinstance(obj["amps_float"], list) and all(
@@ -1036,10 +1033,10 @@ def mubs_from_dict(data: object) -> MubSet:
                     f'{where}: "amps_float" must be a list of [position, re, im] triples'
                     ' with finite re and im of at most 2**32 in size',
                 )
-                given = {"root_order": 1, "amps_float": tuple(
-                    (p, complex(re, im)) for p, re, im in obj["amps_float"])}
+                given = {"root_order": 1,
+                         "amplitudes": [complex(re, im) for _, re, im in entries]}
             try:
-                vec = MubVector(dim=d, norm_sq=n, **given)
+                vec = MubVector(dim=d, norm_sq=n, positions=[t[0] for t in entries], **given)
             except ValueError as exc:
                 raise serial.ParseError(f"{where}: {exc}") from None
             vecs.append(vec)

@@ -61,7 +61,7 @@ def render_mubs(x: MubSet) -> str:
     rows = []
     for basis in x.bases:
         for vec in basis.vectors:
-            amp = {p: e * (m // vec.root_order) for p, e in vec.amps}
+            amp = {p: e * (m // vec.root_order) for p, e in zip(vec.positions, vec.exponents)}
             rows.append([token(amp.get(p)) for p in range(x.dim)])
     width = max((len(t) for row in rows for t in row), default=1)
     head = f"d = {x.dim}, k = {x.k} bases, root order {m}"
@@ -265,8 +265,9 @@ def inner_product(u: MubVector, v: MubVector) -> tuple[int, list[int]]:
         raise ValueError("ExactUnavailable: exact inner product needs exponent amplitudes")
     m = math.lcm(u.root_order, v.root_order)
     fu, fv = m // u.root_order, m // v.root_order
-    vmap = dict(v.amps)
-    return m, [(eu * fu - vmap[pos] * fv) % m for pos, eu in u.amps if pos in vmap]
+    vmap = dict(zip(v.positions, v.exponents))
+    return m, [(eu * fu - vmap[pos] * fv) % m for pos, eu in zip(u.positions, u.exponents)
+               if pos in vmap]
 
 
 def exact_failing_pairs(x: MubSet) -> frozenset[tuple[int, int, int, int]]:

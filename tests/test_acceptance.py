@@ -59,11 +59,11 @@ def test_criterion_3_prime_power_squares_give_q_plus_1_exactly_verified_bases():
 def test_criterion_4_embedding_places_cube_roots_at_the_mask_support():
     mask = IncidenceVector.from_bits01("101000001")
     vec = embed((0, 1, 2), 3, mask)
-    assert vec == MubVector(dim=9, root_order=3, norm_sq=3,
-                            amps=((0, 0), (2, 1), (8, 2)))
+    assert vec == MubVector(dim=9, root_order=3, norm_sq=3, positions=(0, 2, 8),
+                            exponents=(0, 1, 2))
     w = cmath.exp(2j * cmath.pi / 3)
     got = vec.float_map()
-    assert all(abs(got[p] - w ** e) < 1e-12 for p, e in vec.amps)
+    assert all(abs(got[p] - w ** e) < 1e-12 for p, e in zip(vec.positions, vec.exponents))
 
 
 def test_criterion_5_tensor_combiner_keeps_the_smaller_count_in_dim_36():
@@ -99,7 +99,7 @@ def test_criterion_7_single_exponent_flips_fail_both_oracles_identically(data):
     x = built_mubs(3)
     b = data.draw(st.integers(0, x.k - 1))
     i = data.draw(st.integers(0, len(x.bases[b].vectors) - 1))
-    slot = data.draw(st.integers(0, len(x.bases[b].vectors[i].amps) - 1))
+    slot = data.draw(st.integers(0, len(x.bases[b].vectors[i].exponents) - 1))
     delta = data.draw(st.integers(1, x.root_order - 1))
     bad = tampered(x, b, i, slot, delta)
     exact = verify_mubs(bad, mode="exact")

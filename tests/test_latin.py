@@ -76,6 +76,17 @@ def test_squares_and_sets_hold_copies_of_their_input():
     assert type(m.squares) is tuple
     squares.append(sq)
     assert m.width == 1 and m.squares == (sq,)
+    # rows that are exactly bytes are immutable, so the square keeps those
+    # row objects (and a tuple of them as it is); bytearray rows are copied
+    rows = [bytes(row) for row in ([0, 1, 2], [1, 2, 0], [2, 0, 1])]
+    kept = LatinSquare(rows)
+    assert all(a is b for a, b in zip(kept.grid, rows, strict=True))
+    assert LatinSquare(kept.grid).grid is kept.grid
+    mutable = list(map(bytearray, rows))
+    copied = LatinSquare(mutable)
+    assert copied.grid == kept.grid and set(map(type, copied.grid)) == {bytes}
+    mutable[0][0] = 1
+    assert copied.grid == kept.grid
 
 
 def test_orthogonality_witness():

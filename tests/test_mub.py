@@ -51,10 +51,9 @@ from reference import approx, exact_failing_pairs, float_report, inner_product, 
 def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
     """Copy of x with one exponent shifted by delta."""
     vec = x.bases[b].vectors[i]
-    amps = list(vec.amps)
-    pos, e = amps[slot]
-    amps[slot] = (pos, (e + delta) % vec.root_order)
-    new_vec = vec._replace(amps=tuple(amps))
+    exps = list(vec.exponents)
+    exps[slot] = (exps[slot] + delta) % vec.root_order
+    new_vec = vec._replace(exponents=exps)
     vecs = list(x.bases[b].vectors)
     vecs[i] = new_vec
     bases = list(x.bases)
@@ -64,9 +63,9 @@ def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
 
 def non_integer_target_set() -> MubSet:
     """Two bases of C^2 whose cross-basis pairs all have nu*nv/d = 3/2."""
-    v0 = MubVector(dim=2, root_order=1, norm_sq=1, amps=((0, 0),))
-    v1 = MubVector(dim=2, root_order=1, norm_sq=1, amps=((1, 0),))
-    w = MubVector(dim=2, root_order=1, norm_sq=3, amps=((0, 0), (1, 0)))
+    v0 = MubVector(dim=2, root_order=1, norm_sq=1, positions=(0,), exponents=(0,))
+    v1 = MubVector(dim=2, root_order=1, norm_sq=1, positions=(1,), exponents=(0,))
+    w = MubVector(dim=2, root_order=1, norm_sq=3, positions=(0, 1), exponents=(0, 0))
     return MubSet(dim=2, bases=(MubBasis((v0, v1)), MubBasis((w, w))))
 
 
@@ -78,12 +77,12 @@ def as_float_set(x: MubSet, turn: dict[tuple[int, int], float] | None = None) ->
     for b, basis in enumerate(x.bases):
         vecs = []
         for i, v in enumerate(basis.vectors):
-            amps_f = sorted(v.float_map().items())
+            fm = v.float_map()
+            amps_f = [fm[p] for p in v.positions]
             if turn and (b, i) in turn:
-                pos, a = amps_f[-1]
-                amps_f[-1] = (pos, a * cmath.exp(1j * turn[b, i]))
+                amps_f[-1] *= cmath.exp(1j * turn[b, i])
             vecs.append(MubVector(dim=v.dim, root_order=1, norm_sq=v.norm_sq,
-                                  amps_float=tuple(amps_f)))
+                                  positions=v.positions, amplitudes=amps_f))
         bases.append(MubBasis(tuple(vecs)))
     return MubSet(dim=x.dim, bases=tuple(bases))
 
@@ -92,19 +91,19 @@ def as_float_set(x: MubSet, turn: dict[tuple[int, int], float] | None = None) ->
 
 def test_vector_requires_exactly_one_representation():
     with pytest.raises(ValueError):
-        MubVector(dim=2, root_order=2, norm_sq=1)
+        MubVector(dim=2, root_order=2, norm_sq=1, positions=(0,))
     with pytest.raises(ValueError):
-        MubVector(dim=2, root_order=2, norm_sq=1,
-                  amps=((0, 0),), amps_float=((0, 1 + 0j),))
+        MubVector(dim=2, root_order=2, norm_sq=1, positions=(0,),
+                  exponents=(0,), amplitudes=(1 + 0j,))
 
 
 def test_vector_validates_positions_and_exponents():
     with pytest.raises(ValueError):
-        MubVector(dim=2, root_order=2, norm_sq=1, amps=((2, 0),))
+        MubVector(dim=2, root_order=2, norm_sq=1, positions=(2,), exponents=(0,))
     with pytest.raises(ValueError):
-        MubVector(dim=3, root_order=2, norm_sq=2, amps=((1, 0), (0, 0)))
+        MubVector(dim=3, root_order=2, norm_sq=2, positions=(1, 0), exponents=(0, 0))
     with pytest.raises(ValueError):
-        MubVector(dim=2, root_order=2, norm_sq=1, amps=((0, 2),))
+        MubVector(dim=2, root_order=2, norm_sq=1, positions=(0,), exponents=(2,))
 
 
 @pytest.mark.parametrize("dim, amps, message", [
@@ -120,22 +119,50 @@ def test_vector_validates_positions_and_exponents():
     (4, ((0, 0), (7, 1), (5, 9)), "position 7 out of range for dim 4"),
 ])
 def test_vector_names_the_first_bad_entry(dim, amps, message):
+    positions, exponents = zip(*amps)
     with pytest.raises(ValueError) as err:
-        MubVector(dim=dim, root_order=4, norm_sq=1, amps=amps)
+        MubVector(dim=dim, root_order=4, norm_sq=1, positions=positions, exponents=exponents)
     assert str(err.value) == message
-    floats = tuple((pos, 1j) for pos, _ in amps)
     if "exponent" not in message:  # float amplitudes carry no exponent
         with pytest.raises(ValueError) as err:
-            MubVector(dim=dim, root_order=1, norm_sq=1, amps_float=floats)
+            MubVector(dim=dim, root_order=1, norm_sq=1, positions=positions,
+                      amplitudes=[1j] * len(amps))
         assert str(err.value) == message
+
+
+def test_vector_refuses_a_length_mismatch_after_the_old_faults():
+    # a size below 1 and a missing or doubled value tuple keep their
+    # messages; then each position needs exactly one value
+    def error(*args, **kw):
+        with pytest.raises(ValueError) as err:
+            MubVector(*args, **kw)
+        return str(err.value)
+
+    assert error(0, 2, 1, (0,), (0,)) == error(2, 0, 1, (0,), (0,)) == error(2, 2, 0, (0,), (0,)) \
+        == "dim, root_order and norm_sq must be positive"
+    assert error(2, 2, 1, (0,)) == error(2, 2, 1, (0,), (0,), (1j,)) \
+        == "exactly one of exponents and amplitudes must be given"
+    assert error(4, 2, 2, (0, 3), (0,)) == "1 values for 2 positions"
+    assert error(4, 2, 2, (0, 3), (0, 1, 1)) == "3 values for 2 positions"
+    assert error(4, 1, 2, (0, 3), amplitudes=(1j,)) == "1 values for 2 positions"
+    assert error(4, 2, 1, (), (1,)) == "1 values for 0 positions"
+    # the length check comes before the per-value walk, which would stop
+    # at the shorter side
+    assert error(4, 2, 2, (0, 3), (0, 9, 9)) == "3 values for 2 positions"
+    # tuples are kept as they are, and other sequences copied
+    positions, exponents = (0, 3), [0, 1]
+    v = MubVector(4, 2, 2, positions, exponents)
+    assert v.positions is positions and v.exponents == (0, 1)
+    exponents[0] = 1
+    assert v.exponents == (0, 1)
 
 
 def test_embed_places_row_entries_at_support_positions():
     # weight-3 mask over 9 points, row (1, w, w^2) against the cube root
     mask = IncidenceVector.from_bits01("101000001")
     v = embed((0, 1, 2), 3, mask)
-    assert v == MubVector(dim=9, root_order=3, norm_sq=3,
-                          amps=((0, 0), (2, 1), (8, 2)))
+    assert v == MubVector(dim=9, root_order=3, norm_sq=3, positions=(0, 2, 8),
+                          exponents=(0, 1, 2))
     fm = v.float_map()
     assert abs(fm[0] - 1) < TOL
     assert abs(fm[2] - complex(-0.5, math.sqrt(3) / 2)) < TOL
@@ -154,16 +181,17 @@ def test_build_square_2_reproduces_the_reference_bases():
     net = net_from_mols(MolsSet(2, (cyclic_square(2),)))
     got = build_mubs(net, dft(2))
 
-    def v(*amps):
-        return MubVector(dim=4, root_order=2, norm_sq=2, amps=amps)
+    def v(positions, exponents):
+        return MubVector(dim=4, root_order=2, norm_sq=2, positions=positions,
+                         exponents=exponents)
 
     want = MubSet(dim=4, bases=(
-        MubBasis((v((0, 0), (1, 0)), v((0, 0), (1, 1)),
-                  v((2, 0), (3, 0)), v((2, 0), (3, 1)))),
-        MubBasis((v((0, 0), (2, 0)), v((0, 0), (2, 1)),
-                  v((1, 0), (3, 0)), v((1, 0), (3, 1)))),
-        MubBasis((v((0, 0), (3, 0)), v((0, 0), (3, 1)),
-                  v((1, 0), (2, 0)), v((1, 0), (2, 1)))),
+        MubBasis((v((0, 1), (0, 0)), v((0, 1), (0, 1)),
+                  v((2, 3), (0, 0)), v((2, 3), (0, 1)))),
+        MubBasis((v((0, 2), (0, 0)), v((0, 2), (0, 1)),
+                  v((1, 3), (0, 0)), v((1, 3), (0, 1)))),
+        MubBasis((v((0, 3), (0, 0)), v((0, 3), (0, 1)),
+                  v((1, 2), (0, 0)), v((1, 2), (0, 1)))),
     ))
     assert got == want
     assert got.k == 3 and got.dim == 4 and got.root_order == 2
@@ -219,52 +247,65 @@ def test_built_vectors_are_the_checked_embeddings(s, mols26_path):
     got = [v for basis in x.bases for v in basis.vectors]
     supports = [vec for block in net.blocks for vec in block]
     assert got == [embed(row, s, vec) for vec in supports for row in had.exponents]
-    assert got == [MubVector(dim=net.d, root_order=s, norm_sq=s,
-                             amps=tuple(zip(vec.support, row)))
+    assert got == [MubVector(dim=net.d, root_order=s, norm_sq=s, positions=vec.support,
+                             exponents=row)
                    for vec in supports for row in had.exponents]
     assert all(MubVector._make(v) == v for v in got)
     assert pickle.loads(pickle.dumps(x)) == x
     assert hashlib.sha256(mubs_to_json(x).encode()).hexdigest() == BUILT_JSON_SHA256[s]
-    # each placed (position, exponent) pair is one object, shared by every
-    # vector holding it
-    pairs = {id(a): a for v in got for a in v.amps}
-    assert sorted(pairs.values()) == sorted({a for vec in supports for row in had.exponents
-                                             for a in zip(vec.support, row)})
+
+
+@pytest.mark.parametrize("rows", [tuple, list])
+def test_built_vectors_share_the_nets_supports_and_the_matrix_rows(rows):
+    # each vector holds its incidence vector's cached support and its row
+    # as they are: a tuple row itself, a list row copied once for all the
+    # vectors that hold it
+    for s in (2, 3, 4):
+        net = net_from_mols(complete_mols_prime_power(s))
+        had = GenHadamard(s, rows(map(rows, dft(s).exponents)))
+        x = build_mubs(net, had)
+        got = [v for basis in x.bases for v in basis.vectors]
+        held = [(vec.support, r) for block in net.blocks for vec in block
+                for r in range(s)]
+        assert len(got) == len(held)
+        assert all(v.positions is support for v, (support, _) in zip(got, held))
+        assert all(v.exponents == tuple(had.exponents[r]) for v, (_, r) in zip(got, held))
+        shared = {r: v.exponents for v, (_, r) in zip(got, held)}
+        assert all(v.exponents is shared[r] for v, (_, r) in zip(got, held))
+        if rows is tuple:
+            assert all(shared[r] is had.exponents[r] for r in range(s))
 
 
 def test_matrices_of_root_order_above_k_s_build_without_a_pair_table():
-    # rows (0, 1) and (0, 3) at m = 4 are orthogonal, 1 + w^-2 = 0: a table
-    # of every pair holds 4 * 4 tuples, more than the k*s*d = 8 amplitudes
-    # of one basis of C^4 (m > k*s = 2), but fewer than the 24 of three
-    # bases (m <= k*s = 6)
+    # rows (0, 1) and (0, 3) at m = 4 are orthogonal, 1 + w^-2 = 0, and
+    # m = 4 exceeds k*s for one basis of C^4 (2) but not for three (6):
+    # both build the embeddings, whatever the root order
     had = GenHadamard(4, ((0, 1), (0, 3)))
     full = net_from_mols(MolsSet(2, (cyclic_square(2),)))
-    for net, shared in [(Net(2, full.blocks[:1]), False), (full, True)]:
+    for net in (Net(2, full.blocks[:1]), full):
         x = build_mubs(net, had)
         vecs = [v for basis in x.bases for v in basis.vectors]
         assert vecs == [embed(row, 4, vec) for block in net.blocks for vec in block
                         for row in had.exponents]
-        pairs = [pair for v in vecs for pair in v.amps]
-        assert len({id(pair) for pair in pairs}) == (len(set(pairs)) if shared else len(pairs))
 
 
 def test_bad_rows_and_supports_raise_as_the_checked_constructor_does():
     mask = IncidenceVector.from_bits01("101000001")
 
-    def constructor_error(dim, m, amps):
+    def constructor_error(dim, m, positions, row):
         with pytest.raises(ValueError) as err:
-            MubVector(dim=dim, root_order=m, norm_sq=len(amps), amps=amps)
+            MubVector(dim=dim, root_order=m, norm_sq=len(row), positions=positions, exponents=row)
         return str(err.value)
 
     for row, m in [((0, 1, 3), 3), ((0, -1, 2), 3), ((7, 0, 9), 3), ((0, 0, 0), 0)]:
         with pytest.raises(ValueError) as err:
             embed(row, m, mask)
-        assert str(err.value) == constructor_error(9, m, tuple(zip(mask.support, row)))
+        assert str(err.value) == constructor_error(9, m, mask.support, row)
     # a support that the bits of an unchecked IncidenceVector put past its length
     past_end = tuple.__new__(IncidenceVector, (3, 0b1001))
     with pytest.raises(ValueError) as err:
         embed((0, 1), 2, past_end)
-    assert str(err.value) == constructor_error(3, 2, ((0, 0), (3, 1))) \
+    assert str(err.value) == constructor_error(3, 2, (0, 3), (0, 1)) \
         == "position 3 out of range for dim 3"
     # a short row, a short second row after a full one, and an empty row on
     # an empty support, each row embedded in turn
@@ -329,7 +370,7 @@ def test_cross_basis_supports_meet_exactly_once():
             for c in range(b + 1, x.k):
                 for u in x.bases[b].vectors:
                     for v in x.bases[c].vectors:
-                        common = set(p for p, _ in u.amps) & set(p for p, _ in v.amps)
+                        common = set(u.positions) & set(v.positions)
                         assert len(common) == 1
 
 
@@ -452,9 +493,10 @@ def quadratic_phase(p: int, twists: int | None = None) -> MubSet:
     """The p + 1 bases of C^p for an odd prime p: the computational basis,
     then for each a the vectors w^(a x^2 + b x), b = 0..p-1; with twists,
     only the bases of a < twists follow the computational basis."""
-    twisted = [MubBasis(tuple(MubVector(dim=p, root_order=p, norm_sq=p, amps=tuple(
-        (x, (a * x * x + b * x) % p) for x in range(p))) for b in range(p)))
-        for a in range(p if twists is None else twists)]
+    twisted = [MubBasis(tuple(MubVector(dim=p, root_order=p, norm_sq=p, positions=range(p),
+                                        exponents=[(a * x * x + b * x) % p for x in range(p)])
+                              for b in range(p)))
+               for a in range(p if twists is None else twists)]
     return MubSet(dim=p, bases=standard_basis(p).bases + tuple(twisted))
 
 
@@ -522,8 +564,8 @@ def coset_basis(m: int, base, offsets, turns, norm: int) -> MubBasis:
     the exponents base + offsets[j] + turns[j] mod m: offsets[j] a row and
     turns[j] one constant, a turn of the whole vector by a phase."""
     return MubBasis(tuple(
-        MubVector(dim=len(base), root_order=m, norm_sq=norm, amps=tuple(
-            (p, (e + h + turn) % m) for p, (e, h) in enumerate(zip(base, row))))
+        MubVector(dim=len(base), root_order=m, norm_sq=norm, positions=range(len(base)),
+                  exponents=[(e + h + turn) % m for e, h in zip(base, row)])
         for row, turn in zip(offsets, turns)))
 
 
@@ -654,7 +696,8 @@ def coset_set(rng: random.Random, wide: bool) -> MubSet:
                                 [t * c for c in turns], norms[b]).vectors)
         if case == "moved" and b == 0:
             j = rng.randrange(d)
-            vecs[j] = vecs[j]._replace(amps=tuple((x, rng.randrange(m)) for x in range(d)))
+            vecs[j] = vecs[j]._replace(positions=range(d),
+                                       exponents=[rng.randrange(m) for _ in range(d)])
         out.append(MubBasis(tuple(vecs)))
     return MubSet(dim=d, bases=tuple(out))
 
@@ -677,7 +720,8 @@ def test_rows_one_phase_apart_fail_inside_their_group(m):
     f = m // 4
     rows = [[k * p * f for p in range(4)] for k in (0, 1)]
     rows += [[(e + c * f) % m for e in row] for row, c in zip(rows, (1, 2))]
-    vecs = [MubVector(dim=4, root_order=m, norm_sq=4, amps=tuple(enumerate(row))) for row in rows]
+    vecs = [MubVector(dim=4, root_order=m, norm_sq=4, positions=range(4), exponents=row)
+            for row in rows]
     x = MubSet(dim=4, bases=(MubBasis(tuple(vecs)),))
     exact = verify_mubs(x, mode="exact").failing_pairs()
     assert exact == verify_mubs(x, mode="float").failing_pairs() == exact_failing_pairs(x)
@@ -688,9 +732,11 @@ def test_vectors_on_no_point_make_no_orthogonality_failure():
     # basis 0 holds three vectors on no point next to two that split the
     # points, so its supports partition them with an empty group; each
     # empty vector breaks its norm, and nothing else inside the basis
-    hadamard2 = [MubVector(dim=5, root_order=2, norm_sq=2, amps=((0, 0), (1, e))) for e in (0, 1)]
-    empty = [MubVector(dim=5, root_order=2, norm_sq=1, amps=()) for _ in range(2)]
-    rest = [MubVector(dim=5, root_order=2, norm_sq=3, amps=((2, 0), (3, 1), (4, 0)))]
+    hadamard2 = [MubVector(dim=5, root_order=2, norm_sq=2, positions=(0, 1), exponents=(0, e))
+                 for e in (0, 1)]
+    empty = [MubVector(dim=5, root_order=2, norm_sq=1, positions=(), exponents=())
+             for _ in range(2)]
+    rest = [MubVector(dim=5, root_order=2, norm_sq=3, positions=(2, 3, 4), exponents=(0, 1, 0))]
     x = MubSet(dim=5, bases=(MubBasis(tuple(empty + hadamard2 + rest)),
                              MubBasis(tuple(hadamard2 + empty + empty[:1]))))
     for mode in ("exact", "float"):
@@ -716,7 +762,7 @@ def partitioned_set(rng: random.Random) -> MubSet:
     net = built_mubs(q)
     bases = []
     for b in rng.sample(range(net.k), rng.choice([2, 3])):
-        supports = [[p for p, _ in net.bases[b].vectors[i * q].amps] for i in range(q)]
+        supports = [list(net.bases[b].vectors[i * q].positions) for i in range(q)]
         change = rng.choice(["none", "none", "move", "merge", "empty"])
         if change == "move":
             src, dst = rng.sample(range(q), 2)
@@ -734,10 +780,10 @@ def partitioned_set(rng: random.Random) -> MubSet:
             if rng.random() < 0.4:
                 c = rng.randrange(1, m)
                 rows[-1] = [(e + c) % m for e in rows[0]]
-            vecs += [MubVector(dim=d, root_order=m, norm_sq=norm, amps=tuple(zip(support, row)))
-                     for row in rows]
+            vecs += [MubVector(dim=d, root_order=m, norm_sq=norm, positions=support,
+                               exponents=row) for row in rows]
         if change == "empty":
-            vecs[-1] = vecs[-1]._replace(amps=())
+            vecs[-1] = vecs[-1]._replace(positions=(), exponents=())
         rng.shuffle(vecs)
         bases.append(MubBasis(tuple(vecs)))
     return MubSet(dim=d, bases=tuple(bases))
@@ -803,10 +849,10 @@ def test_row_blocks_of_different_widths_keep_their_own_verdicts():
     # rows (1), (0) on one point and (1, 0), (0, 0) on two pack to the same
     # integers; only the first pair fails: -1 is no zero, -1 + 1 is.  The
     # second order interleaves the two groups.
-    vecs = [MubVector(dim=4, root_order=2, norm_sq=1, amps=((0, 1),)),
-            MubVector(dim=4, root_order=2, norm_sq=1, amps=((0, 0),)),
-            MubVector(dim=4, root_order=2, norm_sq=2, amps=((1, 1), (2, 0))),
-            MubVector(dim=4, root_order=2, norm_sq=2, amps=((1, 0), (2, 0)))]
+    vecs = [MubVector(dim=4, root_order=2, norm_sq=1, positions=(0,), exponents=(1,)),
+            MubVector(dim=4, root_order=2, norm_sq=1, positions=(0,), exponents=(0,)),
+            MubVector(dim=4, root_order=2, norm_sq=2, positions=(1, 2), exponents=(1, 0)),
+            MubVector(dim=4, root_order=2, norm_sq=2, positions=(1, 2), exponents=(0, 0))]
     for order in (vecs, [vecs[2], vecs[0], vecs[3], vecs[1]]):
         x = MubSet(dim=4, bases=(MubBasis(tuple(order)),))
         exact = verify_mubs(x, mode="exact").failing_pairs()
@@ -819,7 +865,7 @@ def test_two_groups_on_one_support_keep_the_triangle_apart_from_the_rectangle():
     # with norm 3: the rows are orthogonal inside each group, but between
     # the two groups equal rows meet, so the verdicts of a group paired
     # with itself must not stand in for those of the pair of groups
-    vecs = [MubVector(dim=4, root_order=2, norm_sq=norm, amps=((0, 0), (1, e)))
+    vecs = [MubVector(dim=4, root_order=2, norm_sq=norm, positions=(0, 1), exponents=(0, e))
             for norm in (2, 3) for e in (0, 1)]
     for order in (vecs, vecs[::-1]):
         x = MubSet(dim=4, bases=(MubBasis(tuple(order)),))
@@ -835,7 +881,7 @@ def test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once(monkeypat
     # disjoint.  Each sharing pair g < h is decided once, and a group
     # with itself only when it holds two vectors.
     def vec(support, e):
-        return MubVector(dim=8, root_order=2, norm_sq=2, amps=((support[0], 0), (support[1], e)))
+        return MubVector(dim=8, root_order=2, norm_sq=2, positions=support, exponents=(0, e))
 
     x = MubSet(dim=8, bases=(MubBasis((
         vec((0, 1), 0), vec((1, 2), 0), vec((1, 2), 1), vec((3, 4), 0), vec((3, 4), 1),
@@ -866,8 +912,8 @@ def test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full(limit
     rng = random.Random(3)
 
     def group(support):
-        return [MubVector(dim=6, root_order=4, norm_sq=len(support),
-                          amps=tuple((p, rng.randrange(4)) for p in support)) for _ in range(3)]
+        return [MubVector(dim=6, root_order=4, norm_sq=len(support), positions=support,
+                          exponents=[rng.randrange(4) for _ in support]) for _ in range(3)]
 
     x = MubSet(dim=6, bases=(MubBasis(tuple(group((0, 1, 2)) + group((1, 2, 3)))),
                              MubBasis(tuple(group((0, 1, 4, 5)) + group((2, 3, 4, 5))))))
@@ -886,7 +932,8 @@ def test_exact_checks_refuse_a_root_order_over_the_limit():
     # still answers
     assert mub.MAX_ROOT_ORDER == cyclotomic.MAX_ROOT_ORDER
     x = MubSet(dim=2, bases=(MubBasis(tuple(
-        MubVector(dim=2, root_order=m, norm_sq=2, amps=((0, 0), (1, 1))) for m in (4093, 4091))),))
+        MubVector(dim=2, root_order=m, norm_sq=2, positions=(0, 1), exponents=(0, 1))
+        for m in (4093, 4091))),))
     start = time.perf_counter()
     # the verifier, the writer and the ring test refuse with one text
     for refuse in [lambda: verify_mubs(x, mode="exact"), lambda: mubs_to_json(x),
@@ -914,8 +961,8 @@ def test_more_row_blocks_than_the_memo_holds_keep_exact_verdicts():
     blocks[-50:] = blocks[:25] + blocks[-100:-75]
     assert len(set(blocks)) > mub._MEMO_LIMIT
     d = 2 * groups
-    vecs = tuple(MubVector(dim=d, root_order=m, norm_sq=2,
-                           amps=((2 * g, row[0]), (2 * g + 1, row[1])))
+    vecs = tuple(MubVector(dim=d, root_order=m, norm_sq=2, positions=(2 * g, 2 * g + 1),
+                           exponents=row)
                  for g, rows in enumerate(blocks) for row in rows)
     x = MubSet(dim=d, bases=(MubBasis(vecs),))
     exact = verify_mubs(x, mode="exact")
@@ -926,8 +973,8 @@ def test_more_row_blocks_than_the_memo_holds_keep_exact_verdicts():
 def random_dense_set(rng: random.Random, d: int, k: int, m: int) -> MubSet:
     """k bases of d full-support vectors with random exponents of order m."""
     return MubSet(dim=d, bases=tuple(MubBasis(tuple(
-        MubVector(dim=d, root_order=m, norm_sq=d,
-                  amps=tuple((p, rng.randrange(m)) for p in range(d)))
+        MubVector(dim=d, root_order=m, norm_sq=d, positions=range(d),
+                  exponents=[rng.randrange(m) for _ in range(d)])
         for _ in range(d))) for _ in range(k)))
 
 
@@ -1017,7 +1064,8 @@ def every_failure_kind_set() -> MubSet:
     u1 = (0, 1, i, 0), u2 = (1, -1, 0, 0) and u3 = (0, 0, 0, 1) of norm 2;
     basis 1 is two DFT rows and (1, 0, 1, 0), (0, 1, 0, 1)."""
     def vec(amps: dict[int, int], norm_sq: int) -> MubVector:
-        return MubVector(dim=4, root_order=4, norm_sq=norm_sq, amps=tuple(amps.items()))
+        return MubVector(dim=4, root_order=4, norm_sq=norm_sq, positions=amps.keys(),
+                         exponents=amps.values())
 
     return MubSet(dim=4, bases=(
         MubBasis((vec({0: 0, 1: 0}, 2), vec({1: 0, 2: 1}, 2), vec({0: 0, 1: 2}, 2),
@@ -1060,13 +1108,14 @@ EDGE = 1e-5
 def qubit_mubs() -> MubSet:
     """The three mutually unbiased bases of C^2: the standard basis, then
     (1, 1), (1, -1) and (1, i), (1, -i), each of norm 2."""
-    def vec(norm, *amps):
-        return MubVector(dim=2, root_order=4, norm_sq=norm, amps=amps)
+    def vec(norm, positions, exponents):
+        return MubVector(dim=2, root_order=4, norm_sq=norm, positions=positions,
+                         exponents=exponents)
 
     return MubSet(dim=2, bases=(
-        MubBasis((vec(1, (0, 0)), vec(1, (1, 0)))),
-        MubBasis((vec(2, (0, 0), (1, 0)), vec(2, (0, 0), (1, 2)))),
-        MubBasis((vec(2, (0, 0), (1, 1)), vec(2, (0, 0), (1, 3)))),
+        MubBasis((vec(1, (0,), (0,)), vec(1, (1,), (0,)))),
+        MubBasis((vec(2, (0, 1), (0, 0)), vec(2, (0, 1), (0, 2)))),
+        MubBasis((vec(2, (0, 1), (0, 1)), vec(2, (0, 1), (0, 3)))),
     ))
 
 
@@ -1112,11 +1161,12 @@ def test_float_within_basis_pass_matches_the_per_pair_oracle_at_the_tolerance_ed
 def test_float_oracle_checks_each_pair_against_a_basis_of_mixed_norms():
     # basis 1 holds norms 1 and 2, so no list of products with it is
     # passed at once
-    def vec(norm, *amps):
-        return MubVector(dim=4, root_order=2, norm_sq=norm, amps=amps)
+    def vec(norm, positions, exponents):
+        return MubVector(dim=4, root_order=2, norm_sq=norm, positions=positions,
+                         exponents=exponents)
 
-    mixed = MubBasis((vec(1, (0, 0)), vec(1, (1, 0)),
-                      vec(2, (2, 0), (3, 0)), vec(2, (2, 0), (3, 1))))
+    mixed = MubBasis((vec(1, (0,), (0,)), vec(1, (1,), (0,)),
+                      vec(2, (2, 3), (0, 0)), vec(2, (2, 3), (0, 1))))
     x = as_float_set(MubSet(dim=4, bases=(built_mubs(2).bases[1], mixed)))
     report = verify_mubs(x, mode="float")
     assert not report.ok
@@ -1134,10 +1184,10 @@ def test_sparse_sets_verify_without_a_quadratic_pass(mode):
 
 
 def test_set_shape_validation():
-    v = MubVector(dim=2, root_order=1, norm_sq=1, amps=((0, 0),))
+    v = MubVector(dim=2, root_order=1, norm_sq=1, positions=(0,), exponents=(0,))
     with pytest.raises(ValueError, match="bound"):
         MubSet(dim=1, bases=tuple(
-            MubBasis((MubVector(dim=1, root_order=1, norm_sq=1, amps=((0, 0),)),))
+            MubBasis((MubVector(dim=1, root_order=1, norm_sq=1, positions=(0,), exponents=(0,)),))
             for _ in range(3)))
     with pytest.raises(ValueError):
         MubSet(dim=2, bases=(MubBasis((v,)),))  # 1 vector, want 2
@@ -1155,7 +1205,7 @@ def test_tensor_counts_dimensions_and_roots():
 def test_tensor_positions_interleave():
     t = tensor_mubs(standard_basis(2), standard_basis(3))
     assert t.dim == 6 and t.k == 1
-    supports = [v.amps[0][0] for v in t.bases[0].vectors]
+    supports = [v.positions[0] for v in t.bases[0].vectors]
     assert supports == [0, 1, 2, 3, 4, 5]  # p*3 + q in row-major order
 
 
@@ -1225,11 +1275,11 @@ def old_to_dict(x: MubSet) -> dict:
         for vec in basis.vectors:
             if vec.is_exact:
                 f = m // vec.root_order
-                out_vecs.append({"norm_sq": vec.norm_sq,
-                                 "amps": [[pos, e * f % m] for pos, e in vec.amps]})
+                out_vecs.append({"norm_sq": vec.norm_sq, "amps": [
+                    [pos, e * f % m] for pos, e in zip(vec.positions, vec.exponents)]})
             else:
-                out_vecs.append({"norm_sq": vec.norm_sq,
-                                 "amps_float": [[pos, a.real, a.imag] for pos, a in vec.amps_float]})
+                out_vecs.append({"norm_sq": vec.norm_sq, "amps_float": [
+                    [pos, a.real, a.imag] for pos, a in zip(vec.positions, vec.amplitudes)]})
         bases.append(out_vecs)
     return {"dim": x.dim, "root_order": m, "bases": bases}
 
@@ -1237,19 +1287,20 @@ def old_to_dict(x: MubSet) -> dict:
 def mixed_root_orders() -> MubSet:
     """Root orders 1, 2 and 3 in one set of C^4, so export lifts to 6."""
     third = MubBasis(tuple(
-        MubVector(dim=4, root_order=3, norm_sq=2, amps=((p, p % 3), (p ^ 1, 2)))
+        MubVector(dim=4, root_order=3, norm_sq=2, positions=(p, p ^ 1), exponents=(p % 3, 2))
         if p % 2 == 0 else
-        MubVector(dim=4, root_order=3, norm_sq=2, amps=((p ^ 1, 1), (p, 0)))
+        MubVector(dim=4, root_order=3, norm_sq=2, positions=(p ^ 1, p), exponents=(1, 0))
         for p in range(4)))
     return MubSet(dim=4, bases=(standard_basis(4).bases[0], built_mubs(2).bases[1], third))
 
 
 def odd_floats() -> MubSet:
     """Float amplitudes whose encodings need repr, NaN and Infinity."""
-    vecs = (MubVector(dim=2, root_order=1, norm_sq=1, amps_float=((0, complex(0.1, -1 / 3)),)),
-            MubVector(dim=2, root_order=1, norm_sq=2,
-                      amps_float=((0, complex(float("nan"), float("inf"))),
-                                  (1, complex(-float("inf"), 1e300)))))
+    vecs = (MubVector(dim=2, root_order=1, norm_sq=1, positions=(0,),
+                      amplitudes=(complex(0.1, -1 / 3),)),
+            MubVector(dim=2, root_order=1, norm_sq=2, positions=(0, 1),
+                      amplitudes=(complex(float("nan"), float("inf")),
+                                  complex(-float("inf"), 1e300))))
     return MubSet(dim=2, bases=(MubBasis(vecs),))
 
 
@@ -1285,7 +1336,8 @@ def test_json_writer_refuses_a_root_order_no_reader_accepts():
     # root orders 4093 and 4091 lift to 16,744,463 > MAX_ROOT_ORDER, which
     # mubs_from_dict refuses, so the writer refuses it too
     x = MubSet(dim=2, bases=(MubBasis(tuple(
-        MubVector(dim=2, root_order=m, norm_sq=2, amps=((0, 0), (1, 1))) for m in (4093, 4091))),))
+        MubVector(dim=2, root_order=m, norm_sq=2, positions=(0, 1), exponents=(0, 1))
+        for m in (4093, 4091))),))
     with pytest.raises(ValueError, match="TooLarge: root order 16744463"):
         mubs_to_json(x)
 
@@ -1436,20 +1488,21 @@ def test_checked_bases_refuse_what_the_walk_refuses(where, value, message):
 
 
 def test_the_complete_s_32_set_round_trips_sharing_its_pairs(tmp_path):
-    # the s = 32 set: each basis holds 32,768 amplitudes, as many as the
-    # pairs of a table over 1024 positions and 32 exponents
+    # the s = 32 set: 33 bases of 1024 vectors, on 33 * 32 supports
     x = built_mubs(32)
     path = tmp_path / "s32.json"
     export_mubs(x, path)
     y = mubs_from_dict(serial.read_json(path))
     assert y == x
-    pairs = {id(pair): pair for basis in y.bases for v in basis.vectors for pair in v.amps}
-    assert len(pairs) == len(set(pairs.values()))
     assert mubs_to_json(y) == path.read_text()
-    # a basis of fewer amplitudes than d*m pairs keeps a tuple per amplitude
-    z = mubs_from_dict(mubs_to_dict(mixed_root_orders()))
-    pairs = [pair for basis in z.bases for v in basis.vectors for pair in v.amps]
-    assert len({id(pair) for pair in pairs}) == len(pairs)
+    # the vectors on one support share one positions tuple, across bases
+    # too: here the first basis of mixed_root_orders comes again as a fourth
+    doc = mubs_to_dict(mixed_root_orders())
+    doc["bases"].append(doc["bases"][0])
+    z = mubs_from_dict(doc)
+    for loaded, supports in [(y, 33 * 32), (z, 4 + 2 + 2)]:
+        positions = [v.positions for basis in loaded.bases for v in basis.vectors]
+        assert len(set(map(id, positions))) == len(set(positions)) == supports
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1491,7 +1544,7 @@ def first_appearance_groups(x: MubSet) -> list:
     for basis in x.bases:
         index: dict = {}
         for j, v in enumerate(basis.vectors):
-            index.setdefault((tuple(p for p, _ in v.amps), v.norm_sq), []).append(j)
+            index.setdefault((v.positions, v.norm_sq), []).append(j)
         out.append([(positions, norm, us) for (positions, norm), us in index.items()])
     return out
 
@@ -1503,7 +1556,7 @@ def table_groups(x: MubSet) -> list:
         for mask, _, positions, us, rows in groups:
             assert mask == sum(1 << p for p in positions)
             assert rows == tuple(pack(e * (m // basis.vectors[j].root_order)
-                                      for _, e in basis.vectors[j].amps) for j in us)
+                                      for e in basis.vectors[j].exponents) for j in us)
     return [[(positions, norm, list(us)) for _, norm, positions, us, _ in groups]
             for groups in tables]
 
@@ -1514,7 +1567,8 @@ def support_runs() -> MubSet:
     a, b = (0, 1, 2), (3, 4, 5)
 
     def v(support, norm, e):
-        return MubVector(dim=6, root_order=3, norm_sq=norm, amps=tuple((p, e) for p in support))
+        return MubVector(dim=6, root_order=3, norm_sq=norm, positions=support,
+                         exponents=[e] * len(support))
 
     return MubSet(dim=6, bases=(MubBasis((v(a, 3, 0), v(a, 3, 1), v(b, 3, 0), v(a, 3, 2),
                                           v(a, 2, 0), v(b, 3, 1))),))
@@ -1533,8 +1587,8 @@ def test_support_runs_that_meet_again_join_their_first_group():
 def lifted(x: MubSet, m: int) -> MubSet:
     """x with every exponent scaled to root order m."""
     return MubSet(dim=x.dim, bases=tuple(MubBasis(tuple(
-        MubVector(dim=v.dim, root_order=m, norm_sq=v.norm_sq,
-                  amps=tuple((p, e * (m // v.root_order)) for p, e in v.amps))
+        MubVector(dim=v.dim, root_order=m, norm_sq=v.norm_sq, positions=v.positions,
+                  exponents=[e * (m // v.root_order) for e in v.exponents])
         for v in basis.vectors)) for basis in x.bases))
 
 
@@ -1548,8 +1602,8 @@ def test_oracles_agree_at_the_key_field_widths(m, code, q):
     rng = random.Random(m)
     net = built_mubs(3)
     spread = MubSet(dim=9, bases=tuple(MubBasis(tuple(
-        MubVector(dim=9, root_order=m, norm_sq=3,
-                  amps=tuple((p, rng.choice((0, 1, m // 2, m - 1))) for p, _ in v.amps))
+        MubVector(dim=9, root_order=m, norm_sq=3, positions=v.positions,
+                  exponents=[rng.choice((0, 1, m // 2, m - 1)) for _ in v.positions])
         for v in basis.vectors)) for basis in net.bases))
     sets = [spread]
     if q is not None:
@@ -1581,7 +1635,8 @@ def test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths(m, data):
             shift = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, m // 2, m - 1]),
                                        min_size=len(amps), max_size=len(amps)))
             vecs.append(MubVector(dim=4, root_order=m, norm_sq=len(amps),
-                                  amps=tuple((p, (e + t) % m) for (p, e), t in zip(amps, shift))))
+                                  positions=[p for p, _ in amps],
+                                  exponents=[(e + t) % m for (_, e), t in zip(amps, shift)]))
         bases.append(MubBasis(tuple(vecs)))
     x = MubSet(dim=4, bases=tuple(bases))
     # the ids of the groups whose whole-support classes are built, once
@@ -1616,8 +1671,7 @@ def test_rows_on_their_whole_support_are_not_packed_again(m):
     halves = [((a, 0), (a + 1, h)) for a in (0, 2) for h in (0, m // 2)]
     twisted = [tuple((p, (q * k * p + q * p * p) % m) for p in range(4)) for k in range(4)]
     x = MubSet(dim=4, bases=tuple(
-        MubBasis(tuple(MubVector(dim=4, root_order=m, norm_sq=len(amps), amps=amps)
-                       for amps in amps_list))
+        MubBasis(tuple(MubVector(4, m, len(amps), *zip(*amps)) for amps in amps_list))
         for amps_list in (fourier, halves, twisted)))
     restricted = []
     phase_classes = mub._phase_classes
@@ -1686,8 +1740,8 @@ def small_sets(draw) -> MubSet:
             norm = draw(st.sampled_from([max(len(support), 1), len(support) + 1, d]))
             exps = draw(st.lists(st.integers(0, m - 1), min_size=len(support),
                                  max_size=len(support)))
-            vecs.append(MubVector(dim=d, root_order=m, norm_sq=norm,
-                                  amps=tuple(zip(support, exps))))
+            vecs.append(MubVector(dim=d, root_order=m, norm_sq=norm, positions=support,
+                                  exponents=exps))
         bases.append(MubBasis(tuple(vecs)))
     return MubSet(dim=d, bases=tuple(bases))
 
@@ -1746,3 +1800,17 @@ def test_a_set_builds_its_exact_tables_once(monkeypatch):
     assert "_tables" in vars(x) and "_tables" in vars(fresh)
     assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
     assert x == built_mubs(3) and repr(x) == repr(MubSet(x.dim, x.bases))
+
+
+def test_a_verified_set_pickles_its_fields_alone():
+    # the caches verification fills sit in the instance dict; a pickle
+    # holds dim and bases only, and the copy builds its own
+    x = build_mubs(net_from_mols(complete_mols_prime_power(5)), dft(5))
+    before = pickle.dumps(x)
+    assert verify_mubs(x).ok and x.is_exact and x.root_order == 5
+    assert {"_tables", "is_exact", "root_order"} <= vars(x).keys()
+    after = pickle.dumps(x)
+    assert len(after) == len(before)
+    back = pickle.loads(after)
+    assert back == x and type(back) is MubSet and vars(back) == {}
+    assert verify_mubs(back) == verify_mubs(x)

@@ -30,13 +30,14 @@ from reference import divisors, float_document, mubs_to_dict
 
 def qubit_triple() -> MubSet:
     """Three bases of C^2: computational, sign and circular."""
-    def v(norm, *amps):
-        return MubVector(dim=2, root_order=4, norm_sq=norm, amps=amps)
+    def v(norm, positions, exponents):
+        return MubVector(dim=2, root_order=4, norm_sq=norm, positions=positions,
+                         exponents=exponents)
 
     x = MubSet(dim=2, bases=(
-        MubBasis((v(1, (0, 0)), v(1, (1, 0)))),
-        MubBasis((v(2, (0, 0), (1, 0)), v(2, (0, 0), (1, 2)))),
-        MubBasis((v(2, (0, 0), (1, 1)), v(2, (0, 0), (1, 3)))),
+        MubBasis((v(1, (0,), (0,)), v(1, (1,), (0,)))),
+        MubBasis((v(2, (0, 1), (0, 0)), v(2, (0, 1), (0, 2)))),
+        MubBasis((v(2, (0, 1), (0, 1)), v(2, (0, 1), (0, 3)))),
     ))
     assert verify_mubs(x, mode="exact").ok
     return x

@@ -64,10 +64,14 @@ def test_reports_and_vectors_keep_their_reprs():
         "PlanNode(d=6, kind='tensor', count=3, constructible=True, provenance='tensor', "
         "children=(PlanNode(d=2, kind='prime-power', count=3, constructible=False, "
         "provenance='cited-existence', children=()),))")
-    assert repr(MubVector(dim=4, root_order=2, norm_sq=2, amps=((0, 0), (3, 1)))) == (
-        "MubVector(dim=4, root_order=2, norm_sq=2, amps=((0, 0), (3, 1)), amps_float=None)")
-    assert repr(MubVector(dim=2, root_order=1, norm_sq=1, amps_float=((1, 1j),))) == (
-        "MubVector(dim=2, root_order=1, norm_sq=1, amps=None, amps_float=((1, 1j),))")
+    assert repr(MubVector(dim=4, root_order=2, norm_sq=2, positions=(0, 3),
+                          exponents=(0, 1))) == (
+        "MubVector(dim=4, root_order=2, norm_sq=2, positions=(0, 3), exponents=(0, 1), "
+        "amplitudes=None)")
+    assert repr(MubVector(dim=2, root_order=1, norm_sq=1, positions=(1,),
+                          amplitudes=(1j,))) == (
+        "MubVector(dim=2, root_order=1, norm_sq=1, positions=(1,), exponents=None, "
+        "amplitudes=(1j,))")
 
 
 def test_sets_compare_and_hash_by_dim_and_bases():
@@ -85,7 +89,7 @@ def test_imports_tables_get_fresh_dicts():
 
 
 def _one_of_each():
-    vec = MubVector(dim=1, root_order=1, norm_sq=1, amps=((0, 0),))
+    vec = MubVector(dim=1, root_order=1, norm_sq=1, positions=(0,), exponents=(0,))
     mols = MolsSet(2, (cyclic_square(2),))
     net = net_from_mols(mols)
     return [
@@ -112,10 +116,10 @@ def test_fields_cannot_be_assigned():
     (MolsSet(3, (cyclic_square(3),)), {"squares": (cyclic_square(3), cyclic_square(3))},
      NotOrthogonalError, "squares 0 and 1 are not orthogonal"),
     (MolsSet(3, ()), {"order": 0}, ValueError, "order must be >= 1"),
-    (MubVector(dim=2, root_order=2, norm_sq=1, amps=((0, 1),)), {"amps": ((0, 2),)},
-     ValueError, "exponent 2 out of range for root order 2"),
-    (MubVector(dim=2, root_order=2, norm_sq=1, amps=((0, 1),)), {"amps_float": ((0, 1j),)},
-     ValueError, "exactly one of amps and amps_float"),
+    (MubVector(dim=2, root_order=2, norm_sq=1, positions=(0,), exponents=(1,)),
+     {"exponents": (2,)}, ValueError, "exponent 2 out of range for root order 2"),
+    (MubVector(dim=2, root_order=2, norm_sq=1, positions=(0,), exponents=(1,)),
+     {"amplitudes": (1j,)}, ValueError, "exactly one of exponents and amplitudes"),
 ])
 def test_replace_runs_the_constructor_checks(record, change, error, match):
     with pytest.raises(error, match=match):
@@ -143,7 +147,7 @@ def _outcome(call):
     (lambda: GenHadamard(2, ()), "ValueError: matrix must have at least one row"),
     (lambda: dft(0), "ValueError: size must be >= 1, got 0"),
     (lambda: standard_basis(0), "ValueError: dimension must be >= 1, got 0"),
-    (lambda: MubSet(1, (MubBasis((MubVector(2, 1, 1, amps=((0, 0),)),)),)),
+    (lambda: MubSet(1, (MubBasis((MubVector(2, 1, 1, (0,), (0,)),)),)),
      "ValueError: basis 0 holds a vector of dim 2, want 1"),
     (lambda: constructive_mols_count(1), 0),
 ], ids=["empty-square", "ragged-row", "order-mismatch", "cyclic-order-0", "empty-macneish",
