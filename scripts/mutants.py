@@ -4,12 +4,12 @@ Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
 is checked as one MUB basis), each step of the ring test down the
 cyclotomic tower, every bound that must act before costly work, the
 Latin refusal of non-integer cells, the copies a Latin square and a MOLS
-set keep of their input, the planner's reading of each node
-off the divisors of d, each C-level pass that builds, groups or loads a
-set without a Python step per vector, the supports such a set shares,
-the length check of a vector, and the writers' walk over the
-tables a set keeps must be pinned by a test that fails when it is
-broken.  Each entry of MUTANTS names a file under src/, a text that
+set keep of their input, the planner's reading of each node off the
+divisors of d and its first-max split scan, the factoring wheel, each
+C-level pass that builds, groups or loads a set without a Python step
+per vector, the supports such a set shares, the length check of a
+vector, and the writers' walk over the tables a set keeps must be pinned
+by a test that fails when it is broken.  Each entry of MUTANTS names a file under src/, a text that
 occurs in it exactly once, its replacement and the tests that must catch
 the change.  The run copies src/, tests/ and pyproject.toml to a
 temporary directory, runs every named test on the unmutated copy (all
@@ -39,6 +39,7 @@ SERIAL = "src/mubkit/serial.py"
 CLI = "src/mubkit/cli.py"
 LATIN = "src/mubkit/latin.py"
 PLANNER = "src/mubkit/planner.py"
+ARITH = "src/mubkit/arith.py"
 CYCLO = "src/mubkit/cyclotomic.py"
 T = "tests/test_mub.py::"
 C = "tests/test_cyclotomic.py::"
@@ -234,7 +235,8 @@ MUTANTS = [
      "map(operator.sub, s[k:] + s[:k], head)",
      "map(operator.sub, s, head)",
      [C + "test_known_vanishing_sums_of_nonprime_order", C + "test_equality_across_orders"]),
-    # the planner's reading of each node off the divisors of d
+    # the planner's reading of each node off the divisors of d, its split
+    # scan and the wheel that factors d
     ("a node that two primes of d divide taken for a prime power", PLANNER,
      "if sum(n % p == 0 for p in primes) == 1:",
      "if sum(n % p == 0 for p in primes) >= 1:",
@@ -244,6 +246,20 @@ MUTANTS = [
      "                continue\n",
      "",
      ["tests/test_planner.py::test_plans_match_the_eager_search"]),
+    ("a split that ties the optimum taken: the last tied split wins", PLANNER,
+     "            if c > top:\n",
+     "            if c >= top:\n",
+     ["tests/test_planner.py::test_plans_match_the_eager_search"]),
+    ("split scan stopped before a * a = n, losing the square split", PLANNER,
+     "            if a > s:\n"
+     "                break\n",
+     "            if a * a >= n:\n"
+     "                break\n",
+     ["tests/test_planner.py::test_plans_match_the_eager_search"]),
+    ("one residue dropped from the factoring wheel", ARITH,
+     "itertools.cycle((4, 2, 4, 2, 4, 6, 2, 6))",
+     "itertools.cycle((4, 2, 4, 2, 4, 6, 2))",
+     ["tests/test_latin.py::test_factorize_matches_trial_division_by_every_integer"]),
     # bounds that must act before the costly step they guard
     ("read_json size bound moved after parsing", SERIAL,
      "    expect(len(data) <= MAX_DOCUMENT_BYTES,\n"

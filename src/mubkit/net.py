@@ -48,6 +48,10 @@ class IncidenceVector(namedtuple("IncidenceVector", "length bits")):
 
     _make = classmethod(checked_make)
 
+    def __getstate__(self) -> None:
+        # a pickle holds the fields alone, not the cached support
+        return None
+
     @staticmethod
     def from_bits01(text: str) -> "IncidenceVector":
         # int() would also take "_" and spaces, so the check comes first

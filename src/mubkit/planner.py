@@ -17,16 +17,17 @@ are the divisors of d that divide it.
 Two optima are tracked: best_count uses every bound including
 cited-existence ones, best_constructible_count only routes this package
 can actually build or has imported as explicit verified objects.  They
-are two first-max searches over the same candidates and splits, each
-tensor node built from the factors' trees of its own kind, and only when
-it beats the optimum it would replace.  The baseline
-prime_power_reduction_count is min(p_i^(e_i)) + 1 over the prime
-factorization, the guarantee obtained by tensoring the prime-power parts.
+are two first-max searches over the same candidates and splits, solved
+bottom-up over the ascending divisors of d: a split is scanned on the
+factors' counts alone, and each optimum builds at most one tensor node,
+from the factors' trees of its own kind, for the first split that
+strictly beats it.  The baseline prime_power_reduction_count is
+min(p_i^(e_i)) + 1 over the prime factorization, the guarantee obtained
+by tensoring the prime-power parts.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections import namedtuple
@@ -206,12 +207,12 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
     factors = factorize(d)
     primes = [p for p, _ in factors]
     divisors = _divisors_of(factors)[1:]
-
-    @functools.cache
-    def solve(n: int) -> tuple[PlanNode, PlanNode]:
-        candidates: list[PlanNode] = [
-            PlanNode(n, "trivial", 1, True, "standard basis")
-        ]
+    # every split a * (n // a) of a node has both factors below it, so the
+    # ascending divisors solve each node after all of its factors
+    solved: dict[int, tuple[PlanNode, PlanNode]] = {}
+    counts: dict[int, tuple[int, int]] = {}
+    for n in divisors:
+        candidates = [PlanNode(n, "trivial", 1, True, "standard basis")]
         if sum(n % p == 0 for p in primes) == 1:
             candidates.append(PlanNode(n, "prime-power", n + 1, False, "cited-existence"))
         s = math.isqrt(n)
@@ -230,28 +231,36 @@ def plan(d: int, imports: ImportsTable | None = None) -> Plan:
                 best = cand
             if cand.constructible and cand.count > best_con.count:
                 best_con = cand
-        # Splits n = a * b with 2 <= a <= b: best takes the product of the
-        # factors' best trees, best_con that of their constructible trees,
-        # each node built only when it strictly beats the optimum it would
-        # replace.
+        # Splits n = a * b with 2 <= a <= b: best takes the min of the
+        # factors' best counts, best_con that of their constructible
+        # counts, and each keeps the first split that strictly beats it;
+        # only that split's tensor node is built.
+        top, top_con = best.count, best_con.count
+        split = split_con = 0
         for a in divisors:
-            if a * a > n:
+            if a > s:
                 break
             if n % a:
                 continue
-            left_best, left_con = solve(a)
-            right_best, right_con = solve(n // a)
-            count = min(left_best.count, right_best.count)
-            if count > best.count:
-                best = PlanNode(n, "tensor", count,
-                                left_best.constructible and right_best.constructible,
-                                "tensor", (left_best, right_best))
-            count = min(left_con.count, right_con.count)
-            if count > best_con.count:
-                best_con = PlanNode(n, "tensor", count, True, "tensor", (left_con, right_con))
-        return best, best_con
+            left, left_con = counts[a]
+            right, right_con = counts[n // a]
+            c = left if left < right else right
+            if c > top:
+                top, split = c, a
+            c = left_con if left_con < right_con else right_con
+            if c > top_con:
+                top_con, split_con = c, a
+        if split:
+            left, right = solved[split][0], solved[n // split][0]
+            best = PlanNode(n, "tensor", top, left.constructible and right.constructible,
+                            "tensor", (left, right))
+        if split_con:
+            pair = (solved[split_con][1], solved[n // split_con][1])
+            best_con = PlanNode(n, "tensor", top_con, True, "tensor", pair)
+        solved[n] = best, best_con
+        counts[n] = top, top_con
 
-    best, best_con = solve(d)
+    best, best_con = solved[d]
     return Plan(d=d, best_count=best.count, best_constructible_count=best_con.count,
                 prime_power_reduction_count=_reduction_count(factors),
                 best=best, best_constructible=best_con)

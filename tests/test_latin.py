@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from mubkit.latin import (
 from mubkit import latin
 from mubkit.galois import field_tables, prime_power
 from mubkit.net import IncidenceVector, Net, mols_from_net, net_from_dict, net_from_mols
+from mubkit.planner import MAX_PLAN_DIM
 from mubkit.serial import ParseError
 
 from reference import (complete_mols_by_cells, factorize_by_trial, first_repeated_pair,
@@ -173,7 +176,16 @@ def test_grids_over_the_order_limit_are_refused():
 def test_factorize_matches_trial_division_by_every_integer():
     rng = random.Random(10)
     edge = [2 ** 29, 3 ** 18, 999_999_937, 31_607 ** 2, 2 * 999_999_937, 999_983 * 997]
-    for n in [*range(1, 5000), *edge, *(rng.randrange(1, 10 ** 9) for _ in range(40))]:
+    # squares of primes, and products of the largest primes the planner's
+    # bound allows: a wheel that skipped one would return p^2 or p * q whole
+    primes = [p for p in range(2, 2000) if factorize_by_trial(p) == [(p, 1)]]
+    root = math.isqrt(MAX_PLAN_DIM)
+    large = [p for p in range(root - 60, root + 10) if factorize_by_trial(p) == [(p, 1)]]
+    edge += [p * p for p in primes]
+    edge += [p * q for p, q in itertools.combinations_with_replacement(large, 2)
+             if p * q <= MAX_PLAN_DIM]
+    assert 31_607 * 31_627 in edge
+    for n in [*range(1, 200_000), *edge, *(rng.randrange(1, 10 ** 9) for _ in range(40))]:
         assert factorize(n) == factorize_by_trial(n), n
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -338,6 +339,22 @@ def test_support_lists_the_set_bits_in_order(case):
         assert IncidenceVector(length, b).support == tuple(
             p for p in range(length) if b >> p & 1)
     assert IncidenceVector(0, 0).support == ()
+
+
+def test_a_net_pickles_its_fields_alone():
+    # the cached supports sit in each vector's instance dict; a pickle
+    # holds length and bits only, and the copy reads its own
+    n = net_from_mols(complete_mols_prime_power(16))
+    before = pickle.dumps(n)
+    vectors = [v for block in n.blocks for v in block]
+    assert all(len(v.support) == 16 for v in vectors)
+    assert all("support" in vars(v) for v in vectors)
+    after = pickle.dumps(n)
+    assert len(after) == len(before)
+    back = pickle.loads(after)
+    assert back == n and type(back) is Net
+    assert all(type(v) is IncidenceVector and vars(v) == {} for block in back.blocks for v in block)
+    assert verify_net(back) == verify_net(n)
 
 
 def relabelled(net: Net, points: list[int], rows: list[int], cols: list[int]) -> Net:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mubkit.galois import prime_power
 from mubkit.latin import complete_mols_prime_power, mols_to_dict
+from mubkit import planner
 from mubkit.mub import MubBasis, MubSet, MubVector, export_mubs, verify_mubs
 from mubkit.planner import (
     MAX_PLAN_DIM,
@@ -357,3 +359,25 @@ def test_plans_match_the_eager_search():
     for d in dims:
         for table in tables:
             assert plan(d, table).to_dict() == eager_plan(d, table), d
+
+
+def test_each_node_builds_at_most_one_tensor_node_per_optimum(monkeypatch):
+    # 735134400 has 1,344 divisors and 66,704 splits; a split is compared
+    # on counts alone, and only the winning split of each optimum becomes
+    # a tensor node
+    imports = ImportsTable.from_dir(DATA_DIR)
+    expected = plan(735134400, imports)
+    built = collections.Counter()
+
+    class CountingNode(PlanNode):
+        __slots__ = ()
+
+        def __new__(cls, d, kind, *rest):
+            if kind == "tensor":
+                built[d] += 1
+            return super().__new__(cls, d, kind, *rest)
+
+    monkeypatch.setattr(planner, "PlanNode", CountingNode)
+    assert plan(735134400, imports) == expected
+    assert built[735134400] >= 1
+    assert max(built.values()) <= 2
