@@ -1,15 +1,18 @@
 """Mutation gate for the verifiers' shortcuts and the size bounds.
 
 Every shortcut of an exact checker (MUB set and net; a Hadamard matrix
-is checked as one MUB basis), each step of the ring test down the
-cyclotomic tower, every bound that must act before costly work, the
-Latin refusal of non-integer cells, the copies a Latin square and a MOLS
-set keep of their input, the planner's reading of each node off the
-divisors of d and its first-max split scan, the factoring wheel, each
-C-level pass that builds, groups or loads a set without a Python step
-per vector, the supports such a set shares, the length check of a
-vector, and the writers' walk over the tables a set keeps must be pinned
-by a test that fails when it is broken.  Each entry of MUTANTS names a file under src/, a text that
+is checked as one MUB basis), among them the owner tables that let a
+basis whose groups partition the points pair each group with itself
+alone and the byte-row test that settles a pair of net-shaped bases
+whole, each step of the ring test down the cyclotomic tower, every bound
+that must act before costly work, the Latin refusal of non-integer
+cells, the copies a Latin square and a MOLS set keep of their input, the
+planner's reading of each node off the divisors of d and its first-max
+split scan, the factoring wheel, each C-level pass that builds, groups
+or loads a set without a Python step per vector, the supports such a
+set shares, the length check of a vector, and the writers' walk over the
+tables a set keeps must be pinned by a test that fails when it is
+broken.  Each entry of MUTANTS names a file under src/, a text that
 occurs in it exactly once, its replacement and the tests that must catch
 the change.  The run copies src/, tests/ and pyproject.toml to a
 temporary directory, runs every named test on the unmutated copy (all
@@ -96,16 +99,39 @@ MUTANTS = [
      "        cache[id(group)] = out\n",
      "        pass\n",
      [T + "test_rows_packed_whole_keep_exact_verdicts_at_both_field_widths"]),
-    # the position index of the within-basis walk (mub._pair_violations_exact)
+    # the position index of the within-basis walk (mub._sharing_pairs)
     ("a one-vector group paired with itself", MUB,
-     "            low = g if len(gu[3]) > 1 else g + 1",
-     "            low = g",
+     "        low = g if len(gu[3]) > 1 else g + 1",
+     "        low = g",
      [T + "test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once"]),
     ("neighbours read from a group's first position only", MUB,
      "{h for pos in gu[2] for h in holders[pos] if h >= low}",
      "{h for pos in gu[2][:1] for h in holders[pos] if h >= low}",
      [T + "test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full",
       T + "test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once"]),
+    # the owner tables of the within-basis pass (mub._owner_table) and the
+    # byte-row test of net-shaped bases across bases (mub._net_pairs)
+    ("partition test accepts overlapping groups that cover every point", MUB,
+     "    if sum(sizes) != d:\n"
+     "        return None\n",
+     "",
+     [T + "test_the_within_basis_walk_visits_each_sharing_pair_of_groups_once"]),
+    ("partition test accepts a repeated position", MUB,
+     "    return owner if len(owner) == d else None\n",
+     "    return owner\n",
+     [T + "test_two_groups_on_one_support_keep_the_triangle_apart_from_the_rectangle"]),
+    ("norm s not asked of a net-shaped basis", MUB,
+     "           and set(map(_GROUP_NORM, groups)) == {s}]\n",
+     "           ]\n",
+     [T + "test_a_group_of_another_norm_takes_the_walk"]),
+    ("pair (r, c) passes without the row test of R_c", MUB,
+     "    pairs = {(r, c) for c in rest if distinct[c]}\n",
+     "    pairs = {(r, c) for c in rest}\n",
+     [T + "test_rows_that_repeat_a_byte_take_the_walk"]),
+    ("pair (b, c) skips the row test of R_b", MUB,
+     "if distinct[b] and distinct[c] and _orthogonal(rows[b], rows[c]))",
+     "if distinct[c] and _orthogonal(rows[b], rows[c]))",
+     [T + "test_rows_that_repeat_a_byte_take_the_walk"]),
     # the C-level passes that build, group and load a set without a Python
     # step per vector (build_mubs, _exact_tables, _exact_basis), the
     # supports a built or loaded set shares, and the length check of the
@@ -194,8 +220,8 @@ MUTANTS = [
      "lambda key, n: bytes(sorted(set(key.to_bytes(n, order).translate(mod_m)))))",
      ["tests/test_hadamard.py::test_difference_sets_of_other_multiplicities_are_tested_apart",
       "tests/test_hadamard.py::test_the_report_matches_one_ring_test_per_row_pair"]),
-    # the byte-row checks of latin, which let LatinSquare and MolsSet skip
-    # the cell walks
+    # the byte-row checks of latin and arith, which let LatinSquare and
+    # MolsSet skip the cell walks
     ("Latin column check dropped", LATIN,
      "    return (not flat.translate(None, sym) and _distinct(rows, sym)\n"
      "            and _distinct([flat[c::s] for c in range(s)], sym))\n",
@@ -205,7 +231,7 @@ MUTANTS = [
      "    return (not flat.translate(None, sym) and _distinct(rows, sym)\n",
      "    return (_distinct(rows, sym)\n",
      ["tests/test_latin.py::test_latin_square_rejects_repeats"]),
-    ("orthogonality read off the rows of the table matrix", LATIN,
+    ("orthogonality read off the rows of the table matrix", ARITH,
      "    return _distinct([table[x::256] for x in range(s)], _SYMBOLS[:s])\n",
      "    return _distinct([table[256 * x:256 * x + s] for x in range(s)], _SYMBOLS[:s])\n",
      ["tests/test_latin.py::test_orthogonality_witness"]),

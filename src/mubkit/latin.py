@@ -12,7 +12,8 @@ symbol fits in one byte: a square is its rows as bytes, the one form that
 the checks, the net and the writers read.  Rows given as bytes are kept,
 and a grid of lists, tuples or bytearrays is copied into byte rows on
 construction, so editing it later changes no square.  The checks run on
-byte rows in C builtins: a grid is Latin when deleting its symbols from
+byte rows in C builtins (arith._distinct and arith._orthogonal, which the
+MUB verifier shares): a grid is Latin when deleting its symbols from
 its cells leaves nothing and every row and every column has s distinct
 bytes, and squares A and B are orthogonal when the rows
 bytes.maketrans(A_i, B_i), which map each symbol of A to the symbol of B
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import repeat
 import os
 
 from . import serial
-from .arith import constructive_mols_count, factorize
+from .arith import _SYMBOLS, _distinct, _orthogonal, constructive_mols_count, factorize
 from .record import checked_make
 
 # The largest order of a square built here: the side of net.MAX_POINTS, so
@@ -67,10 +67,6 @@ class NotOrthogonalError(ValueError):
         self.pair = pair
 
 
-# The symbols 0..255; _SYMBOLS[:s] are those of a square of order s.
-_SYMBOLS = bytes(range(MAX_ORDER))
-
-
 def _byte_rows(grid, s: int) -> tuple[bytes, ...] | None:
     """The rows of grid as bytes when it holds s rows of s integer cells in
     0..255, else None.  Rows that are all exactly bytes, immutable already,
@@ -82,13 +78,6 @@ def _byte_rows(grid, s: int) -> tuple[bytes, ...] | None:
     return rows if set(map(len, rows)) == {s} else None
 
 
-def _distinct(rows, sym: bytes) -> bool:
-    """Every item of rows holds len(sym) distinct bytes: the table that
-    maps its k-th byte to k maps it back onto sym only then."""
-    tables = map(bytes.maketrans, rows, repeat(sym))
-    return b"".join(map(bytes.translate, rows, tables)) == sym * len(rows)
-
-
 def _is_latin(rows: tuple[bytes, ...]) -> bool:
     """The s byte rows form a Latin square: no byte outside 0..s-1, and s
     distinct bytes in every row and every column."""
@@ -97,16 +86,6 @@ def _is_latin(rows: tuple[bytes, ...]) -> bool:
     flat = b"".join(rows)
     return (not flat.translate(None, sym) and _distinct(rows, sym)
             and _distinct([flat[c::s] for c in range(s)], sym))
-
-
-def _orthogonal(rows_a: tuple[bytes, ...], rows_b: tuple[bytes, ...]) -> bool:
-    """Latin squares a and b (as byte rows) are orthogonal: the 256-byte
-    table bytes.maketrans(a_i, b_i) maps each symbol of row i of a to the
-    symbol of b in the same cell, so entry x of the s tables, one per row,
-    must be s distinct bytes for every symbol x."""
-    s = len(rows_a)
-    table = b"".join(map(bytes.maketrans, rows_a, rows_b))
-    return _distinct([table[x::256] for x in range(s)], _SYMBOLS[:s])
 
 
 def _latin_witness(grid, s: int) -> None:

@@ -28,15 +28,26 @@ root order (_row_codec) fixes the field width, 8 bits up to m = 128 and
 throughout.  It decides a pair of groups at once wherever a ring identity
 allows it: two supports that meet in one point give S a single root of
 unity, so d*S*conj(S) = d, and the whole product of the two groups is
-unbiased exactly when nu*nv = d; disjoint supports give S = 0.  Within a
+unbiased exactly when nu*nv = d; disjoint supports give S = 0.  Each
+call also builds one owner table per basis, each position's group, in one
+C-level dict pass; where a basis's groups partition the d positions
+(their sizes sum to d and no position repeats) the table is kept, and
+each group of that basis is visited only with itself.  Within any other
 basis it visits only the groups that share a position, read from lists
-of the groups per position.  Every other overlapping pair of groups, a group
-with itself included, is decided by one function on the positions the two
-share: it sorts each side's rows there, the packed rows or the bytes of
-their fields on those positions, into phase classes, rows equal up to one
-constant exponent, which fixes S up to a unit, tests one pair of
-representatives per pair of classes, and copies each verdict to the
-member pairs.  A representative pair's key is one integer addition of two
+of the groups per position.  Across bases the owner tables decide whole
+pairs of bases when every basis holds s groups of s positions with norm
+s, d = s*s (a net's blocks): each basis's owners read along the groups of
+the first such basis are s byte rows, the byte-row tests of Latin
+squares (arith._distinct, arith._orthogonal) show in C builtins that
+every group of one basis meets every group of the other in one point, and
+the one-point identity then settles the pair without walking a group
+pair; a pair that fails them takes the group walk (see _net_pairs).
+Every other overlapping pair of groups, a group with itself included, is
+decided by one function on the positions the two share: it sorts each
+side's rows there, the packed rows or the bytes of their fields on those
+positions, into phase classes, rows equal up to one constant exponent,
+which fixes S up to a unit, tests one pair of representatives per pair
+of classes, and copies each verdict to the member pairs.  A representative pair's key is one integer addition of two
 rows read as integers, read back sorted (for 8-bit fields as
 bytes(sorted(key.to_bytes(n, order).translate(MOD_M))), a 256-byte table
 MOD_M reducing each byte mod m), and each distinct vector of sorted
@@ -54,7 +65,7 @@ once per distinct row block, kept under the tuple of its bytes rows,
 which fixes every S among its vectors wherever the support lies.
 A net set has one block, the Hadamard matrix's rows, on all k*s
 supports, so its within-basis pass makes C(s, 2) zero tests, and every
-cross-basis pair of groups meets in one point.  A root order above
+pair of its bases passes the byte-row test.  A root order above
 MAX_ROOT_ORDER is refused before any ring work.  The walk yields verdict
 blocks, two groups with their failing pairs or all their pairs, and one
 expander makes the report.  The exact oracle runs in one process, since
@@ -101,6 +112,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import serial
+from .arith import _SYMBOLS, _distinct, _orthogonal
 from .cyclotomic import MAX_ROOT_ORDER, TOL, _check_order, unbiased, vanishes
 from .record import checked_make
 
@@ -232,6 +244,8 @@ class MubSet(namedtuple("MubSet", "dim bases")):
 _NORM_SQ, _ROOT_ORDER = operator.attrgetter("norm_sq"), operator.attrgetter("root_order")
 _POSITIONS, _EXPONENTS = operator.attrgetter("positions"), operator.attrgetter("exponents")
 _VECTORS = operator.attrgetter("vectors")
+# fields of a support group (see _exact_tables)
+_GROUP_NORM, _SUPPORT = operator.itemgetter(1), operator.itemgetter(2)
 _ROWS = operator.itemgetter(4)
 
 
@@ -617,12 +631,88 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, b: int, c: int):
+def _owner_table(groups, d: int) -> dict[int, int] | None:
+    """The index of the group holding each position, one dict built in a
+    C-level pass, when the supports of groups (one basis's, see
+    _exact_tables) partition 0..d-1: their sizes sum to d and no position
+    repeats.  None otherwise."""
+    supports = list(map(_SUPPORT, groups))
+    sizes = list(map(len, supports))
+    if sum(sizes) != d:
+        return None
+    owner = dict(zip(itertools.chain.from_iterable(supports), itertools.chain.from_iterable(
+        map(itertools.repeat, range(len(sizes)), sizes))))
+    return owner if len(owner) == d else None
+
+
+def _net_pairs(tables, owners, d: int) -> set[tuple[int, int]]:
+    """The pairs (b, c), b < c, of net-shaped bases whose every pair of
+    groups meets in exactly one point, as the byte-row tests of Latin
+    squares show; each such pair has nu*nv = s*s = d (see verify_mubs).
+
+    A basis is net-shaped when d = s*s, s <= 256 so that a group index
+    fits a byte, and its s groups partition the positions (owners[b] is
+    not None), each on s positions with norm s.  The first one, r, fixes
+    the cells: position p is cell (i, j) when it is the j-th position of
+    group i of r.  Basis b's owners in cell order are s byte rows R_b, one
+    per group of r.  Row i of R_c holds s distinct bytes exactly when
+    group i of r meets each group of c once, which decides (r, c).  For b
+    and c other than r, rows of s distinct bytes put one cell of each
+    group x of b in every row, and _orthogonal(R_b, R_c) then says that
+    those s cells lie in s different groups of c, so (b, c) passes when
+    R_b and R_c both pass the row test and _orthogonal holds."""
+    s = math.isqrt(d)
+    if s * s != d or s > len(_SYMBOLS):
+        return set()
+    net = [b for b, (groups, owner) in enumerate(zip(tables, owners))
+           if owner is not None and len(groups) == s
+           and set(map(len, map(_SUPPORT, groups))) == {s}
+           and set(map(_GROUP_NORM, groups)) == {s}]
+    if len(net) < 2:
+        return set()
+    r, *rest = net
+    cells = list(itertools.chain.from_iterable(map(_SUPPORT, tables[r])))
+    sym = _SYMBOLS[:s]
+    rows, distinct = {}, {}
+    for b in rest:
+        flat = bytes(map(owners[b].__getitem__, cells))
+        rows[b] = [flat[i:i + s] for i in range(0, d, s)]
+        distinct[b] = _distinct(rows[b], sym)
+    pairs = {(r, c) for c in rest if distinct[c]}
+    pairs.update((b, c) for b, c in itertools.combinations(rest, 2)
+                 if distinct[b] and distinct[c] and _orthogonal(rows[b], rows[c]))
+    return pairs
+
+
+def _sharing_pairs(groups, owner):
+    """The pairs g <= h of the groups of one basis (see _exact_tables)
+    that share a position, g with itself only when it holds two vectors or
+    more, in increasing order.  Where owner (see _owner_table) shows the
+    groups to partition the positions, each group shares only with
+    itself; otherwise holders[pos] lists the groups that hold pos, in
+    increasing order, and each group meets those it lists."""
+    if owner is not None:
+        for g, (_, _, positions, us, _) in enumerate(groups):
+            if positions and len(us) > 1:
+                yield g, g
+        return
+    holders: dict[int, list[int]] = {}
+    for g, group in enumerate(groups):
+        for pos in group[2]:
+            holders.setdefault(pos, []).append(g)
+    for g, gu in enumerate(groups):
+        low = g if len(gu[3]) > 1 else g + 1  # one vector makes no pair with itself
+        for h in sorted({h for pos in gu[2] for h in holders[pos] if h >= low}):
+            yield g, h
+
+
+def _pair_violations_exact(x: MubSet, m: int, tables, owners, memo: dict, cache: dict,
+                           b: int, c: int):
     """Verdict blocks (kind, detail, us, vs, pairs) between bases b and c,
     walked one pair of support groups at a time (see verify_mubs): us[a]
     fails against vs[t] for each (a, t) in pairs, or for every a and t
-    where pairs is None.  memo and cache (see _memo_test and
-    _phase_classes) serve one call."""
+    where pairs is None.  owners (see _owner_table), memo and cache (see
+    _memo_test and _phase_classes) serve one call."""
     d = x.dim
     groups_b, groups_c = tables[b], tables[c]
 
@@ -631,19 +721,10 @@ def _pair_violations_exact(x: MubSet, m: int, tables, memo: dict, cache: dict, b
             if len(positions) != norm:
                 for i in us:
                     yield "norm", f"|u|^2 = {len(positions)}/{norm}", (i,), (i,), None
-
-        # holders[pos] lists the groups that hold pos, in increasing order;
-        # only the groups sharing a position are visited
-        holders: dict[int, list[int]] = {}
-        for g, group in enumerate(groups_b):
-            for pos in group[2]:
-                holders.setdefault(pos, []).append(g)
-        for g, gu in enumerate(groups_b):
-            low = g if len(gu[3]) > 1 else g + 1  # one vector makes no pair with itself
-            for h in sorted({h for pos in gu[2] for h in holders[pos] if h >= low}):
-                gv = groups_b[h]
-                yield "orthogonality", "S(u, v) != 0", gu[3], gv[3], _group_pair_failures(
-                    m, d, memo, cache, None, gu, gv, gu[0] & gv[0])
+        for g, h in _sharing_pairs(groups_b, owners[b]):
+            gu, gv = groups_b[g], groups_b[h]
+            yield "orthogonality", "S(u, v) != 0", gu[3], gv[3], _group_pair_failures(
+                m, d, memo, cache, None, gu, gv, gu[0] & gv[0])
         return
 
     # Unbiasedness asks |S|^2 = nu*nv/d, decided as d*S*conj(S) = nu*nv in
@@ -758,6 +839,13 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     classes are cosets of one subgroup of rows, as in the quadratic-phase
     sets of prime dimension and their tensor products, take n tests for
     their n*n pairs of classes, and fall back to the pairs when one fails.
+    One owner table per basis, built per call, shows which bases'
+    groups partition the positions; each of their groups then meets only
+    itself within the basis, and when every basis holds s groups of s
+    positions with norm s in C^(s*s), the byte-row tests of Latin squares
+    on the owners settle each pair of bases whose groups all meet in one
+    point, without walking its group pairs; every other pair of bases is
+    walked, so the report does not depend on the shortcut.
     mode "float" computes every inner product numerically and compares it
     against tolerance 1e-9; a vector whose products with a whole basis all
     lie within half that tolerance passes at once.  In float mode jobs > 1
@@ -778,10 +866,12 @@ def verify_mubs(x: MubSet, mode: str = "exact", jobs: int = 1) -> MubReport:
     workers = min(jobs, len(tasks), _usable_cpus())
     if mode == "exact":
         m, tables = x._tables
+        owners = [_owner_table(groups, x.dim) for groups in tables]
+        settled = _net_pairs(tables, owners, x.dim)
         memo: dict = {}
         cache: dict = {}
-        chunks = [_block_violations(b, c, _pair_violations_exact(x, m, tables, memo, cache, b, c))
-                  for b, c in tasks]
+        chunks = [_block_violations(b, c, _pair_violations_exact(
+            x, m, tables, owners, memo, cache, b, c)) for b, c in tasks if (b, c) not in settled]
     elif workers > 1:
         import multiprocessing  # only parallel float runs pay for its import
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import gc
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -13,11 +14,13 @@ import pickle
 import random
 import time
 import types
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mubkit import cyclotomic, mub, serial
+from mubkit.arith import _SYMBOLS, _distinct, _orthogonal
 from mubkit.cyclotomic import TOL, unbiased, vanishes
 from mubkit.hadamard import GenHadamard, dft, verify_hadamard
 from mubkit.latin import MolsSet, complete_mols_prime_power, cyclic_square, import_mols
@@ -48,17 +51,22 @@ from mutations import mutated_documents
 from reference import approx, exact_failing_pairs, float_report, inner_product, mubs_to_dict
 
 
+def with_vectors(x: MubSet, b: int, changed: dict[int, MubVector]) -> MubSet:
+    """Copy of x with vector i of basis b replaced by changed[i]."""
+    vecs = list(x.bases[b].vectors)
+    for i, vec in changed.items():
+        vecs[i] = vec
+    bases = list(x.bases)
+    bases[b] = MubBasis(tuple(vecs))
+    return MubSet(dim=x.dim, bases=tuple(bases))
+
+
 def tampered(x: MubSet, b: int, i: int, slot: int, delta: int = 1) -> MubSet:
     """Copy of x with one exponent shifted by delta."""
     vec = x.bases[b].vectors[i]
     exps = list(vec.exponents)
     exps[slot] = (exps[slot] + delta) % vec.root_order
-    new_vec = vec._replace(exponents=exps)
-    vecs = list(x.bases[b].vectors)
-    vecs[i] = new_vec
-    bases = list(x.bases)
-    bases[b] = MubBasis(tuple(vecs))
-    return MubSet(dim=x.dim, bases=tuple(bases))
+    return with_vectors(x, b, {i: vec._replace(exponents=exps)})
 
 
 def non_integer_target_set() -> MubSet:
@@ -822,11 +830,8 @@ def test_shuffled_net_supports_settle_every_cross_pair_at_once(monkeypatch):
 
 def swapped(x: MubSet, b: int, i: int, j: int) -> MubSet:
     """Copy of x with vectors i and j of basis b exchanged."""
-    vecs = list(x.bases[b].vectors)
-    vecs[i], vecs[j] = vecs[j], vecs[i]
-    bases = list(x.bases)
-    bases[b] = MubBasis(tuple(vecs))
-    return MubSet(dim=x.dim, bases=tuple(bases))
+    vecs = x.bases[b].vectors
+    return with_vectors(x, b, {i: vecs[j], j: vecs[i]})
 
 
 def test_row_blocks_keep_each_groups_own_failing_pairs():
@@ -923,6 +928,238 @@ def test_overlapping_group_pairs_keep_exact_verdicts_once_the_memo_is_full(limit
     within = {(i, j) for b, i, c, j in exact if b == c == 0 and i < 3 <= j}
     across = {(i, j) for b, i, c, j in exact if b < c and (i < 3) == (j < 3)}
     assert 0 < len(within) < 9 and 0 < len(across) < 18
+
+
+# -- net-shaped sets: owner tables and the byte-row test (mub._net_pairs)
+
+def walked_report(x: MubSet) -> MubReport:
+    """The exact report of x with no owner table, so that every basis
+    takes the holders walk and every pair of bases the group walk."""
+    with mock.patch.object(mub, "_owner_table", lambda groups, d: None):
+        return verify_mubs(x)
+
+
+def walked_pairs(monkeypatch) -> list[tuple[int, int]]:
+    """The pairs of bases (b, c) that _pair_violations_exact is entered
+    for from now on, in order."""
+    calls = []
+    walk = mub._pair_violations_exact
+
+    def counting(x, m, tables, owners, memo, cache, b, c):
+        calls.append((b, c))
+        return walk(x, m, tables, owners, memo, cache, b, c)
+
+    monkeypatch.setattr(mub, "_pair_violations_exact", counting)
+    return calls
+
+
+def net_set(s: int, mols26_path: str) -> MubSet:
+    """built_mubs(s), and for s = 26 the set of the shipped MOLS."""
+    if s != 26:
+        return built_mubs(s)
+    return build_mubs(net_from_mols(import_mols(mols26_path)), dft(26))
+
+
+def moved(vec: MubVector, p: int, q: int) -> MubVector:
+    """vec with its point p moved to the position q, keeping its exponent."""
+    amps = dict(zip(vec.positions, vec.exponents))
+    amps[q] = amps.pop(p)
+    support = sorted(amps)
+    return vec._replace(positions=support, exponents=[amps[r] for r in support])
+
+
+def moved_last_point(x: MubSet, b: int, i: int) -> MubSet:
+    """x with the last point of vector i of basis b moved to the next
+    position after it that the vector lacks, from 0 again past the end."""
+    vec = x.bases[b].vectors[i]
+    p = vec.positions[-1]
+    q = next(r for r in itertools.chain(range(p + 1, x.dim), range(x.dim))
+             if r not in vec.positions)
+    return with_vectors(x, b, {i: moved(vec, p, q)})
+
+
+def on_support(basis: MubBasis, i: int) -> list[int]:
+    """The indices of the vectors of basis that share vector i's support."""
+    support = basis.vectors[i].positions
+    return [j for j, v in enumerate(basis.vectors) if v.positions == support]
+
+
+def moved_point(x: MubSet, rng: random.Random) -> MubSet:
+    """One point of one vector, or of every vector on its support, moved
+    to a position that support lacks."""
+    b, i = rng.randrange(x.k), rng.randrange(x.dim)
+    basis = x.bases[b]
+    support = basis.vectors[i].positions
+    p, q = rng.choice(support), rng.choice([r for r in range(x.dim) if r not in support])
+    us = on_support(basis, i) if rng.random() < 0.5 else [i]
+    return with_vectors(x, b, {j: moved(basis.vectors[j], p, q) for j in us})
+
+
+def swapped_support(x: MubSet, rng: random.Random) -> MubSet:
+    """The vectors on one support of basis b and those on one support of
+    basis c != b trade supports, keeping their exponents."""
+    (b, i), (c, j) = ((t, rng.randrange(x.dim)) for t in rng.sample(range(x.k), 2))
+    pb, pc = x.bases[b].vectors[i].positions, x.bases[c].vectors[j].positions
+    y = with_vectors(x, b, {t: x.bases[b].vectors[t]._replace(positions=pc)
+                            for t in on_support(x.bases[b], i)})
+    return with_vectors(y, c, {t: x.bases[c].vectors[t]._replace(positions=pb)
+                               for t in on_support(x.bases[c], j)})
+
+
+def renormed(x: MubSet, rng: random.Random) -> MubSet:
+    """A norm other than s on one vector, or on every vector of its
+    support, so the basis may still hold s groups of s positions."""
+    s = math.isqrt(x.dim)
+    b, i = rng.randrange(x.k), rng.randrange(x.dim)
+    norm = rng.choice([s - 1 or 3, s + 1, 2 * s])
+    us = on_support(x.bases[b], i) if rng.random() < 0.5 else [i]
+    return with_vectors(x, b, {j: x.bases[b].vectors[j]._replace(norm_sq=norm) for j in us})
+
+
+def repeated_support(x: MubSet, rng: random.Random) -> MubSet:
+    """The vectors on one support of a basis moved onto another support
+    of the same basis."""
+    b = rng.randrange(x.k)
+    basis = x.bases[b]
+    i, j = rng.sample([us[0] for us in {v.positions: on_support(basis, t)
+                                         for t, v in enumerate(basis.vectors)}.values()], 2)
+    target = basis.vectors[j].positions
+    return with_vectors(x, b, {t: basis.vectors[t]._replace(positions=target)
+                               for t in on_support(basis, i)})
+
+
+def emptied(x: MubSet, rng: random.Random) -> MubSet:
+    """One vector on no point."""
+    b, i = rng.randrange(x.k), rng.randrange(x.dim)
+    return with_vectors(x, b, {i: x.bases[b].vectors[i]._replace(positions=(), exponents=())})
+
+
+def repeated_byte(x: MubSet, rng: random.Random) -> MubSet | None:
+    """x with two points exchanged between two groups x, y of one basis b,
+    neither the first basis nor the last, and the groups of a later basis
+    c reordered, so that b's byte rows (R_b of mub._net_pairs, read along
+    the groups of basis 0) repeat a byte while _orthogonal still pairs
+    them with those of c, although group x of b now meets a group of c
+    twice: a pair that the row test of R_b alone refuses.  None when no
+    two cells fit.
+
+    Cell A, the j-th point of group i of basis 0, lies in group x of b and
+    cell B, the j'-th point of group i' != i, in group y != x, where row i
+    of R_b holds y past j and row i' holds x past j'.  Basis c is
+    reordered so that A's group comes x-th and B's y-th (A and B lie in
+    two groups of c).  A then moves to group y and B to group x, which
+    leaves every table bytes.maketrans(R_b[i], R_c[i]) as it was: in row
+    i, y keeps the image of its later cell, and x, now missing, maps to
+    itself, as A did."""
+    s = math.isqrt(x.dim)
+    groups = first_appearance_groups(x)
+    cells = [p for support, _, _ in groups[0] for p in support]
+    owners = [{p: g for g, (support, _, _) in enumerate(gs) for p in support} for gs in groups]
+    for b in rng.sample(range(1, x.k - 1), x.k - 2):
+        rows = [[owners[b][p] for p in cells[i:i + s]] for i in range(0, x.dim, s)]
+        for c in rng.sample(range(b + 1, x.k), x.k - 1 - b):
+            fits = [(i * s + j, i2 * s + rows[i2].index(row[j2]))
+                    for i, row in enumerate(rows) for j in range(s) for j2 in range(j + 1, s)
+                    for i2 in range(s)
+                    if i2 != i and rows[i2].index(row[j]) > rows[i2].index(row[j2])]
+            fits = [(a, a2) for a, a2 in fits if owners[c][cells[a]] != owners[c][cells[a2]]]
+            if not fits:
+                continue
+            pa, pb = map(cells.__getitem__, rng.choice(fits))
+            gx, gy, ga, gb = owners[b][pa], owners[b][pb], owners[c][pa], owners[c][pb]
+            rest = iter([g for g in range(s) if g not in (ga, gb)])
+            order = [ga if g == gx else gb if g == gy else next(rest) for g in range(s)]
+            basis = x.bases[b]
+            changed = {j: moved(basis.vectors[j], pa, pb) for j in groups[b][gx][2]}
+            changed.update({j: moved(basis.vectors[j], pb, pa) for j in groups[b][gy][2]})
+            y = with_vectors(x, b, changed)
+            bases = list(y.bases)
+            bases[c] = MubBasis(tuple(y.bases[c].vectors[j] for g in order
+                                      for j in groups[c][g][2]))
+            return MubSet(dim=x.dim, bases=tuple(bases))
+    return None
+
+
+NET_TAMPERS = {f.__name__: f for f in (moved_point, swapped_support, repeated_byte, renormed,
+                                       repeated_support, emptied)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 9]), st.booleans(), st.sampled_from(sorted(NET_TAMPERS)),
+       st.integers(0, 2**32 - 1))
+def test_tampered_net_sets_report_as_the_walk_and_the_reference_do(s, lift, tamper, seed):
+    # three or four bases of the built set, at its root order or lifted
+    # past 128, where rows take 16-bit fields; each tamper breaks the set
+    rng = random.Random(seed)
+    x = built_mubs(s)
+    x = MubSet(dim=x.dim, bases=tuple(
+        x.bases[b] for b in sorted(rng.sample(range(x.k), min(x.k, 3 if s > 5 else 4)))))
+    if lift:
+        x = lifted(x, s * (128 // s + 1))
+    y = NET_TAMPERS[tamper](x, rng)
+    assume(y is not None)
+    report = verify_mubs(y)
+    assert not report.ok
+    assert report == walked_report(y)
+    assert report.failing_pairs() == exact_failing_pairs(y)
+
+
+def test_rows_that_repeat_a_byte_take_the_walk():
+    # basis b's groups still partition the points into s groups of s, with
+    # norm s, but two of them trade a point, and _orthogonal alone would
+    # pass b against a later basis c although some group pair meets twice
+    for s in (3, 4, 5):
+        y = repeated_byte(built_mubs(s), random.Random(s))
+        assert y is not None
+        report = verify_mubs(y)
+        assert not report.ok
+        assert report == walked_report(y)
+        assert report.failing_pairs() == exact_failing_pairs(y)
+
+
+def test_a_group_of_another_norm_takes_the_walk():
+    # every vector on the first support of basis 1 of built_mubs(3) gets
+    # norm 4: the basis still holds s groups of s points, but nu*nv != d
+    x = built_mubs(3)
+    y = with_vectors(x, 1, {j: x.bases[1].vectors[j]._replace(norm_sq=4) for j in range(3)})
+    report = verify_mubs(y)
+    assert {v.kind for v in report.violations} == {"norm", "unbiasedness"}
+    assert report == walked_report(y)
+    assert report.failing_pairs() == exact_failing_pairs(y)
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 26, 32])
+def test_net_sets_walk_no_pair_of_bases(q, mols26_path, monkeypatch):
+    # built before the count starts: a build verifies its DFT as one basis
+    x = net_set(q, mols26_path)
+    calls = walked_pairs(monkeypatch)
+    assert verify_mubs(x).ok
+    assert calls == [(b, b) for b in range(x.k)]
+
+
+@pytest.mark.parametrize("b", [0, 4])
+def test_a_tampered_basis_walks_only_its_own_pairs_of_bases(b, monkeypatch):
+    # one vector of basis b of built_mubs(9) has a point moved, so the
+    # basis no longer partitions the points; the first basis that does
+    # fixes the cells, and every pair of two other bases passes
+    x = built_mubs(9)
+    y = moved_last_point(x, b, 10)
+    calls = walked_pairs(monkeypatch)
+    report = verify_mubs(y)
+    assert not report.ok
+    assert [(c, t) for c, t in calls if c != t] == [
+        (min(b, c), max(b, c)) for c in range(x.k) if c != b]
+    assert report == walked_report(y)
+
+
+def test_tampered_s_32_sets_report_as_the_walk_does():
+    # the copies the CI step verifies through the CLI: a flipped exponent
+    # leaves every basis net-shaped, a moved point takes basis 5 out
+    x = built_mubs(32)
+    for y, count in [(tampered(x, 5, 40, 0), 31), (moved_last_point(x, 5, 40), 2047)]:
+        report = verify_mubs(y)
+        assert len(report.violations) == count
+        assert report == walked_report(y)
 
 
 def test_exact_checks_refuse_a_root_order_over_the_limit():
